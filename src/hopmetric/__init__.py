@@ -6,7 +6,7 @@ from .clan import (ClanEmbedding, clan_cover, clan_create_cluster,
                    clan_create_cluster_alt, clan_distribution, clan_embed,
                    optimal_path_copies)
 from .cover import SparseCover, edge_costs, sparse_cover
-from .graph_core import (INFINITY, ExtReal, HopParams, WeightedGraph,
+from .graph_core import (INFINITY, HopParams, WeightedGraph,
                          finite_completion, hop_ball, hop_diameter,
                          hop_distance, hop_distance_all, is_h_respecting,
                          is_inf)
@@ -21,7 +21,7 @@ from .ultrametric import (Ultrametric, WeightedTree, join_under_root,
                           validate_ultrametric)
 
 __all__ = [
-    "INFINITY", "ExtReal", "HopParams", "WeightedGraph",
+    "INFINITY", "HopParams", "WeightedGraph",
     "finite_completion", "hop_ball", "hop_diameter", "hop_distance",
     "hop_distance_all", "is_h_respecting", "is_inf",
     "Ultrametric", "WeightedTree", "join_under_root", "saturate_labels",

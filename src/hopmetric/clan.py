@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .graph_core import (INFINITY, ExtReal, WeightedGraph, finite_completion,
-                         hop_diameter, hop_profile, is_inf)
-from .ramsey import ClusterTriple, Measure, _bounded_diam_at_most, alt_levels, measure_of
+from .graph_core import INFINITY, WeightedGraph, is_inf
+from .ramsey import (ClusterTriple, Measure, _check_measure, alt_levels, alt_rule,
+                     finite_graph, measure_of, standard_rule)
 from .ultrametric import Ultrametric, saturate_labels, ultra_distance
-
-_REL_TOL = 1e-12
 
 
 @dataclass
@@ -36,22 +34,22 @@ class ClanEmbedding:
     def clan_size(self) -> int:
         return sum(len(c) for c in self.f.values())
 
-    def min_copy_distance(self, u: int, v: int) -> ExtReal:
-        best: ExtReal = INFINITY
+    def min_copy_distance(self, u: int, v: int) -> float:
+        best = INFINITY
         for a in self.f[u]:
             for b in self.f[v]:
                 d = ultra_distance(self.U, a, b)
-                if is_inf(best) or (not is_inf(d) and d < best):
+                if d < best:
                     best = d
         return best
 
-    def chief_distance(self, u: int, v: int) -> ExtReal:
+    def chief_distance(self, u: int, v: int) -> float:
         """min over v' in f(v) of d_U(v', chi(u))."""
         cu = self.chi[u]
-        best: ExtReal = INFINITY
+        best = INFINITY
         for b in self.f[v]:
             d = ultra_distance(self.U, b, cu)
-            if is_inf(best) or (not is_inf(d) and d < best):
+            if d < best:
                 best = d
         return best
 
@@ -62,36 +60,9 @@ def clan_create_cluster(G: WeightedGraph, Y: Set[int], mu: Measure,
     path-distortion recursion can always charge a 1/3-2/3 split."""
     if not Y:
         raise ValueError("Y must be nonempty")
-    hprime = 2 * (k + 1) * h
-    r0 = 2.0 ** (scale_i - 3)
-    rho = 2.0 ** scale_i / (16.0 * (k + 1))
-    b0 = scale_i * hprime if scale_i > 0 else 0
-    allowed = sorted(Y)
-    muY = sum(mu[u] for u in Y)
-
-    def ball(dist: List[ExtReal], r: float) -> FrozenSet[int]:
-        return frozenset(u for u in allowed
-                         if not is_inf(dist[u]) and dist[u] <= r + _REL_TOL)
-
-    best_v, best_m = -1, -1.0
-    for v in allowed:
-        prof = hop_profile(G, v, [b0], maxr=r0, allowed=allowed)
-        m = sum(mu[u] for u in ball(prof[b0], r0))
-        if m > best_m + _REL_TOL:
-            best_v, best_m = v, m
-    v = best_v
-    nb = 2 * (k + 1)
-    budgets = [b0 + j * h for j in range(nb + 1)]
-    prof = hop_profile(G, v, budgets, maxr=r0 + nb * rho, allowed=allowed)
-    A = [ball(prof[b0 + j * h], r0 + j * rho) for j in range(nb + 1)]
-    muA = [sum(mu[u] for u in A[j]) for j in range(nb + 1)]
-    target = (muA[nb] / muA[0]) ** (1.0 / k)
-    for j in range(2 * k + 1):
-        ratio_ok = muA[j + 2] <= muA[j] * target * (1.0 + 1e-9)
-        split_ok = (muA[j] > muY / 3.0 + _REL_TOL) or (muA[j + 2] <= 2.0 * muY / 3.0 + _REL_TOL)
-        if ratio_ok and split_ok:
-            return ClusterTriple(A[j], A[j + 1], A[j + 2], v, j)
-    raise AssertionError("no admissible cluster index j <= 2k")
+    # every vertex is marked; Y itself, not a copy, keeps the order in which
+    # mu(Y) is summed, and that float sum feeds tolerance comparisons
+    return standard_rule(G, Y, Y, mu, h, k, k + 1, scale_i, True)
 
 
 def clan_create_cluster_alt(G: WeightedGraph, Y: Set[int], mu: Measure,
@@ -99,57 +70,8 @@ def clan_create_cluster_alt(G: WeightedGraph, Y: Set[int], mu: Measure,
     """Alternative rule; non-trivial outer clusters hold at most half of mu(Y)."""
     if not Y:
         raise ValueError("Y must be nonempty")
-    muY = sum(mu[u] for u in Y)
-    L = alt_levels(muY)
-    delta = 2.0 ** scale_i
-    allowed = sorted(Y)
-    bball = 2 * k * L * h
-
-    def ball(dist: List[ExtReal], r: float) -> FrozenSet[int]:
-        return frozenset(u for u in allowed
-                         if not is_inf(dist[u]) and dist[u] <= r + _REL_TOL)
-
-    best_v, best_m = -1, math.inf
-    for v in allowed:
-        prof = hop_profile(G, v, [bball], maxr=delta / 4.0, allowed=allowed)
-        m = sum(mu[u] for u in ball(prof[bball], delta / 4.0))
-        if m < best_m - _REL_TOL:
-            best_v, best_m = v, m
-    v = best_v
-    if best_m > 0.5 * muY + _REL_TOL:
-        if _bounded_diam_at_most(G, allowed, 2 * bball, delta / 2.0):
-            X = frozenset(Y)
-            return ClusterTriple(X, X, X, v, 0)
-        return clan_create_cluster(G, Y, mu, h, k, scale_i)
-
-    def budget(a: int, j: int) -> int:
-        return (2 * k * a + j) * h
-
-    def radius(a: int, j: int) -> float:
-        return (a + j / (2.0 * k)) * delta / (4.0 * L)
-
-    budgets = sorted({budget(a, j) for a in range(L + 1) for j in range(2 * k + 1)})
-    prof = hop_profile(G, v, budgets, maxr=delta / 4.0 + _REL_TOL, allowed=allowed)
-
-    def muA(a: int, j: int) -> float:
-        return sum(mu[u] for u in ball(prof[budget(a, j)], radius(a, j)))
-
-    a_sel = -1
-    for a in range(L):
-        if muA(a, 0) >= muA(a + 1, 0) ** 2 / muY * (1.0 - 1e-9):
-            a_sel = a
-            break
-    if a_sel < 0:
-        raise AssertionError("no admissible level index a")
-    a = a_sel
-    target = (muA(a + 1, 0) / muA(a, 0)) ** (1.0 / k)
-    for j in range(2 * (k - 1) + 1):
-        if muA(a, j + 2) <= muA(a, j) * target * (1.0 + 1e-9):
-            inner = ball(prof[budget(a, j)], radius(a, j))
-            mid = ball(prof[budget(a, j + 1)], radius(a, j + 1))
-            outer = ball(prof[budget(a, j + 2)], radius(a, j + 2))
-            return ClusterTriple(inner, mid, outer, v, j)
-    raise AssertionError("no admissible cluster index j <= 2(k-1)")
+    return alt_rule(G, Y, Y, mu, h, k, scale_i,
+                    lambda: clan_create_cluster(G, Y, mu, h, k, scale_i))
 
 
 def clan_cover(G: WeightedGraph, X: Set[int], mu: Measure, h: int, k: int,
@@ -191,15 +113,8 @@ def clan_embed(G: WeightedGraph, mu: Measure, h: int, k: int,
     """Build the clan embedding of G; leaves are vertex copies."""
     if variant not in ("standard", "alt"):
         raise ValueError(f"unknown variant {variant!r}")
-    for v in range(G.n):
-        if mu[v] < 1.0 - 1e-12:
-            raise ValueError("measure must be >= 1 on every vertex")
-    omega: Optional[float] = None
-    Gw = G
-    diam = hop_diameter(G, h)
-    if is_inf(diam):
-        Gw, omega = finite_completion(G, h, k)
-        diam = hop_diameter(Gw, h)
+    _check_measure(mu, G.n)
+    Gw, omega, diam = finite_graph(G, h, k)
     if G.n == 1:
         U = Ultrametric.leaf(0)
         return ClanEmbedding(U, {0: (0,)}, {0: 0}, 16.0 * (k + 1), 1, h, k,
@@ -305,7 +220,7 @@ def clan_mwu_measure(weights: Sequence[float]) -> List[float]:
 
 
 def clan_distribution(G: WeightedGraph, h: int, mode: str, rounds: int,
-                      seed: int = 0, k: int = 2, epsilon: float = 0.5,
+                      k: int = 2, epsilon: float = 0.5,
                       variant: str = "standard") -> List[Tuple[ClanEmbedding, float]]:
     """Multiplicative-weights distribution over clan embeddings.
 

@@ -126,9 +126,16 @@ class Report:
         return all(e["passed"] for e in self.invariants)
 
 
+# what reading or parsing a malformed JSON input file raises
+_BAD_FILE = (OSError, ValueError, KeyError, TypeError)
+
+
 def _load_graph(cfg: ExperimentConfig) -> WeightedGraph:
     if cfg.graph:
-        return WeightedGraph.load(cfg.graph)
+        try:
+            return WeightedGraph.load(cfg.graph)
+        except _BAD_FILE as exc:
+            raise click.UsageError(f"malformed graph file {cfg.graph!r}: {exc!r}") from exc
     if cfg.family:
         return gen_graph(cfg.family, cfg.params or {}, cfg.seed)
     raise click.UsageError("provide --graph or a generator family")
@@ -246,10 +253,17 @@ def _run_cover(G: WeightedGraph, cfg: ExperimentConfig, rep: Report) -> None:
 
 
 def _run_preserve(G: WeightedGraph, cfg: ExperimentConfig, rep: Report) -> None:
+    if not 0 <= cfg.root < G.n:
+        raise click.UsageError(f"root {cfg.root} is not a vertex of the {G.n}-vertex graph")
     if cfg.subgraph:
-        with open(cfg.subgraph, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        H_edges = [(int(u), int(v)) for u, v, *_ in data["edges"]]
+        try:
+            with open(cfg.subgraph, "r", encoding="utf-8") as fh:
+                H_edges = [(int(u), int(v)) for u, v, *_ in json.load(fh)["edges"]]
+        except _BAD_FILE as exc:
+            raise click.UsageError(f"malformed subgraph file {cfg.subgraph!r}: {exc!r}") from exc
+        for u, v in H_edges:
+            if not (0 <= u < G.n and 0 <= v < G.n and G.has_edge(u, v)):
+                raise click.UsageError(f"subgraph edge ({u},{v}) is not an edge of the graph")
         pte, gi = image_of_general_subgraph(G, H_edges, cfg.h, cfg.variant,
                                             cfg.seed, cfg.root)
         H1 = WeightedGraph(G.n, [(u, v, 1.0) for u, v in

@@ -7,12 +7,11 @@ expectation.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
-from .graph_core import WeightedGraph
+from .graph_core import WeightedGraph, dijkstra
 from .rng import substream
 
 
@@ -47,26 +46,6 @@ def _geometric(rng) -> int:
     return max(1, math.ceil(-math.log2(1.0 - u)))
 
 
-def _restricted_dijkstra(G: WeightedGraph, source: int, alive: Set[int],
-                         maxd: float) -> Dict[int, float]:
-    dist = {source: 0.0}
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, math.inf):
-            continue
-        for v, w in G.adj[u]:
-            if v not in alive:
-                continue
-            nd = d + w
-            if nd > maxd + 1e-12:
-                continue
-            if nd < dist.get(v, math.inf) - 1e-15:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
 def sparse_cover(G: WeightedGraph, delta: float, seed: int = 0) -> SparseCover:
     """Cover of G such that every pair with d_G(u, v) <= delta shares a
     cluster, and every cluster has radius <= delta * log2(2n) from its center
@@ -88,9 +67,9 @@ def sparse_cover(G: WeightedGraph, delta: float, seed: int = 0) -> SparseCover:
             r = _geometric(rng)
             if r > rmax:
                 psi = False
-            dist = _restricted_dijkstra(G, x, Y, r * delta)
-            C = frozenset(u for u, d in dist.items() if d <= r * delta + 1e-12)
-            interior = {u for u, d in dist.items() if d <= (r - 1) * delta + 1e-12}
+            dist = dijkstra(G.adj, x, Y, r * delta)
+            C = frozenset(u for u, d in enumerate(dist) if d <= r * delta + 1e-12)
+            interior = {u for u, d in enumerate(dist) if d <= (r - 1) * delta + 1e-12}
             clusters.append((C, x, r))
             Y -= interior
         if psi:

@@ -13,15 +13,14 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import tz
-from .graph_core import (INFINITY, ExtReal, WeightedGraph, hop_distance_all,
-                         is_inf)
+from .graph_core import INFINITY, WeightedGraph, is_inf
 from .ramsey import RamseyEmbedding, ramsey_distribution, ramsey_embed
 from .rng import substream
 from .ultrametric import Ultrametric
 
 # -- tree labels -----------------------------------------------------------
 
-TreeLabel = Tuple[Tuple[int, ExtReal], ...]   # (ancestor id, label) root -> leaf
+TreeLabel = Tuple[Tuple[int, float], ...]   # (ancestor id, label) root -> leaf
 
 
 def build_tree_labels(U: Ultrametric) -> Dict[int, TreeLabel]:
@@ -33,7 +32,7 @@ def build_tree_labels(U: Ultrametric) -> Dict[int, TreeLabel]:
     return out
 
 
-def tree_label_query(lx: TreeLabel, ly: TreeLabel) -> ExtReal:
+def tree_label_query(lx: TreeLabel, ly: TreeLabel) -> float:
     """Distance between the two leaves: label of the deepest common ancestor."""
     if lx[-1][0] == ly[-1][0]:
         return 0.0
@@ -45,6 +44,13 @@ def tree_label_query(lx: TreeLabel, ly: TreeLabel) -> ExtReal:
             break
         p += 1
     return lx[p - 1][1]
+
+
+def _coarse_estimate(rows_u: Sequence[TreeLabel], home_u: int,
+                    rows_v: Sequence[TreeLabel], home_v: int) -> float:
+    """min over both home rounds; each side is individually sandwiched."""
+    return min(tree_label_query(rows_u[home_u], rows_v[home_u]),
+               tree_label_query(rows_u[home_v], rows_v[home_v]))
 
 
 # -- coarse structures -----------------------------------------------------
@@ -67,15 +73,9 @@ class CoarseLabeling:
     def rounds(self) -> int:
         return len(self.labels[0]) if self.n else 0
 
-    def query(self, u: int, v: int) -> ExtReal:
-        """min over both home rounds; each side is individually sandwiched."""
-        a = tree_label_query(self.labels[u][self.home[u]], self.labels[v][self.home[u]])
-        b = tree_label_query(self.labels[u][self.home[v]], self.labels[v][self.home[v]])
-        if is_inf(a):
-            return b
-        if is_inf(b):
-            return a
-        return min(a, b)
+    def query(self, u: int, v: int) -> float:
+        return _coarse_estimate(self.labels[u], self.home[u],
+                                self.labels[v], self.home[v])
 
     def size_words(self) -> int:
         return sum(2 * len(l) for row in self.labels for l in row)
@@ -117,7 +117,7 @@ class CoarseOracle:
     beta_hops: int
     attempts: int
 
-    def query(self, u: int, v: int) -> ExtReal:
+    def query(self, u: int, v: int) -> float:
         i = min(self.home[u], self.home[v])
         return tree_label_query(self.labels[u][i], self.labels[v][i])
 
@@ -128,8 +128,7 @@ class CoarseOracle:
 def build_coarse_oracle(G: WeightedGraph, h: int, k: int, seed: int = 0,
                         rounds: int = 8, max_attempts: int = 30) -> CoarseOracle:
     n = G.n
-    dist = ramsey_distribution(G, h, "fixed_k", rounds, seed=seed, k=k,
-                               variant="alt")
+    dist = ramsey_distribution(G, h, "fixed_k", rounds, k=k, variant="alt")
     incl = [sum(1 for emb, _ in dist if v in emb.M) / len(dist) for v in range(n)]
     # expected stored rounds per vertex is 1/p(v); restart while 4x over budget
     budget = 4.0 * sum(1.0 / p for p in incl if p > 0) + 4.0 * n
@@ -230,6 +229,18 @@ def _realized_scales(coarse, n: int) -> List[int]:
     return sorted(scales)
 
 
+def _scale_structures(G: WeightedGraph, coarse, h: int, k: int, epsilon: float,
+                      mode: str, seed: int) -> Tuple[Dict[int, object], Dict[int, float]]:
+    """One inner structure per realized scale, with the scale's surcharge."""
+    inner: Dict[int, object] = {}
+    omegas: Dict[int, float] = {}
+    for i in _realized_scales(coarse, G.n):
+        Gi = auxiliary_graph(G, i, h, coarse.t_coarse, epsilon)
+        inner[i] = inner_metric_structure(Gi, k, mode, seed)
+        omegas[i] = Gi.omega
+    return inner, omegas
+
+
 # -- final oracle ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -261,24 +272,18 @@ def build_hop_oracle(G: WeightedGraph, h: int, k: int, epsilon: float,
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must be in (0,1)")
     coarse = build_coarse_oracle(G, h, k, seed)
-    inner: Dict[int, tz.TZOracle] = {}
-    omegas: Dict[int, float] = {}
-    for i in _realized_scales(coarse, G.n):
-        Gi = auxiliary_graph(G, i, h, coarse.t_coarse, epsilon)
-        inner[i] = inner_metric_structure(Gi, k, "oracle", seed)
-        omegas[i] = Gi.omega
+    inner, omegas = _scale_structures(G, coarse, h, k, epsilon, "oracle", seed)
     B, stretch = _final_constants(coarse.t_coarse, coarse.beta_hops, k, epsilon)
     return HopOracle(G, h, k, epsilon, coarse, inner, omegas, B, stretch)
 
 
-def hop_oracle_query(O: HopOracle, u: int, v: int) -> ExtReal:
+def hop_oracle_query(O: HopOracle, u: int, v: int) -> float:
     if u == v:
         return 0.0
     est = O.coarse.query(u, v)
     if is_inf(est):
         return INFINITY
-    val = O.inner[_scale_of(est)].query(u, v)
-    return INFINITY if val == math.inf else val
+    return O.inner[_scale_of(est)].query(u, v)
 
 
 # -- final labeling --------------------------------------------------------
@@ -317,12 +322,7 @@ def build_hop_labeling(G: WeightedGraph, h: int, k: int,
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must be in (0,1)")
     coarse = build_coarse_labeling(G, h, k)
-    scale_labels: Dict[int, tz.TZLabeling] = {}
-    omegas: Dict[int, float] = {}
-    for i in _realized_scales(coarse, G.n):
-        Gi = auxiliary_graph(G, i, h, coarse.t_coarse, epsilon)
-        scale_labels[i] = inner_metric_structure(Gi, k, "labels", 0)
-        omegas[i] = Gi.omega
+    scale_labels, omegas = _scale_structures(G, coarse, h, k, epsilon, "labels", 0)
     labels = tuple(
         HopVertexLabel(v, coarse.home[v], coarse.labels[v],
                        {i: sl.label(v) for i, sl in scale_labels.items()})
@@ -332,26 +332,15 @@ def build_hop_labeling(G: WeightedGraph, h: int, k: int,
                        coarse.beta_hops, B, stretch)
 
 
-def _coarse_est_from_labels(lu: HopVertexLabel, lv: HopVertexLabel) -> ExtReal:
-    a = tree_label_query(lu.coarse[lu.home], lv.coarse[lu.home])
-    b = tree_label_query(lu.coarse[lv.home], lv.coarse[lv.home])
-    if is_inf(a):
-        return b
-    if is_inf(b):
-        return a
-    return min(a, b)
-
-
 def labeling_query(L: HopLabeling, lu: HopVertexLabel,
-                   lv: HopVertexLabel) -> ExtReal:
+                   lv: HopVertexLabel) -> float:
     if lu.vertex == lv.vertex:
         return 0.0
-    est = _coarse_est_from_labels(lu, lv)
+    est = _coarse_estimate(lu.coarse, lu.home, lv.coarse, lv.home)
     if is_inf(est):
         return INFINITY
     i = _scale_of(est)
-    val = tz.label_query(L.k, lu.inner[i], lv.inner[i])
-    return INFINITY if val == math.inf else val
+    return tz.label_query(L.k, lu.inner[i], lv.inner[i])
 
 
 # -- routing ---------------------------------------------------------------
@@ -388,12 +377,7 @@ def build_routing_scheme(G: WeightedGraph, h: int, k: int, epsilon: float,
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must be in (0,1)")
     coarse = build_coarse_labeling(G, h, k)
-    inner: Dict[int, tz.TZRouting] = {}
-    omegas: Dict[int, float] = {}
-    for i in _realized_scales(coarse, G.n):
-        Gi = auxiliary_graph(G, i, h, coarse.t_coarse, epsilon)
-        inner[i] = inner_metric_structure(Gi, k, "routing", seed)
-        omegas[i] = Gi.omega
+    inner, omegas = _scale_structures(G, coarse, h, k, epsilon, "routing", seed)
     B, stretch = _final_constants(coarse.t_coarse, coarse.beta_hops, k, epsilon)
     return RoutingScheme(G, h, k, epsilon, coarse, inner, omegas, B, stretch)
 

@@ -3,74 +3,18 @@
 The hop-bounded distances computed here are the ground truth that every
 other module is checked against.  A distance with hop budget h is the
 minimum weight of a path using at most h edges; pairs with no such path
-are at distance INFINITY (a distinguished value, not a float sentinel).
+are at distance INFINITY, which is the float ``math.inf``.
 """
 from __future__ import annotations
 
+import heapq
 import json
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set, Tuple, Union
+import math
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-
-class _Infinity:
-    """Distinguished infinite distance: absorbs addition, compares above all reals."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __add__(self, other):
-        return self
-
-    def __radd__(self, other):
-        return self
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("hopmetric-infinity")
-
-    def __repr__(self):
-        return "INFINITY"
-
-
-INFINITY = _Infinity()
-
-ExtReal = Union[float, _Infinity]
-
-
-def is_inf(x: ExtReal) -> bool:
-    return x is INFINITY
-
-
-def ext_min(a: ExtReal, b: ExtReal) -> ExtReal:
-    if is_inf(a):
-        return b
-    if is_inf(b):
-        return a
-    return a if a <= b else b
-
-
-def ext_max(a: ExtReal, b: ExtReal) -> ExtReal:
-    if is_inf(a) or is_inf(b):
-        return INFINITY
-    return a if a >= b else b
+INFINITY = math.inf
+is_inf = math.isinf
 
 
 @dataclass(frozen=True)
@@ -181,107 +125,80 @@ class WeightedGraph:
             raise ValueError(f"invalid vertex id {v}")
 
 
-def hop_distance_all(G: WeightedGraph, s: int, h: int,
-                     allowed: Sequence[int] | None = None) -> List[ExtReal]:
-    """h rounds of Bellman-Ford from s; entry v = d^{(h)}(s,v).
+def bellman_ford(G: WeightedGraph, s: int, budgets: Sequence[int],
+                 maxr: float | None = None,
+                 allowed: Sequence[int] | None = None,
+                 preds: Optional[List[Dict[int, int]]] = None) -> Dict[int, List[float]]:
+    """Truncated Bellman-Ford distances from s, one snapshot per budget.
 
-    ``allowed`` optionally restricts relaxation to an induced vertex subset
-    (so other modules can work on G[Y] without rebuilding the graph).
-    """
-    G._check_vertex(s)
-    if h < 0:
-        raise ValueError("h must be >= 0")
-    dist: List[ExtReal] = [INFINITY] * G.n
-    dist[s] = 0.0
-    if allowed is not None:
-        mask = [False] * G.n
-        for v in allowed:
-            mask[v] = True
-        if not mask[s]:
-            raise ValueError("source not in allowed set")
-    else:
-        mask = None
-    frontier = [s]
-    for _ in range(h):
-        updates: Dict[int, float] = {}
-        for u in frontier:
-            du = dist[u]
-            for v, w in G.adj[u]:
-                if mask is not None and not mask[v]:
-                    continue
-                nd = du + w
-                cur = updates.get(v)
-                if (cur is None or nd < cur) and nd < dist[v]:
-                    updates[v] = nd
-        if not updates:
-            break
-        for v, nd in updates.items():
-            dist[v] = nd
-        frontier = list(updates)
-    return dist
-
-
-def hop_profile(G: WeightedGraph, s: int, budgets: Sequence[int],
-                maxr: float | None = None,
-                allowed: Sequence[int] | None = None) -> Dict[int, List[ExtReal]]:
-    """Snapshots of truncated Bellman-Ford distances from s at several budgets.
-
-    One relaxation sweep serves all requested budgets.  ``maxr`` prunes the
-    search to distances <= maxr (valid since weights are positive: every
+    Each round relaxes only the edges out of the vertices the previous round
+    improved, and the search stops once a round improves nothing.  ``maxr``
+    prunes distances above maxr (valid since weights are positive: every
     prefix of a shortest path is no longer than the path itself).
+    ``allowed`` restricts relaxation to an induced vertex subset.  If
+    ``preds`` is a list, every round appends {v: predecessor} for the
+    vertices it improved; among equal candidates the smallest id wins.
     """
     G._check_vertex(s)
     want = sorted(set(int(b) for b in budgets))
     if not want or want[0] < 0:
         raise ValueError("budgets must be nonnegative")
-    if allowed is not None:
-        mask = [False] * G.n
+    n, adj = G.n, G.adj
+    if allowed is None:
+        mask = [True] * n
+    else:
+        mask = [False] * n
         for v in allowed:
             mask[v] = True
         if not mask[s]:
             raise ValueError("source not in allowed set")
-    else:
-        mask = None
-    dist: List[ExtReal] = [INFINITY] * G.n
+    lim = math.inf if maxr is None else maxr + 1e-12
+    dist = [math.inf] * n
     dist[s] = 0.0
-    out: Dict[int, List[ExtReal]] = {}
-    if want[0] == 0:
-        out[0] = list(dist)
     frontier = [s]
-    settled = False
-    for rnd in range(1, want[-1] + 1):
-        if not settled:
+    out: Dict[int, List[float]] = {}
+    rnd = 0
+    for b in want:
+        while rnd < b and frontier:
+            rnd += 1
             updates: Dict[int, float] = {}
             for u in frontier:
                 du = dist[u]
-                for v, w in G.adj[u]:
-                    if mask is not None and not mask[v]:
-                        continue
+                for v, w in adj[u]:
                     nd = du + w
-                    if maxr is not None and nd > maxr + 1e-12:
-                        continue
-                    cur = updates.get(v)
-                    if (cur is None or nd < cur) and nd < dist[v]:
-                        updates[v] = nd
-            if updates:
-                for v, nd in updates.items():
-                    dist[v] = nd
-                frontier = list(updates)
-            else:
-                settled = True
-        if rnd in out:
-            continue
-        if rnd in want:
-            out[rnd] = list(dist)
-        if settled:
-            break
-    for b in want:
-        if b not in out:
-            out[b] = list(dist)
+                    if nd < dist[v] and nd <= lim and mask[v]:
+                        cur = updates.get(v)
+                        if cur is None or nd < cur:
+                            updates[v] = nd
+            if preds is not None:
+                preds.append({v: next(u for u, w in adj[v] if dist[u] + w == nd)
+                              for v, nd in updates.items()})
+            for v, nd in updates.items():
+                dist[v] = nd
+            frontier = list(updates)
+        out[b] = list(dist)
     return out
 
 
-def hop_distance(G: WeightedGraph, u: int, v: int, h: int) -> ExtReal:
+def hop_distance_all(G: WeightedGraph, s: int, h: int,
+                     allowed: Sequence[int] | None = None) -> List[float]:
+    """h rounds of Bellman-Ford from s; entry v = d^{(h)}(s,v).
+
+    ``allowed`` optionally restricts relaxation to an induced vertex subset
+    (so other modules can work on G[Y] without rebuilding the graph).
+    """
+    return bellman_ford(G, s, [h], allowed=allowed)[h]
+
+
+def hop_profile(G: WeightedGraph, s: int, budgets: Sequence[int],
+                maxr: float | None = None,
+                allowed: Sequence[int] | None = None) -> Dict[int, List[float]]:
+    """Snapshots of truncated Bellman-Ford distances from s at several
+    budgets, all from one relaxation sweep, pruned to distances <= maxr."""
+    return bellman_ford(G, s, budgets, maxr, allowed)
+
+
+def hop_distance(G: WeightedGraph, u: int, v: int, h: int) -> float:
     G._check_vertex(u)
     G._check_vertex(v)
     if u == v:
@@ -298,14 +215,12 @@ def hop_ball(G: WeightedGraph, v: int, r: float, h: int,
     return {u for u, d in enumerate(dist) if not is_inf(d) and d <= r}
 
 
-def hop_diameter(G: WeightedGraph, h: int) -> ExtReal:
-    best: ExtReal = 0.0
+def hop_diameter(G: WeightedGraph, h: int) -> float:
+    best = 0.0
     for s in range(G.n):
-        dist = hop_distance_all(G, s, h)
-        for v in range(s + 1, G.n):
-            best = ext_max(best, dist[v])
-            if is_inf(best):
-                return INFINITY
+        best = max(best, max(hop_distance_all(G, s, h)[s + 1:], default=0.0))
+        if best == INFINITY:
+            break
     return best
 
 
@@ -342,21 +257,25 @@ def finite_completion(G: WeightedGraph, h: int, k: int) -> Tuple[WeightedGraph, 
     return Gp, omega
 
 
-def dijkstra(edges_adj: Sequence[Sequence[Tuple[int, float]]], s: int) -> List[ExtReal]:
-    """Plain Dijkstra over an adjacency structure (no hop constraint)."""
-    import heapq
+def dijkstra(adj: Sequence[Sequence[Tuple[int, float]]], s: int,
+             allowed: Optional[Set[int]] = None,
+             maxd: float = math.inf) -> List[float]:
+    """Dijkstra from s over an adjacency structure (no hop constraint).
 
-    n = len(edges_adj)
-    dist: List[ExtReal] = [INFINITY] * n
+    ``allowed`` restricts the search to a vertex subset containing s, and
+    ``maxd`` prunes distances above maxd; unreached vertices stay at INFINITY.
+    """
+    dist = [math.inf] * len(adj)
     dist[s] = 0.0
+    lim = maxd + 1e-12
     pq: List[Tuple[float, int]] = [(0.0, s)]
     while pq:
         d, u = heapq.heappop(pq)
-        if is_inf(dist[u]) or d > dist[u]:
+        if d > dist[u]:
             continue
-        for v, w in edges_adj[u]:
+        for v, w in adj[u]:
             nd = d + w
-            if is_inf(dist[v]) or nd < dist[v]:
+            if nd < dist[v] - 1e-15 and nd <= lim and (allowed is None or v in allowed):
                 dist[v] = nd
                 heapq.heappush(pq, (nd, v))
     return dist
@@ -381,11 +300,6 @@ def is_h_respecting(G: WeightedGraph, H_edges: Iterable[Tuple[int, int]], h: int
     for u in verts:
         dh = dijkstra(adj, idx[u])
         dg = hop_distance_all(G, u, h)
-        for v in verts:
-            dHv = dh[idx[v]]
-            if is_inf(dHv):
-                continue
-            dGv = dg[v]
-            if is_inf(dGv) or dGv > dHv + 1e-9:
-                return False
+        if any(dg[v] > dh[idx[v]] + 1e-9 for v in verts):
+            return False
     return True

@@ -14,8 +14,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from .clan import ClanEmbedding, clan_embed, optimal_path_copies
 from .cover import SparseCover, sparse_cover
-from .graph_core import (INFINITY, WeightedGraph, hop_distance_all, is_h_respecting,
-                         is_inf)
+from .graph_core import WeightedGraph, bellman_ford, is_h_respecting, is_inf
 from .ultrametric import (WeightedTree, steiner_point_removal, tree_distance,
                           ultra_distance, ultrametric_to_tree)
 
@@ -34,41 +33,17 @@ def bounded_hop_path(G: WeightedGraph, s: int, t: int,
                      budget: int) -> Optional[Tuple[List[int], float]]:
     """Minimum-weight s-t path using at most `budget` edges, or None.
 
-    Dynamic program over hop rounds with predecessor tracking.
+    Walks the per-round predecessors of the bounded-hop relaxation back
+    from t; ties between equal-weight predecessors go to the smallest id.
     """
-    n = G.n
-    dist = [math.inf] * n
-    dist[s] = 0.0
-    # par[r][v] = u when round r+1 strictly improved v via edge (u, v)
-    par: List[List[Optional[int]]] = []
-    for _ in range(budget):
-        prev = dist
-        dist = list(prev)
-        ch: List[Optional[int]] = [None] * n
-        changed = False
-        for u in range(n):
-            du = prev[u]
-            if du == math.inf:
-                continue
-            for v, w in G.adj[u]:
-                nd = du + w
-                if nd < dist[v] - 1e-15:
-                    dist[v] = nd
-                    ch[v] = u
-                    changed = True
-        par.append(ch)
-        if not changed:
-            par.pop()
-            break
+    preds: List[Dict[int, int]] = []
+    dist = bellman_ford(G, s, [budget], preds=preds)[budget]
     if dist[t] == math.inf:
         return None
     path = [t]
-    v = t
-    for r in range(len(par) - 1, -1, -1):
-        u = par[r][v]
-        if u is not None:
-            v = u
-            path.append(v)
+    for layer in reversed(preds):
+        if path[-1] in layer:
+            path.append(layer[path[-1]])
     path.reverse()
     if path[0] != s:
         raise AssertionError("path reconstruction failed")

@@ -3,16 +3,16 @@
 Implements the recursive embedding (scale-descending padded partitions with
 cluster carving), the log-log alternative cluster rule, and the
 multiplicative-weights builder for distributions with per-vertex inclusion
-guarantees.
+guarantees.  The clan embedding carves with the same two rules.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .graph_core import (INFINITY, ExtReal, WeightedGraph, finite_completion,
-                         hop_diameter, hop_profile, is_inf)
+from .graph_core import (WeightedGraph, finite_completion, hop_diameter,
+                         hop_profile, is_inf)
 from .ultrametric import Ultrametric, join_under_root, saturate_labels
 
 _REL_TOL = 1e-12
@@ -54,95 +54,110 @@ class RamseyEmbedding:
         return self.U.leaf_index()
 
 
-def _check_ge1(mu: Measure, verts) -> None:
-    for v in verts:
-        if mu[v] < 1.0 - 1e-12:
-            raise ValueError("measure must be >= 1 on every vertex")
+def _check_measure(mu: Measure, n: int) -> None:
+    if len(mu) != n:
+        raise ValueError(f"measure has {len(mu)} entries for {n} vertices")
+    if any(m < 1.0 - 1e-12 for m in mu):
+        raise ValueError("measure must be >= 1 on every vertex")
 
 
-def create_cluster(G: WeightedGraph, Y: Set[int], M: Set[int], mu: Measure,
-                   h: int, k: int, scale_i: int) -> ClusterTriple:
-    """Carve a cluster triple from G[Y] around a max-marked-ball center."""
+def _ball(dist: List[float], allowed: List[int], r: float) -> FrozenSet[int]:
+    return frozenset(u for u in allowed if dist[u] <= r + _REL_TOL)
+
+
+def _marked_measure(mu: Measure, B: FrozenSet[int], MY: Set[int]) -> float:
+    return sum(mu[u] for u in B if u in MY)
+
+
+def _live_marks(Y: Set[int], M: Set[int]) -> Set[int]:
     MY = M & Y
     if not MY:
         raise ValueError("marked set must intersect Y")
-    hprime = 2 * k * h
+    return MY
+
+
+def standard_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
+                  h: int, k: int, k_geom: int, scale_i: int,
+                  split: bool) -> ClusterTriple:
+    """Carve a cluster triple from G[Y] around a max-marked-ball center.
+
+    Balls count the measure of the marked set MY, a subset of Y.  ``k_geom``
+    (k for Ramsey, k+1 for clan) sets the geometry: 2*k_geom+1 nested balls
+    whose radii step by 2^i/(16*k_geom) and whose hop budgets step by h from
+    i*2*k_geom*h.  The ratio exponent stays 1/k.  With ``split`` the triple
+    must also allow a 1/3-2/3 split of mu(MY).
+    """
     r0 = 2.0 ** (scale_i - 3)
-    rho = 2.0 ** scale_i / (16.0 * k)
-    b0 = scale_i * hprime if scale_i > 0 else 0
+    rho = 2.0 ** scale_i / (16.0 * k_geom)
+    b0 = scale_i * 2 * k_geom * h if scale_i > 0 else 0
     allowed = sorted(Y)
-
-    def ball(dist: List[ExtReal], r: float) -> FrozenSet[int]:
-        return frozenset(u for u in allowed
-                         if not is_inf(dist[u]) and dist[u] <= r + _REL_TOL)
-
     best_v, best_m = -1, -1.0
     for v in allowed:
         prof = hop_profile(G, v, [b0], maxr=r0, allowed=allowed)
-        m = sum(mu[u] for u in ball(prof[b0], r0) if u in MY)
+        m = _marked_measure(mu, _ball(prof[b0], allowed, r0), MY)
         if m > best_m + _REL_TOL:
             best_v, best_m = v, m
     v = best_v
-    budgets = [b0 + j * h for j in range(2 * k + 1)]
-    maxr = r0 + 2 * k * rho
-    prof = hop_profile(G, v, budgets, maxr=maxr, allowed=allowed)
-    A = [ball(prof[b0 + j * h], r0 + j * rho) for j in range(2 * k + 1)]
-    muA = [sum(mu[u] for u in A[j] if u in MY) for j in range(2 * k + 1)]
-    target = (muA[2 * k] / muA[0]) ** (1.0 / k)
-    for j in range(2 * (k - 1) + 1):
-        if muA[j + 2] <= muA[j] * target * (1.0 + 1e-9):
+    nb = 2 * k_geom
+    prof = hop_profile(G, v, [b0 + j * h for j in range(nb + 1)],
+                       maxr=r0 + nb * rho, allowed=allowed)
+    A = [_ball(prof[b0 + j * h], allowed, r0 + j * rho) for j in range(nb + 1)]
+    muA = [_marked_measure(mu, A[j], MY) for j in range(nb + 1)]
+    muM = measure_of(mu, MY)
+    target = (muA[nb] / muA[0]) ** (1.0 / k)
+    for j in range(nb - 1):
+        ratio_ok = muA[j + 2] <= muA[j] * target * (1.0 + 1e-9)
+        split_ok = (not split or muA[j] > muM / 3.0 + _REL_TOL
+                    or muA[j + 2] <= 2.0 * muM / 3.0 + _REL_TOL)
+        if ratio_ok and split_ok:
             return ClusterTriple(A[j], A[j + 1], A[j + 2], v, j)
-    raise AssertionError("no admissible cluster index j <= 2(k-1)")
+    raise AssertionError(f"no admissible cluster index j <= {nb - 2}")
 
 
-def create_cluster_alt(G: WeightedGraph, Y: Set[int], M: Set[int], mu: Measure,
-                       h: int, k: int, scale_i: int) -> ClusterTriple:
-    """Alternative cluster rule: hop budget independent of the scale count."""
-    MY = M & Y
-    if not MY:
-        raise ValueError("marked set must intersect Y")
-    muM_total = sum(mu[u] for u in MY)
-    L = alt_levels(muM_total)
+def alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
+             h: int, k: int, scale_i: int,
+             fallback: Callable[[], ClusterTriple]) -> ClusterTriple:
+    """Alternative cluster rule: hop budget independent of the scale count.
+
+    ``fallback`` runs the caller's standard rule when the trivial return
+    cannot be certified.
+    """
+    muM = measure_of(mu, MY)
+    L = alt_levels(muM)
     delta = 2.0 ** scale_i
     allowed = sorted(Y)
     bball = 2 * k * L * h
-
-    def ball(dist: List[ExtReal], r: float) -> FrozenSet[int]:
-        return frozenset(u for u in allowed
-                         if not is_inf(dist[u]) and dist[u] <= r + _REL_TOL)
-
     best_v, best_m = -1, math.inf
     for v in sorted(MY):
         prof = hop_profile(G, v, [bball], maxr=delta / 4.0, allowed=allowed)
-        m = sum(mu[u] for u in ball(prof[bball], delta / 4.0) if u in MY)
+        m = _marked_measure(mu, _ball(prof[bball], allowed, delta / 4.0), MY)
         if m < best_m - _REL_TOL:
             best_v, best_m = v, m
     v = best_v
-    if best_m > 0.5 * muM_total + _REL_TOL:
+    if best_m > 0.5 * muM + _REL_TOL:
         # trivial return claims diam^{(4kLh)}(G[Y]) <= delta/2; certify it,
         # since far-away unmarked vertices can break the claim, in which
         # case the scale-bounded rule still guarantees progress
         if _bounded_diam_at_most(G, allowed, 2 * bball, delta / 2.0):
             X = frozenset(Y)
             return ClusterTriple(X, X, X, v, 0)
-        return create_cluster(G, Y, M, mu, h, k, scale_i)
+        return fallback()
 
     def budget(a: int, j: int) -> int:
         return (2 * k * a + j) * h
 
-    def radius(a: int, j: int) -> float:
-        return (a + j / (2.0 * k)) * delta / (4.0 * L)
-
     budgets = sorted({budget(a, j) for a in range(L + 1) for j in range(2 * k + 1)})
     prof = hop_profile(G, v, budgets, maxr=delta / 4.0 + _REL_TOL, allowed=allowed)
 
+    def A(a: int, j: int) -> FrozenSet[int]:
+        return _ball(prof[budget(a, j)], allowed, (a + j / (2.0 * k)) * delta / (4.0 * L))
+
     def muA(a: int, j: int) -> float:
-        b = ball(prof[budget(a, j)], radius(a, j))
-        return sum(mu[u] for u in b if u in MY)
+        return _marked_measure(mu, A(a, j), MY)
 
     a_sel = -1
     for a in range(L):
-        if muA(a, 0) >= muA(a + 1, 0) ** 2 / muM_total * (1.0 - 1e-9):
+        if muA(a, 0) >= muA(a + 1, 0) ** 2 / muM * (1.0 - 1e-9):
             a_sel = a
             break
     if a_sel < 0:
@@ -152,11 +167,21 @@ def create_cluster_alt(G: WeightedGraph, Y: Set[int], M: Set[int], mu: Measure,
     target = (muA(a + 1, 0) / muA(a, 0)) ** (1.0 / k)
     for j in range(2 * (k - 1) + 1):
         if muA(a, j + 2) <= muA(a, j) * target * (1.0 + 1e-9):
-            inner = ball(prof[budget(a, j)], radius(a, j))
-            mid = ball(prof[budget(a, j + 1)], radius(a, j + 1))
-            outer = ball(prof[budget(a, j + 2)], radius(a, j + 2))
-            return ClusterTriple(inner, mid, outer, v, j)
+            return ClusterTriple(A(a, j), A(a, j + 1), A(a, j + 2), v, j)
     raise AssertionError("no admissible cluster index j <= 2(k-1)")
+
+
+def create_cluster(G: WeightedGraph, Y: Set[int], M: Set[int], mu: Measure,
+                   h: int, k: int, scale_i: int) -> ClusterTriple:
+    """Carve a cluster triple from G[Y] around a max-marked-ball center."""
+    return standard_rule(G, Y, _live_marks(Y, M), mu, h, k, k, scale_i, False)
+
+
+def create_cluster_alt(G: WeightedGraph, Y: Set[int], M: Set[int], mu: Measure,
+                       h: int, k: int, scale_i: int) -> ClusterTriple:
+    """Alternative cluster rule: hop budget independent of the scale count."""
+    return alt_rule(G, Y, _live_marks(Y, M), mu, h, k, scale_i,
+                    lambda: create_cluster(G, Y, M, mu, h, k, scale_i))
 
 
 def _bounded_diam_at_most(G: WeightedGraph, allowed: List[int], budget: int,
@@ -164,10 +189,20 @@ def _bounded_diam_at_most(G: WeightedGraph, allowed: List[int], budget: int,
     for s in allowed:
         prof = hop_profile(G, s, [budget], maxr=bound, allowed=allowed)
         d = prof[budget]
-        for u in allowed:
-            if is_inf(d[u]) or d[u] > bound + _REL_TOL:
-                return False
+        if any(d[u] > bound + _REL_TOL for u in allowed):
+            return False
     return True
+
+
+def finite_graph(G: WeightedGraph, h: int,
+                 k: int) -> Tuple[WeightedGraph, Optional[float], float]:
+    """(graph, omega, h-hop diameter): G itself with omega None, or its finite
+    completion when some pair has no h-hop path."""
+    diam = hop_diameter(G, h)
+    if not is_inf(diam):
+        return G, None, diam
+    Gw, omega = finite_completion(G, h, k)
+    return Gw, omega, hop_diameter(Gw, h)
 
 
 def alt_levels(mu_total: float) -> int:
@@ -213,14 +248,9 @@ def ramsey_embed(G: WeightedGraph, mu: Measure, M0: Set[int], h: int, k: int,
     """Build the full Ramsey-type embedding of G (all vertices as leaves)."""
     if variant not in ("standard", "alt"):
         raise ValueError(f"unknown variant {variant!r}")
-    _check_ge1(mu, range(G.n))
+    _check_measure(mu, G.n)
     M0 = set(M0)
-    omega: Optional[float] = None
-    Gw = G
-    diam = hop_diameter(G, h)
-    if is_inf(diam):
-        Gw, omega = finite_completion(G, h, k)
-        diam = hop_diameter(Gw, h)
+    Gw, omega, diam = finite_graph(G, h, k)
     if G.n == 1 or diam == 0.0:
         U = Ultrametric.leaf(0) if G.n == 1 else None
         if U is None:
@@ -278,7 +308,7 @@ def mwu_measures(weights: Sequence[float], k: int) -> List[float]:
 
 
 def ramsey_distribution(G: WeightedGraph, h: int, mode: str, rounds: int,
-                        seed: int = 0, k: int = 2, epsilon: float = 0.25,
+                        k: int = 2, epsilon: float = 0.25,
                         variant: str = "standard") -> List[Tuple[RamseyEmbedding, float]]:
     """Multiplicative-weights distribution over Ramsey embeddings.
 

@@ -7,31 +7,19 @@ oracle, a distance labeling, and a simulated tree-based routing scheme.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from .graph_core import dijkstra
 from .rng import substream
 
 Adjacency = Sequence[Sequence[Tuple[int, float]]]
 
 
 def sssp(adj: Adjacency, s: int) -> List[float]:
-    n = len(adj)
-    dist = [math.inf] * n
-    dist[s] = 0.0
-    pq = [(0.0, s)]
-    while pq:
-        d, u = heapq.heappop(pq)
-        if d > dist[u]:
-            continue
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < dist[v] - 1e-15:
-                dist[v] = nd
-                heapq.heappush(pq, (nd, v))
-    return dist
+    """Unrestricted single-source shortest paths."""
+    return dijkstra(adj, s)
 
 
 def _sample_levels(n: int, k: int, seed: int) -> List[FrozenSet[int]]:
@@ -231,30 +219,12 @@ class TZRouting:
 def _spt(adj: Adjacency, root: int, allowed: Optional[FrozenSet[int]] = None,
          ) -> Dict[int, Optional[int]]:
     """Deterministic shortest-path tree: parent map over reached vertices."""
-    n = len(adj)
-    ok = (lambda x: True) if allowed is None else (lambda x: x in allowed)
-    dist = {root: 0.0}
-    pq = [(0.0, root)]
-    while pq:
-        d, u = heapq.heappop(pq)
-        if d > dist.get(u, math.inf):
-            continue
-        for v, w in adj[u]:
-            if not ok(v):
-                continue
-            nd = d + w
-            if nd < dist.get(v, math.inf) - 1e-15:
-                dist[v] = nd
-                heapq.heappush(pq, (nd, v))
+    dist = dijkstra(adj, root, allowed)
     parent: Dict[int, Optional[int]] = {root: None}
-    for v in dist:
-        if v == root:
+    for v, dv in enumerate(dist):
+        if v == root or dv == math.inf:
             continue
-        best = None
-        for u, w in adj[v]:
-            if u in dist and abs(dist[u] + w - dist[v]) <= 1e-9:
-                if best is None or u < best:
-                    best = u
+        best = min((u for u, w in adj[v] if abs(dist[u] + w - dv) <= 1e-9), default=None)
         if best is None:
             raise AssertionError("broken shortest-path tree")
         parent[v] = best

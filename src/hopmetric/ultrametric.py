@@ -12,7 +12,7 @@ import math
 import random
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .graph_core import INFINITY, ExtReal, ext_max, is_inf
+from .graph_core import INFINITY, is_inf
 
 _EPS = 1e-9
 
@@ -26,7 +26,7 @@ class Ultrametric:
 
     __slots__ = ("parent", "label", "payload", "_children", "_root")
 
-    def __init__(self, parent: List[Optional[int]], label: List[ExtReal],
+    def __init__(self, parent: List[Optional[int]], label: List[float],
                  payload: List[Optional[object]]):
         if not (len(parent) == len(label) == len(payload)):
             raise ValueError("array lengths differ")
@@ -97,11 +97,10 @@ class Ultrametric:
     @classmethod
     def from_json(cls, text: str) -> "Ultrametric":
         d = json.loads(text)
-        lab: List[ExtReal] = [INFINITY if l == "inf" else float(l) for l in d["label"]]
-        return cls(d["parent"], lab, d["payload"])
+        return cls(d["parent"], [float(l) for l in d["label"]], d["payload"])
 
 
-def ultra_distance(U: Ultrametric, x: int, y: int) -> ExtReal:
+def ultra_distance(U: Ultrametric, x: int, y: int) -> float:
     """Label of lca(x,y); 0 when x == y.  Arguments are leaf node ids."""
     if not U.is_leaf(x) or not U.is_leaf(y):
         raise ValueError("ultra_distance arguments must be leaves")
@@ -119,11 +118,8 @@ def validate_ultrametric(U: Ultrametric, sample_triples: int = 200,
     """Label monotonicity plus the strong triangle inequality on triples
     (exhaustive for small leaf counts, sampled otherwise)."""
     for i, p in enumerate(U.parent):
-        if p is not None:
-            la, lb = U.label[p], U.label[i]
-            if not is_inf(la):
-                if is_inf(lb) or lb > la + _EPS:
-                    return False
+        if p is not None and U.label[i] > U.label[p] + _EPS:
+            return False
         if U.is_leaf(i) and U.label[i] != 0.0:
             return False
         if U.is_leaf(i) is (U.payload[i] is None):
@@ -142,24 +138,21 @@ def validate_ultrametric(U: Ultrametric, sample_triples: int = 200,
         dab = ultra_distance(U, a, b)
         dbc = ultra_distance(U, b, c)
         dac = ultra_distance(U, a, c)
-        m = ext_max(dab, dbc)
-        if not is_inf(dac) and not is_inf(m) and dac > m + _EPS:
-            return False
-        if is_inf(dac) and not is_inf(m):
+        if dac > max(dab, dbc) + _EPS:
             return False
     return True
 
 
-def join_under_root(children: Sequence[Ultrametric], label: ExtReal) -> Ultrametric:
+def join_under_root(children: Sequence[Ultrametric], label: float) -> Ultrametric:
     """New root with the given label, the given ultrametrics as subtrees."""
     if not children:
         raise ValueError("need at least one child")
     for c in children:
         cl = c.label[c.root]
-        if not is_inf(label) and (is_inf(cl) or cl > label + _EPS):
+        if cl > label + _EPS:
             raise ValueError("root label smaller than a child root label")
     parent: List[Optional[int]] = [None]
-    lab: List[ExtReal] = [label]
+    lab: List[float] = [label]
     payload: List[Optional[object]] = [None]
     for c in children:
         off = len(parent)
@@ -171,11 +164,11 @@ def join_under_root(children: Sequence[Ultrametric], label: ExtReal) -> Ultramet
     return Ultrametric(parent, lab, payload)
 
 
-def saturate_labels(U: Ultrametric, omega: ExtReal) -> Ultrametric:
+def saturate_labels(U: Ultrametric, omega: float) -> Ultrametric:
     """Replace each label >= omega by INFINITY."""
     if is_inf(omega):
         return U
-    lab = [INFINITY if (is_inf(l) or l >= omega - _EPS) else l for l in U.label]
+    lab = [INFINITY if l >= omega - _EPS else l for l in U.label]
     return Ultrametric(list(U.parent), lab, list(U.payload))
 
 

@@ -269,13 +269,12 @@ def test_criterion_7_inclusion_probabilities():
     start = time.monotonic()
     G = gen_graph("gnp", {"n": 32, "p": 0.3}, seed=7)
     n = 32
-    dist = ramsey_distribution(G, 2, "fixed_k", rounds=64, seed=7, k=2)
+    dist = ramsey_distribution(G, 2, "fixed_k", rounds=64, k=2)
     floor_fk = 0.9 * n ** (-0.5)
     for v in range(n):
         freq = sum(p for emb, p in dist if v in emb.M)
         assert freq >= floor_fk
-    dist = ramsey_distribution(G, 2, "inclusion", rounds=64, seed=7,
-                               epsilon=0.25)
+    dist = ramsey_distribution(G, 2, "inclusion", rounds=64, epsilon=0.25)
     for v in range(n):
         freq = sum(p for emb, p in dist if v in emb.M)
         assert freq >= 1.0 - 0.25 - 0.1

@@ -148,6 +148,12 @@ class TestClanEmbed:
         with pytest.raises(ValueError):
             clan_embed(G, [1.0, 1.0], 1, 2, "other")
 
+    @pytest.mark.parametrize("mu", [[1.0], [1.0, 1.0, 1.0]])
+    def test_rejects_measure_of_wrong_length(self, mu):
+        G = WeightedGraph(2, [(0, 1, 1.0)])
+        with pytest.raises(ValueError, match="measure has"):
+            clan_embed(G, mu, 1, 2)
+
 
 class TestOptimalPathCopies:
     def test_matches_brute_force(self):

@@ -104,3 +104,50 @@ class TestCommands:
         runner = CliRunner()
         res = runner.invoke(main, ["ramsey"])
         assert res.exit_code != 0
+
+
+class TestBadInput:
+    """Malformed input files and parameters are usage errors (exit code 2),
+    not tracebacks."""
+
+    @staticmethod
+    def _graph(tmp_path):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(gen_graph("path", {"n": 4}).to_json())
+        return str(gpath)
+
+    @staticmethod
+    def _usage_error(res):
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Error:" in res.output
+
+    @pytest.mark.parametrize("text", ["{not json", '{"n": 3}', "[1, 2]",
+                                      '{"n": 3, "edges": [[0, 5, 1.0]]}'])
+    def test_malformed_graph_file(self, tmp_path, text):
+        gpath = tmp_path / "bad.json"
+        gpath.write_text(text)
+        res = CliRunner().invoke(main, ["check", "--graph", str(gpath)])
+        self._usage_error(res)
+        assert "malformed graph file" in res.output
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "malformed subgraph file"),
+        ('{"vertices": []}', "malformed subgraph file"),
+        ('{"edges": [[0]]}', "malformed subgraph file"),
+        ('{"edges": [[0, 9]]}', "not an edge of the graph"),
+        ('{"edges": [[0, 2]]}', "not an edge of the graph")])
+    def test_malformed_subgraph_file(self, tmp_path, text, message):
+        hpath = tmp_path / "h.json"
+        hpath.write_text(text)
+        res = CliRunner().invoke(main, ["preserve", "--graph", self._graph(tmp_path),
+                                        "--subgraph", str(hpath)])
+        self._usage_error(res)
+        assert message in res.output
+
+    @pytest.mark.parametrize("root", ["4", "-1"])
+    def test_root_out_of_range(self, tmp_path, root):
+        res = CliRunner().invoke(main, ["preserve", "--graph", self._graph(tmp_path),
+                                        "--root", root])
+        self._usage_error(res)
+        assert "not a vertex" in res.output

@@ -206,6 +206,12 @@ class TestRamseyEmbed:
         with pytest.raises(ValueError):
             ramsey_embed(G, [1.0, 1.0], {0, 1}, 1, 2, "other")
 
+    @pytest.mark.parametrize("mu", [[1.0], [1.0, 1.0, 1.0]])
+    def test_rejects_measure_of_wrong_length(self, mu):
+        G = WeightedGraph(2, [(0, 1, 1.0)])
+        with pytest.raises(ValueError, match="measure has"):
+            ramsey_embed(G, mu, {0, 1}, 1, 2)
+
 
 class TestMWU:
     def test_measures_at_least_one(self):
@@ -218,7 +224,7 @@ class TestMWU:
     def test_fixed_k_distribution(self):
         rng = random.Random(42)
         G = connected_random_graph(rng, 9, 0.3, 1.0, 4.0)
-        dist = ramsey_distribution(G, 2, "fixed_k", rounds=6, seed=0, k=2)
+        dist = ramsey_distribution(G, 2, "fixed_k", rounds=6, k=2)
         assert len(dist) == 6
         assert sum(p for _, p in dist) == pytest.approx(1.0)
         for emb, _ in dist:
