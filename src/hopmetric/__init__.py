@@ -6,6 +6,7 @@ from .clan import (ClanEmbedding, clan_cover, clan_create_cluster,
                    clan_create_cluster_alt, clan_distribution, clan_embed,
                    optimal_path_copies)
 from .cover import SparseCover, edge_costs, sparse_cover
+from .datastructures import CoarseBudgetExceeded
 from .graph_core import (INFINITY, HopParams, WeightedGraph,
                          finite_completion, hop_ball, hop_diameter,
                          hop_distance, hop_distance_all, is_h_respecting,
@@ -33,6 +34,7 @@ __all__ = [
     "clan_create_cluster_alt", "clan_distribution", "clan_embed",
     "optimal_path_copies",
     "SparseCover", "edge_costs", "sparse_cover",
+    "CoarseBudgetExceeded",
     "PathTreeEmbedding", "Unreachable", "build_path_tree_embedding",
     "image_of_general_subgraph", "image_of_respecting_subgraph",
     "induced_path",

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graph_core import INFINITY, WeightedGraph, is_inf
-from .ramsey import (ClusterTriple, Measure, _check_measure, alt_levels, alt_rule,
-                     finite_graph, measure_of, standard_rule)
+from .ramsey import (ClusterTriple, Measure, _check_measure, _shared_rows,
+                     alt_levels, alt_rule, finite_graph, measure_of, standard_rule)
 from .ultrametric import Ultrametric, saturate_labels, ultra_distance
 
 
@@ -219,6 +219,7 @@ def clan_mwu_measure(weights: Sequence[float]) -> List[float]:
     return [1.0 + n * (w / total) for w in weights]
 
 
+@_shared_rows()
 def clan_distribution(G: WeightedGraph, h: int, mode: str, rounds: int,
                       k: int = 2, epsilon: float = 0.5,
                       variant: str = "standard") -> List[Tuple[ClanEmbedding, float]]:
@@ -226,6 +227,7 @@ def clan_distribution(G: WeightedGraph, h: int, mode: str, rounds: int,
 
     mode "fixed_k": expected clan size O(n^{1/k}) per vertex;
     mode "expected": expected clan size <= 1+epsilon per vertex.
+    The rounds share bounded-hop rows (see ``ramsey._shared_rows``).
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")

@@ -14,7 +14,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import tz
 from .graph_core import INFINITY, WeightedGraph, is_inf
-from .ramsey import RamseyEmbedding, ramsey_distribution, ramsey_embed
+from .ramsey import (RamseyEmbedding, _shared_rows, ramsey_distribution,
+                     ramsey_embed)
 from .rng import substream
 from .ultrametric import Ultrametric
 
@@ -125,8 +126,19 @@ class CoarseOracle:
         return sum(2 * len(l) for row in self.labels for l in row)
 
 
+class CoarseBudgetExceeded(RuntimeError):
+    """Every attempt at a coarse oracle stored more labels than its budget."""
+
+
+@_shared_rows()
 def build_coarse_oracle(G: WeightedGraph, h: int, k: int, seed: int = 0,
                         rounds: int = 8, max_attempts: int = 30) -> CoarseOracle:
+    """Sample rounds of an alt-Ramsey distribution until every vertex is
+    padded; the distribution and the straggler embeddings share rows.
+
+    Raises CoarseBudgetExceeded when all ``max_attempts`` exceed the size
+    budget.
+    """
     n = G.n
     dist = ramsey_distribution(G, h, "fixed_k", rounds, k=k, variant="alt")
     incl = [sum(1 for emb, _ in dist if v in emb.M) / len(dist) for v in range(n)]
@@ -157,7 +169,8 @@ def build_coarse_oracle(G: WeightedGraph, h: int, k: int, seed: int = 0,
             best = (seq, home)
             break
     if best is None:
-        raise AssertionError("coarse oracle size budget repeatedly exceeded")
+        raise CoarseBudgetExceeded(
+            f"coarse oracle size budget exceeded in all {max_attempts} attempts")
     seq, home = best
     t_coarse = max(emb.t for emb in seq)
     beta_hops = max(emb.beta for emb in seq)

@@ -8,6 +8,7 @@ are at distance INFINITY, which is the float ``math.inf``.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -224,37 +225,46 @@ def hop_diameter(G: WeightedGraph, h: int) -> float:
     return best
 
 
-def max_finite_hop_distance(G: WeightedGraph, h: int) -> float:
-    """D' = max over pairs with hop_G(u,v) <= h of d^{(h)}(u,v); 0 if none."""
+def _finite_scan(G: WeightedGraph, h: int) -> Tuple[float, List[Tuple[int, int]]]:
+    """One pass over the all-pairs h-hop rows: (D', pairs u < v with no h-hop
+    path)."""
     best = 0.0
+    missing: List[Tuple[int, int]] = []
     for s in range(G.n):
         dist = hop_distance_all(G, s, h)
         for v in range(s + 1, G.n):
             d = dist[v]
-            if not is_inf(d) and d > best:
+            if is_inf(d):
+                missing.append((s, v))
+            elif d > best:
                 best = d
-    return best
+    return best, missing
+
+
+def max_finite_hop_distance(G: WeightedGraph, h: int) -> float:
+    """D' = max over pairs with hop_G(u,v) <= h of d^{(h)}(u,v); 0 if none."""
+    return _finite_scan(G, h)[0]
 
 
 def finite_completion(G: WeightedGraph, h: int, k: int) -> Tuple[WeightedGraph, float]:
-    """Add an edge of weight omega = 17k*D' for every pair not h-hop connected."""
+    """Add an edge of weight omega = 17k*D' for every pair not h-hop connected.
+
+    When some pair is added, omega is also the completed graph's h-hop
+    diameter: omega >= D' bounds every finite h-hop distance of G, every
+    path through an added edge weighs at least omega, and the added pairs
+    are at distance exactly omega.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    dprime = max_finite_hop_distance(G, h)
+    dprime, missing = _finite_scan(G, h)
     if dprime == 0.0:
         # no finite pair other than trivial ones; fall back to max edge weight
         dprime = G.max_weight()
     omega = 17.0 * k * dprime
-    extra: List[Tuple[int, int, float]] = []
-    for s in range(G.n):
-        dist = hop_distance_all(G, s, h)
-        for v in range(s + 1, G.n):
-            if is_inf(dist[v]):
-                extra.append((s, v, omega))
-    if not extra:
+    if not missing:
         return G, omega
-    Gp = WeightedGraph(G.n, list(G.edges) + extra, normalize=False)
-    return Gp, omega
+    added = ((u, v, omega) for u, v in missing)
+    return WeightedGraph(G.n, itertools.chain(G.edges, added), normalize=False), omega
 
 
 def dijkstra(adj: Sequence[Sequence[Tuple[int, float]]], s: int,

@@ -8,8 +8,12 @@ guarantees.  The clan embedding carves with the same two rules.
 from __future__ import annotations
 
 import math
+from array import array
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 from .graph_core import (WeightedGraph, finite_completion, hop_diameter,
                          hop_profile, is_inf)
@@ -61,7 +65,88 @@ def _check_measure(mu: Measure, n: int) -> None:
         raise ValueError("measure must be >= 1 on every vertex")
 
 
-def _ball(dist: List[float], allowed: List[int], r: float) -> FrozenSet[int]:
+# -- rows shared by the embeddings of one build -----------------------------
+
+_Rows = Dict[Tuple[int, int], Tuple[float, array]]   # (budget, source) -> (R, row)
+
+
+class _BuildMemo:
+    """Finite completions by (G, h, k) and row tables by (graph, Y)."""
+    __slots__ = ("graphs", "rows")
+
+    def __init__(self) -> None:
+        self.graphs: Dict[Tuple[WeightedGraph, int, int], tuple] = {}
+        self.rows: Dict[Tuple[WeightedGraph, FrozenSet[int]], _Rows] = {}
+
+
+_MEMO: ContextVar[Optional[_BuildMemo]] = ContextVar("hopmetric_build_memo",
+                                                     default=None)
+
+
+@contextmanager
+def _shared_rows() -> Iterator[None]:
+    """Share finite completions and bounded-hop rows across the embeddings
+    of one multi-embedding build; re-entrant, released when the outermost
+    scope exits.
+
+    The rounds of a distribution embed the same graph again and again, and
+    only the choice of centers depends on the measure, so most carvings ask
+    for rows an earlier round already computed.  A row is keyed by (finite
+    graph, vertex set Y, budget b, source s) and kept with the radius R it
+    was pruned at; a request with maxr = r <= R is served from it.  This is
+    exact: weights are positive and float addition is monotone, so no prefix
+    of a walk weighs more than the walk, and pruning at R only turns the
+    entries above R + 1e-12 into infinity.  Hence the row pruned at R equals
+    the row pruned at r on every entry <= r + 1e-12.  Every reader compares
+    entries only against a radius no larger than the maxr it asked for
+    (``_ball`` in both rules, ``_bounded_diam_at_most``), so it cannot tell
+    a served row from a fresh one.
+
+    Single ``ramsey_embed`` and ``clan_embed`` calls open no scope: the
+    carvings of one embedding rarely repeat a request, so there the rows
+    would only cost memory.
+    """
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set(_BuildMemo())
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _rows_of(G: WeightedGraph, Y: Set[int]) -> Optional[_Rows]:
+    """The shared rows of G[Y], or None outside a build scope."""
+    memo = _MEMO.get()
+    if memo is None:
+        return None
+    return memo.rows.setdefault((G, frozenset(Y)), {})
+
+
+def _profile(rows: Optional[_Rows], G: WeightedGraph, s: int,
+             budgets: Sequence[int], maxr: float,
+             allowed: List[int]) -> Dict[int, Sequence[float]]:
+    """hop_profile(G, s, budgets, maxr, allowed), served from ``rows`` where
+    a stored row was pruned at a radius >= maxr (see ``_shared_rows``)."""
+    if rows is None:
+        return hop_profile(G, s, budgets, maxr=maxr, allowed=allowed)
+    out: Dict[int, Sequence[float]] = {}
+    missing = []
+    for b in budgets:
+        hit = rows.get((b, s))
+        if hit is not None and maxr <= hit[0]:
+            out[b] = hit[1]
+        else:
+            missing.append(b)
+    if missing:
+        for b, row in hop_profile(G, s, missing, maxr=maxr, allowed=allowed).items():
+            rows[(b, s)] = (maxr, array("d", row))
+            out[b] = row
+    return out
+
+
+def _ball(dist: Sequence[float], allowed: List[int], r: float) -> FrozenSet[int]:
     return frozenset(u for u in allowed if dist[u] <= r + _REL_TOL)
 
 
@@ -91,16 +176,17 @@ def standard_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
     rho = 2.0 ** scale_i / (16.0 * k_geom)
     b0 = scale_i * 2 * k_geom * h if scale_i > 0 else 0
     allowed = sorted(Y)
+    rows = _rows_of(G, Y)
     best_v, best_m = -1, -1.0
     for v in allowed:
-        prof = hop_profile(G, v, [b0], maxr=r0, allowed=allowed)
+        prof = _profile(rows, G, v, [b0], r0, allowed)
         m = _marked_measure(mu, _ball(prof[b0], allowed, r0), MY)
         if m > best_m + _REL_TOL:
             best_v, best_m = v, m
     v = best_v
     nb = 2 * k_geom
-    prof = hop_profile(G, v, [b0 + j * h for j in range(nb + 1)],
-                       maxr=r0 + nb * rho, allowed=allowed)
+    prof = _profile(rows, G, v, [b0 + j * h for j in range(nb + 1)],
+                    r0 + nb * rho, allowed)
     A = [_ball(prof[b0 + j * h], allowed, r0 + j * rho) for j in range(nb + 1)]
     muA = [_marked_measure(mu, A[j], MY) for j in range(nb + 1)]
     muM = measure_of(mu, MY)
@@ -126,10 +212,11 @@ def alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
     L = alt_levels(muM)
     delta = 2.0 ** scale_i
     allowed = sorted(Y)
+    rows = _rows_of(G, Y)
     bball = 2 * k * L * h
     best_v, best_m = -1, math.inf
     for v in sorted(MY):
-        prof = hop_profile(G, v, [bball], maxr=delta / 4.0, allowed=allowed)
+        prof = _profile(rows, G, v, [bball], delta / 4.0, allowed)
         m = _marked_measure(mu, _ball(prof[bball], allowed, delta / 4.0), MY)
         if m < best_m - _REL_TOL:
             best_v, best_m = v, m
@@ -138,7 +225,7 @@ def alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
         # trivial return claims diam^{(4kLh)}(G[Y]) <= delta/2; certify it,
         # since far-away unmarked vertices can break the claim, in which
         # case the scale-bounded rule still guarantees progress
-        if _bounded_diam_at_most(G, allowed, 2 * bball, delta / 2.0):
+        if _bounded_diam_at_most(rows, G, allowed, 2 * bball, delta / 2.0):
             X = frozenset(Y)
             return ClusterTriple(X, X, X, v, 0)
         return fallback()
@@ -147,7 +234,7 @@ def alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
         return (2 * k * a + j) * h
 
     budgets = sorted({budget(a, j) for a in range(L + 1) for j in range(2 * k + 1)})
-    prof = hop_profile(G, v, budgets, maxr=delta / 4.0 + _REL_TOL, allowed=allowed)
+    prof = _profile(rows, G, v, budgets, delta / 4.0 + _REL_TOL, allowed)
 
     def A(a: int, j: int) -> FrozenSet[int]:
         return _ball(prof[budget(a, j)], allowed, (a + j / (2.0 * k)) * delta / (4.0 * L))
@@ -184,10 +271,10 @@ def create_cluster_alt(G: WeightedGraph, Y: Set[int], M: Set[int], mu: Measure,
                     lambda: create_cluster(G, Y, M, mu, h, k, scale_i))
 
 
-def _bounded_diam_at_most(G: WeightedGraph, allowed: List[int], budget: int,
-                          bound: float) -> bool:
+def _bounded_diam_at_most(rows: Optional[_Rows], G: WeightedGraph,
+                          allowed: List[int], budget: int, bound: float) -> bool:
     for s in allowed:
-        prof = hop_profile(G, s, [budget], maxr=bound, allowed=allowed)
+        prof = _profile(rows, G, s, [budget], bound, allowed)
         d = prof[budget]
         if any(d[u] > bound + _REL_TOL for u in allowed):
             return False
@@ -197,12 +284,21 @@ def _bounded_diam_at_most(G: WeightedGraph, allowed: List[int], budget: int,
 def finite_graph(G: WeightedGraph, h: int,
                  k: int) -> Tuple[WeightedGraph, Optional[float], float]:
     """(graph, omega, h-hop diameter): G itself with omega None, or its finite
-    completion when some pair has no h-hop path."""
+    completion when some pair has no h-hop path, whose h-hop diameter is
+    omega (see ``finite_completion``).  Memoized inside a build scope, so
+    every round of a distribution carves the same graph object."""
+    memo = _MEMO.get()
+    if memo is not None and (G, h, k) in memo.graphs:
+        return memo.graphs[(G, h, k)]
     diam = hop_diameter(G, h)
     if not is_inf(diam):
-        return G, None, diam
-    Gw, omega = finite_completion(G, h, k)
-    return Gw, omega, hop_diameter(Gw, h)
+        out = G, None, diam
+    else:
+        Gw, omega = finite_completion(G, h, k)
+        out = Gw, omega, omega
+    if memo is not None:
+        memo.graphs[(G, h, k)] = out
+    return out
 
 
 def alt_levels(mu_total: float) -> int:
@@ -307,6 +403,7 @@ def mwu_measures(weights: Sequence[float], k: int) -> List[float]:
     return [s * n * (1.0 / (s * n) + (s - 1.0) / s * (w / total)) for w in weights]
 
 
+@_shared_rows()
 def ramsey_distribution(G: WeightedGraph, h: int, mode: str, rounds: int,
                         k: int = 2, epsilon: float = 0.25,
                         variant: str = "standard") -> List[Tuple[RamseyEmbedding, float]]:
@@ -314,6 +411,7 @@ def ramsey_distribution(G: WeightedGraph, h: int, mode: str, rounds: int,
 
     mode "fixed_k": per-vertex inclusion probability Omega(n^{-1/k});
     mode "inclusion": k is derived from epsilon and inclusion >= 1-epsilon.
+    The rounds share bounded-hop rows (see ``_shared_rows``).
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")

@@ -2,6 +2,7 @@
 covers, chief copies, and optimal copy assignments along paths."""
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from hopmetric.clan import (clan_cover, clan_create_cluster,
 from hopmetric.graph_core import WeightedGraph, hop_distance_all, is_inf
 from hopmetric.ultrametric import ultra_distance, validate_ultrametric
 from oracles import (brute_force_path_copies, connected_random_graph,
-                     simulate_clan_create_cluster)
+                     random_graph, simulate_clan_create_cluster)
 
 
 def _instances(seed: int, count: int):
@@ -200,7 +201,6 @@ class TestClanDistribution:
         dist = clan_distribution(G, 1, "expected", rounds=3, epsilon=0.5)
         assert len(dist) == 3
         # derived k matches the expected-size calibration
-        import math
         kk = max(1, math.ceil(math.log(12) / math.log(1.25)))
         assert all(emb.k == kk for emb, _ in dist)
 
@@ -210,3 +210,19 @@ class TestClanDistribution:
             clan_distribution(G, 1, "fixed_k", rounds=0)
         with pytest.raises(ValueError):
             clan_distribution(G, 1, "other", rounds=1)
+
+    @pytest.mark.parametrize("seed", [93, 94])
+    def test_distribution_matches_standalone_embeddings(self, seed):
+        rng = random.Random(seed)
+        G = (connected_random_graph(rng, 14, 0.15, 1.0, 8.0) if seed == 93
+             else random_graph(rng, 12, 0.15, 1.0, 8.0))
+        n, rounds = G.n, 4
+        dist = clan_distribution(G, 2, "fixed_k", rounds, variant="alt")
+        eta = 0.5 / math.sqrt(rounds)
+        weights = [1.0] * n
+        for emb, _ in dist:
+            alone = clan_embed(G, clan_mwu_measure(weights), 2, 2, "alt")
+            assert emb.U.to_json() == alone.U.to_json()
+            assert emb.f == alone.f and emb.chi == alone.chi
+            for v in range(n):
+                weights[v] *= (1.0 + eta) ** (len(alone.f[v]) - 1)

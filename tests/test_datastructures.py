@@ -3,13 +3,16 @@ estimators, auxiliary scale graphs, landmark structures, and the final
 hop-bounded sandwich guarantees."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
 import pytest
 
-from hopmetric import tz
-from hopmetric.datastructures import (AuxiliaryGraph, auxiliary_graph,
+import hopmetric
+from hopmetric import datastructures, tz
+from hopmetric.datastructures import (AuxiliaryGraph, CoarseBudgetExceeded,
+                                      auxiliary_graph,
                                       build_coarse_labeling,
                                       build_coarse_oracle, build_hop_labeling,
                                       build_hop_oracle, build_routing_scheme,
@@ -17,6 +20,7 @@ from hopmetric.datastructures import (AuxiliaryGraph, auxiliary_graph,
                                       labeling_query, route, tree_label_query,
                                       _scale_of)
 from hopmetric.graph_core import WeightedGraph, hop_distance_all, is_inf
+from hopmetric.ramsey import ramsey_embed
 from hopmetric.ultrametric import ultra_distance
 from oracles import connected_random_graph
 from test_ultrametric import random_ultrametric
@@ -100,6 +104,16 @@ class TestCoarseOracle:
         a = build_coarse_oracle(G, 2, 2, seed=5)
         b = build_coarse_oracle(G, 2, 2, seed=5)
         assert a.home == b.home and a.labels == b.labels
+
+    def test_blown_budget_raises_typed_error(self, monkeypatch):
+        G = P4()
+        emb = ramsey_embed(G, [1.0] * 4, set(range(4)), 2, 3, "alt")
+        unpadded = dataclasses.replace(emb, M=frozenset())
+        monkeypatch.setattr(datastructures, "ramsey_distribution",
+                            lambda *a, **kw: [(unpadded, 0.5), (unpadded, 0.5)])
+        with pytest.raises(CoarseBudgetExceeded, match="all 2 attempts"):
+            build_coarse_oracle(G, 2, 2, max_attempts=2)
+        assert issubclass(hopmetric.CoarseBudgetExceeded, RuntimeError)
 
 
 class TestAuxiliaryGraph:

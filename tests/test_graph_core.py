@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopmetric import graph_core
 from hopmetric.graph_core import (INFINITY, HopParams, WeightedGraph, dijkstra,
                                   finite_completion, hop_ball, hop_diameter,
                                   hop_distance, hop_distance_all,
@@ -125,6 +126,28 @@ class TestFiniteCompletion:
 
     def test_max_finite(self):
         assert max_finite_hop_distance(P4(), 2) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_omega_is_completed_diameter(self, h, k):
+        rng = random.Random(100 * h + k)
+        tried = 0
+        while tried < 12:
+            n = rng.randint(2, 12)
+            G = random_graph(rng, n, rng.choice([0.1, 0.2, 0.35]), 1.0, 8.0)
+            if not is_inf(hop_diameter(G, h)):
+                continue
+            tried += 1
+            Gw, omega = finite_completion(G, h, k)
+            assert hop_diameter(Gw, h) == omega
+
+    def test_one_pass_over_rows(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(graph_core, "hop_distance_all",
+                            lambda *a, **kw: calls.append(a[1]) or hop_distance_all(*a, **kw))
+        G = WeightedGraph(6, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 1.0)])
+        finite_completion(G, 2, 2)
+        assert sorted(calls) == list(range(6))
 
 
 class TestHRespecting:

@@ -7,12 +7,14 @@ import random
 
 import pytest
 
-from hopmetric.graph_core import WeightedGraph, hop_distance_all, is_inf
+from hopmetric import ramsey
+from hopmetric.graph_core import (WeightedGraph, hop_diameter, hop_distance_all,
+                                  hop_profile, is_inf)
 from hopmetric.ramsey import (alt_levels, create_cluster, create_cluster_alt,
-                              mwu_measures, padded_partition,
+                              finite_graph, mwu_measures, padded_partition,
                               ramsey_distribution, ramsey_embed)
 from hopmetric.ultrametric import ultra_distance, validate_ultrametric
-from oracles import connected_random_graph, simulate_create_cluster
+from oracles import connected_random_graph, random_graph, simulate_create_cluster
 
 
 def _instances(seed: int, count: int):
@@ -249,3 +251,88 @@ class TestMWU:
             ramsey_distribution(G, 1, "fixed_k", rounds=0)
         with pytest.raises(ValueError):
             ramsey_distribution(G, 1, "other", rounds=1)
+
+
+def _counting_profiles(monkeypatch) -> list:
+    """Count the hop_profile calls the carving rules make."""
+    calls = []
+    monkeypatch.setattr(ramsey, "hop_profile",
+                        lambda *a, **kw: calls.append(a[1]) or hop_profile(*a, **kw))
+    return calls
+
+
+def _below(row, r: float) -> list:
+    return [d if d <= r + 1e-12 else math.inf for d in row]
+
+
+class TestSharedRows:
+    def test_served_rows_match_fresh_rows(self, monkeypatch):
+        calls = _counting_profiles(monkeypatch)
+        rng = random.Random(61)
+        requests = 0
+        for _ in range(12):
+            n = rng.randint(3, 14)
+            G = connected_random_graph(rng, n, 0.3, 1.0, 6.0)
+            Ys = [set(range(n))]
+            while len(Ys[-1]) > 1 and len(Ys) < 4:
+                Ys.append(set(rng.sample(sorted(Ys[-1]), rng.randint(1, len(Ys[-1])))))
+            with ramsey._shared_rows():
+                for _ in range(80):
+                    Y = rng.choice(Ys)
+                    allowed = sorted(Y)
+                    s = rng.choice(allowed)
+                    budgets = sorted(rng.sample(range(6), rng.randint(1, 3)))
+                    # radii rise and fall; half of them sit exactly on a distance
+                    exact = [d for d in hop_distance_all(G, s, 5, allowed) if not is_inf(d)]
+                    r = rng.choice(exact) if rng.random() < 0.5 else rng.uniform(0.0, 12.0)
+                    prof = ramsey._profile(ramsey._rows_of(G, Y), G, s, budgets, r, allowed)
+                    fresh = hop_profile(G, s, budgets, maxr=r, allowed=allowed)
+                    requests += 1
+                    for b in budgets:
+                        assert _below(prof[b], r) == _below(fresh[b], r)
+        assert requests - len(calls) > requests / 4   # served from stored rows
+
+    def test_scope_is_reentrant_and_released(self):
+        G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        assert ramsey._rows_of(G, {0, 1, 2}) is None
+        with ramsey._shared_rows():
+            rows = ramsey._rows_of(G, {0, 1, 2})
+            with ramsey._shared_rows():
+                assert ramsey._rows_of(G, {0, 1, 2}) is rows
+                assert finite_graph(G, 1, 2) is finite_graph(G, 1, 2)
+            assert ramsey._rows_of(G, {0, 1, 2}) is rows
+        assert ramsey._rows_of(G, {0, 1, 2}) is None
+
+    def test_finite_graph_reports_completed_diameter(self):
+        rng = random.Random(62)
+        for _ in range(10):
+            G = random_graph(rng, rng.randint(3, 10), 0.2, 1.0, 5.0)
+            params = [(h, k) for h in (1, 2, 3) for k in (1, 2, 3)]
+            alone = [finite_graph(G, h, k) for h, k in params]
+            with ramsey._shared_rows():
+                for (h, k), (Gw, omega, diam) in zip(params, alone):
+                    assert diam == hop_diameter(Gw, h)
+                    assert (omega is None) == (Gw is G)
+                    Gs, omega_s, diam_s = finite_graph(G, h, k)
+                    assert Gs.edges == Gw.edges
+                    assert (omega_s, diam_s) == (omega, diam)
+
+    @pytest.mark.parametrize("seed", [63, 64, 65])
+    def test_distribution_matches_standalone_embeddings(self, seed, monkeypatch):
+        calls = _counting_profiles(monkeypatch)
+        rng = random.Random(seed)
+        G = (connected_random_graph(rng, 16, 0.15, 1.0, 8.0) if seed != 65
+             else random_graph(rng, 14, 0.15, 1.0, 8.0))
+        n, rounds = G.n, 4
+        dist = ramsey_distribution(G, 2, "fixed_k", rounds, variant="alt")
+        shared = len(calls)
+        eta = 0.5 / math.sqrt(rounds)
+        weights = [1.0] * n
+        for emb, _ in dist:
+            alone = ramsey_embed(G, mwu_measures(weights, 2), set(range(n)), 2, 3, "alt")
+            assert emb.U.to_json() == alone.U.to_json()
+            assert emb.M == alone.M
+            for v in range(n):
+                if v not in alone.M:
+                    weights[v] *= 1.0 + eta
+        assert shared < len(calls) - shared
