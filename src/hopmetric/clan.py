@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graph_core import INFINITY, WeightedGraph, is_inf
-from .ramsey import (ClusterTriple, Measure, _check_measure, _shared_rows,
-                     alt_levels, alt_rule, finite_graph, measure_of, standard_rule)
+from .ramsey import (ClusterTriple, Measure, _Balls, _check_measure,
+                     _shared_rows, alt_levels, alt_rule, finite_graph,
+                     measure_of, standard_rule)
 from .ultrametric import Ultrametric, saturate_labels, ultra_distance
 
 
@@ -55,40 +56,52 @@ class ClanEmbedding:
 
 
 def clan_create_cluster(G: WeightedGraph, Y: Set[int], mu: Measure,
-                        h: int, k: int, scale_i: int) -> ClusterTriple:
+                        h: int, k: int, scale_i: int,
+                        balls: Optional[_Balls] = None) -> ClusterTriple:
     """Carve a cluster triple from G[Y]; the measure condition guarantees the
-    path-distortion recursion can always charge a 1/3-2/3 split."""
+    path-distortion recursion can always charge a 1/3-2/3 split.
+
+    ``balls`` is the table of the calling cover; a standalone call starts a
+    fresh one.
+    """
     if not Y:
         raise ValueError("Y must be nonempty")
     # every vertex is marked; Y itself, not a copy, keeps the order in which
     # mu(Y) is summed, and that float sum feeds tolerance comparisons
-    return standard_rule(G, Y, Y, mu, h, k, k + 1, scale_i, True)
+    return standard_rule(G, Y, Y, mu, h, k, k + 1, scale_i, True,
+                         balls or _Balls())
 
 
 def clan_create_cluster_alt(G: WeightedGraph, Y: Set[int], mu: Measure,
-                            h: int, k: int, scale_i: int) -> ClusterTriple:
+                            h: int, k: int, scale_i: int,
+                            balls: Optional[_Balls] = None) -> ClusterTriple:
     """Alternative rule; non-trivial outer clusters hold at most half of mu(Y)."""
     if not Y:
         raise ValueError("Y must be nonempty")
-    return alt_rule(G, Y, Y, mu, h, k, scale_i,
-                    lambda: clan_create_cluster(G, Y, mu, h, k, scale_i))
+    balls = balls or _Balls()
+    return alt_rule(G, Y, Y, mu, h, k, scale_i, balls,
+                    lambda: clan_create_cluster(G, Y, mu, h, k, scale_i, balls))
 
 
 def clan_cover(G: WeightedGraph, X: Set[int], mu: Measure, h: int, k: int,
                scale_i: int, variant: str = "standard") -> List[ClusterTriple]:
     """Iteratively carve triples; only inner clusters are removed, so outer
-    clusters cover X (with overlaps) while inner clusters partition it."""
+    clusters cover X (with overlaps) while inner clusters partition it.
+    The carvings share one ball table (see ``ramsey._Balls``)."""
     if not X:
         raise ValueError("X must be nonempty")
     carve = clan_create_cluster if variant == "standard" else clan_create_cluster_alt
     Y = set(X)
+    balls = _Balls()
     out: List[ClusterTriple] = []
     while Y:
-        trip = carve(G, Y, mu, h, k, scale_i)
+        trip = carve(G, Y, mu, h, k, scale_i, balls)
         out.append(trip)
         if not trip.inner:
             raise AssertionError("empty inner cluster would not make progress")
         Y -= trip.inner
+        # every vertex of Y is marked, so only removed vertices lose a mark
+        balls.carved(trip.inner, frozenset())
     return out
 
 

@@ -102,9 +102,14 @@ def _shared_rows() -> Iterator[None]:
     (``_ball`` in both rules, ``_bounded_diam_at_most``), so it cannot tell
     a served row from a fresh one.
 
-    Single ``ramsey_embed`` and ``clan_embed`` calls open no scope: the
-    carvings of one embedding rarely repeat a request, so there the rows
-    would only cost memory.
+    The work splits with ``_Balls``: within one ``padded_partition`` or
+    ``clan_cover`` call, the balls of the center choice are kept across its
+    carvings, so a row is requested again only for a candidate whose ball
+    the last carve touched.  The rows serve what is left to share: the
+    rounds of a distribution carving the same sets again, under measures
+    that move the centers.  Single ``ramsey_embed`` and ``clan_embed`` calls
+    open no scope: their partition calls carve other sets, mostly at other
+    budgets, so there the rows would mostly cost memory.
     """
     if _MEMO.get() is not None:
         yield
@@ -154,6 +159,64 @@ def _marked_measure(mu: Measure, B: FrozenSet[int], MY: Set[int]) -> float:
     return sum(mu[u] for u in B if u in MY)
 
 
+class _Balls:
+    """The center-choice balls of one ``padded_partition`` or ``clan_cover``
+    call, kept across its carvings and released when the call returns.
+
+    A carving of G[Y] picks its center by the marked measure of the ball
+    B(v) = {u in Y : d^{(b)}_{G[Y]}(v, u) <= r} of every candidate v.  A ball
+    depends on the rule only through (b, r), so there is one table per
+    (b, r): the standard rule, its runs as the alt rule's fallback included,
+    and each alt level L read their own.  After a carve removes C from Y and
+    unmarks U (``carved``), the table holds exactly what a fresh sweep of
+    G[Y minus C] would compute:
+
+    - B(v) avoids C: kept.  The distance to u is the least left-to-right
+      float sum over walks of at most b edges from v.  Weights are positive
+      and float addition is monotone, so no prefix of a walk weighs more
+      than the walk, and every vertex of a walk reaching u within the
+      radius is itself in B(v).  Those walks avoid C and survive in
+      G[Y minus C], where other distances can only grow; so the ball and
+      its distances are unchanged.  A fresh sweep would also build the same
+      frozenset in the same insertion order (ascending ids), hence with the
+      same iteration order.
+    - B(v) meets C: dropped, and computed again when next asked for.
+    - B(v) meets U but not C: its marked measure is summed again over the
+      same frozenset, so the terms and their order are those of a fresh
+      sum.  A ball meeting neither keeps its sum, which has the same terms.
+
+    So every rule compares the same floats and picks the same center.
+    """
+    __slots__ = ("_tables",)
+
+    def __init__(self) -> None:
+        # (budget, radius) -> candidate -> [ball, marked measure or None]
+        self._tables: Dict[Tuple[int, float], Dict[int, list]] = {}
+
+    def measure(self, rows: Optional[_Rows], G: WeightedGraph, v: int,
+                budget: int, r: float, allowed: List[int], mu: Measure,
+                MY: Set[int]) -> float:
+        """mu(B(v) & MY) in G[allowed], for ball budget and radius r."""
+        table = self._tables.setdefault((budget, r), {})
+        entry = table.get(v)
+        if entry is None:
+            prof = _profile(rows, G, v, [budget], r, allowed)
+            entry = table[v] = [_ball(prof[budget], allowed, r), None]
+        if entry[1] is None:
+            entry[1] = _marked_measure(mu, entry[0], MY)
+        return entry[1]
+
+    def carved(self, removed: Set[int], unmarked: Set[int]) -> None:
+        """Refresh the tables after a carve took ``removed`` out of Y and
+        ``unmarked`` out of the marked set."""
+        for table in self._tables.values():
+            for v, entry in list(table.items()):
+                if not entry[0].isdisjoint(removed):
+                    del table[v]
+                elif not entry[0].isdisjoint(unmarked):
+                    entry[1] = None
+
+
 def _live_marks(Y: Set[int], M: Set[int]) -> Set[int]:
     MY = M & Y
     if not MY:
@@ -163,14 +226,15 @@ def _live_marks(Y: Set[int], M: Set[int]) -> Set[int]:
 
 def standard_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
                   h: int, k: int, k_geom: int, scale_i: int,
-                  split: bool) -> ClusterTriple:
+                  split: bool, balls: _Balls) -> ClusterTriple:
     """Carve a cluster triple from G[Y] around a max-marked-ball center.
 
     Balls count the measure of the marked set MY, a subset of Y.  ``k_geom``
     (k for Ramsey, k+1 for clan) sets the geometry: 2*k_geom+1 nested balls
     whose radii step by 2^i/(16*k_geom) and whose hop budgets step by h from
     i*2*k_geom*h.  The ratio exponent stays 1/k.  With ``split`` the triple
-    must also allow a 1/3-2/3 split of mu(MY).
+    must also allow a 1/3-2/3 split of mu(MY).  Ball measures are read
+    through ``balls``.
     """
     r0 = 2.0 ** (scale_i - 3)
     rho = 2.0 ** scale_i / (16.0 * k_geom)
@@ -179,8 +243,7 @@ def standard_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
     rows = _rows_of(G, Y)
     best_v, best_m = -1, -1.0
     for v in allowed:
-        prof = _profile(rows, G, v, [b0], r0, allowed)
-        m = _marked_measure(mu, _ball(prof[b0], allowed, r0), MY)
+        m = balls.measure(rows, G, v, b0, r0, allowed, mu, MY)
         if m > best_m + _REL_TOL:
             best_v, best_m = v, m
     v = best_v
@@ -201,12 +264,12 @@ def standard_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
 
 
 def alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
-             h: int, k: int, scale_i: int,
+             h: int, k: int, scale_i: int, balls: _Balls,
              fallback: Callable[[], ClusterTriple]) -> ClusterTriple:
     """Alternative cluster rule: hop budget independent of the scale count.
 
-    ``fallback`` runs the caller's standard rule when the trivial return
-    cannot be certified.
+    Ball measures are read through ``balls``.  ``fallback`` runs the
+    caller's standard rule when the trivial return cannot be certified.
     """
     muM = measure_of(mu, MY)
     L = alt_levels(muM)
@@ -216,8 +279,7 @@ def alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
     bball = 2 * k * L * h
     best_v, best_m = -1, math.inf
     for v in sorted(MY):
-        prof = _profile(rows, G, v, [bball], delta / 4.0, allowed)
-        m = _marked_measure(mu, _ball(prof[bball], allowed, delta / 4.0), MY)
+        m = balls.measure(rows, G, v, bball, delta / 4.0, allowed, mu, MY)
         if m < best_m - _REL_TOL:
             best_v, best_m = v, m
     v = best_v
@@ -259,16 +321,24 @@ def alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
 
 
 def create_cluster(G: WeightedGraph, Y: Set[int], M: Set[int], mu: Measure,
-                   h: int, k: int, scale_i: int) -> ClusterTriple:
-    """Carve a cluster triple from G[Y] around a max-marked-ball center."""
-    return standard_rule(G, Y, _live_marks(Y, M), mu, h, k, k, scale_i, False)
+                   h: int, k: int, scale_i: int,
+                   balls: Optional[_Balls] = None) -> ClusterTriple:
+    """Carve a cluster triple from G[Y] around a max-marked-ball center.
+
+    ``balls`` is the table of the calling partition; a standalone call
+    starts a fresh one.
+    """
+    return standard_rule(G, Y, _live_marks(Y, M), mu, h, k, k, scale_i, False,
+                         balls or _Balls())
 
 
 def create_cluster_alt(G: WeightedGraph, Y: Set[int], M: Set[int], mu: Measure,
-                       h: int, k: int, scale_i: int) -> ClusterTriple:
+                       h: int, k: int, scale_i: int,
+                       balls: Optional[_Balls] = None) -> ClusterTriple:
     """Alternative cluster rule: hop budget independent of the scale count."""
-    return alt_rule(G, Y, _live_marks(Y, M), mu, h, k, scale_i,
-                    lambda: create_cluster(G, Y, M, mu, h, k, scale_i))
+    balls = balls or _Balls()
+    return alt_rule(G, Y, _live_marks(Y, M), mu, h, k, scale_i, balls,
+                    lambda: create_cluster(G, Y, M, mu, h, k, scale_i, balls))
 
 
 def _bounded_diam_at_most(rows: Optional[_Rows], G: WeightedGraph,
@@ -316,26 +386,30 @@ def padded_partition(G: WeightedGraph, X: Set[int], mu: Measure, M: Set[int],
 
     Returns [(cluster, marked-subset)] in creation order; once the live
     marked set empties, the remaining vertices become singleton clusters.
+    The carvings share one ball table (see ``_Balls``).
     """
     if not X:
         raise ValueError("X must be nonempty")
     carve = create_cluster if variant == "standard" else create_cluster_alt
     Y = set(X)
     MY = set(M) & Y
+    balls = _Balls()
     out: List[Tuple[FrozenSet[int], FrozenSet[int]]] = []
     while Y:
         if not MY:
             for v in sorted(Y):
                 out.append((frozenset([v]), frozenset()))
             break
-        trip = carve(G, Y, MY, mu, h, k, scale_i)
+        trip = carve(G, Y, MY, mu, h, k, scale_i, balls)
         if stats is not None:
             stats.setdefault("j_values", []).append(trip.index)
         cluster = trip.mid & Y
         out.append((frozenset(cluster), frozenset(MY & trip.inner)))
+        unmarked = MY & trip.outer
         Y -= cluster
         MY -= trip.outer
         MY &= Y
+        balls.carved(cluster, unmarked)
     return out
 
 

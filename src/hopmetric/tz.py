@@ -63,6 +63,12 @@ class TZCore:
 
 
 def build_core(adj: Adjacency, k: int, seed: int = 0) -> TZCore:
+    return _core(adj, k, seed)[0]
+
+
+def _core(adj: Adjacency, k: int,
+          seed: int) -> Tuple[TZCore, Dict[int, List[float]]]:
+    """The core and the shortest-path row of every vertex it was built from."""
     n = len(adj)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -73,9 +79,10 @@ def build_core(adj: Adjacency, k: int, seed: int = 0) -> TZCore:
     for i in range(k):
         row_p: List[Optional[int]] = [None] * n
         row_d: List[float] = [math.inf] * n
+        level = sorted(levels[i])
         for v in range(n):
             best, arg = math.inf, None
-            for w in sorted(levels[i]):
+            for w in level:
                 d = dist_from[w][v]
                 if d < best - 1e-15:
                     best, arg = d, w
@@ -91,8 +98,9 @@ def build_core(adj: Adjacency, k: int, seed: int = 0) -> TZCore:
                 lim = pdist[i + 1][v] if i + 1 < k else math.inf
                 if dw[v] < lim - 1e-15:
                     bunch[v][w] = dw[v]
-    return TZCore(n, k, tuple(levels), tuple(tuple(r) for r in piv),
+    core = TZCore(n, k, tuple(levels), tuple(tuple(r) for r in piv),
                   tuple(tuple(r) for r in pdist), tuple(bunch))
+    return core, dist_from
 
 
 def _witness(k: int,
@@ -219,7 +227,13 @@ class TZRouting:
 def _spt(adj: Adjacency, root: int, allowed: Optional[FrozenSet[int]] = None,
          ) -> Dict[int, Optional[int]]:
     """Deterministic shortest-path tree: parent map over reached vertices."""
-    dist = dijkstra(adj, root, allowed)
+    return _tree_of(adj, root, dijkstra(adj, root, allowed))
+
+
+def _tree_of(adj: Adjacency, root: int,
+             dist: Sequence[float]) -> Dict[int, Optional[int]]:
+    """Parent map of the shortest-path tree that ``dist`` (the distances
+    from root) spans; ties go to the smallest neighbour id."""
     parent: Dict[int, Optional[int]] = {root: None}
     for v, dv in enumerate(dist):
         if v == root or dv == math.inf:
@@ -261,19 +275,19 @@ def _tree_entries(parent: Dict[int, Optional[int]], root: int,
 
 
 def build_routing(adj: Adjacency, k: int, seed: int = 0) -> TZRouting:
-    c = build_core(adj, k, seed)
+    c, dist_from = _core(adj, k, seed)
     n = c.n
     trees: Dict[TreeKey, Dict[int, TreeEntry]] = {}
     top = c.levels[1] if k > 1 else frozenset()
     for w in range(n):
+        dw = dist_from[w]
         if w in top:
             # landmark: full shortest-path tree over w's component
             key: TreeKey = ("lm", w)
-            parent = _spt(adj, w)
+            parent = _tree_of(adj, w, dw)
         else:
             # cluster tree over C_0(w) = {x : d(w,x) < d(A_1,x)}
             lim = c.pivot_dist[1] if k > 1 else tuple([math.inf] * n)
-            dw = sssp(adj, w)
             C = frozenset(x for x in range(n) if dw[x] < lim[x] - 1e-15) | {w}
             key = ("c0", w)
             parent = _spt(adj, w, C)

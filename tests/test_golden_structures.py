@@ -1,0 +1,110 @@
+"""Golden data-structure outputs: SHA-256 of the hop oracle, the hop
+labeling and the routing scheme on a few seeded graphs.
+
+``test_golden_reports.py`` pins the CLI reports, which sample a few pairs;
+these digests pin every stored label and table and every answer:
+
+- ``build_hop_oracle``: coarse homes and labels, and all-pairs answers;
+- ``build_hop_labeling``: every vertex label;
+- ``build_routing_scheme``: the per-scale TZ tables and routing labels, and
+  the result of ``route`` for every ordered pair.
+
+Each output is flattened into nested lists (dicts as key-sorted pairs) and
+hashed through ``repr``, so floats are compared bit for bit.
+"""
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from hopmetric.cli import gen_graph
+from hopmetric.datastructures import (build_hop_labeling, build_hop_oracle,
+                                      build_routing_scheme, hop_oracle_query,
+                                      route)
+
+GRAPHS = {
+    "rw32-h2": ("random-weighted", {"n": 32, "p": 0.15, "wmin": 1.0, "wmax": 10.0}, 4, 2),
+    "rw24-sparse-h2": ("random-weighted", {"n": 24, "p": 0.08, "wmin": 1.0, "wmax": 5.0}, 7, 2),
+    "grid5x6-h2": ("grid", {"rows": 5, "cols": 6}, 1, 2),
+    "gnp28-h4": ("gnp", {"n": 28, "p": 0.15}, 2, 4),
+    "rw40-h8": ("random-weighted", {"n": 40, "p": 0.12, "wmin": 1.0, "wmax": 10.0}, 5, 8),
+}
+K, EPS = 2, 0.5
+
+
+def _flat(x):
+    if isinstance(x, dict):
+        return [[_flat(k), _flat(v)] for k, v in sorted(x.items())]
+    if dataclasses.is_dataclass(x):
+        return [_flat(getattr(x, f.name)) for f in dataclasses.fields(x)]
+    if isinstance(x, (frozenset, set)):
+        return sorted(x)
+    if isinstance(x, (list, tuple)):
+        return [_flat(y) for y in x]
+    return x
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(_flat(obj)).encode()).hexdigest()
+
+
+def outputs(name: str):
+    family, params, seed, h = GRAPHS[name]
+    G = gen_graph(family, params, seed)
+    pairs = [(u, v) for u in range(G.n) for v in range(G.n)]
+    O = build_hop_oracle(G, h, K, EPS, seed)
+    L = build_hop_labeling(G, h, K, EPS)
+    S = build_routing_scheme(G, h, K, EPS, seed)
+    return {
+        "oracle-coarse": _digest((O.coarse.home, O.coarse.labels)),
+        "oracle-answers": _digest([hop_oracle_query(O, u, v) for u, v in pairs]),
+        "labeling": _digest(L.labels),
+        "routing-tables": _digest({i: (R.tables, R.rlabels) for i, R in S.inner.items()}),
+        "routing-paths": _digest([route(S, u, v) for u, v in pairs]),
+    }
+
+
+GOLDEN = {
+    "rw32-h2": {
+        "oracle-coarse": "48472e75680d20a8125763e642eeeb71cb9035ba186e5352c3175a3b321aa138",
+        "oracle-answers": "98cb3d2f2eedc9553d6ac13d4a44c2a673afa729a35260dd61cc5db52a85ddac",
+        "labeling": "727cf1efbe9631a4bf06c5190628c4b78e228b94afa351697a13a41b5bbbbc1a",
+        "routing-tables": "c6c10faa9e455c1a2fe0cdc4db77d92fbf9e3fb390cebdf036ac9e67cd51e202",
+        "routing-paths": "b719665be10dd191c042a407fd846e16cce68e1242c2cf0c2d0135b74ff7f746",
+    },
+    "rw24-sparse-h2": {
+        "oracle-coarse": "abe991b73b2fbe945eee07475636fbe398c6df207317a08a9c8ec34b12a66563",
+        "oracle-answers": "43f85c01c24e2ddfce83227ff2133b7d40a6c597d538005b7974104aecd7c7d2",
+        "labeling": "ceb01dc4790d24907d71a6b54a610604f5a937fd8c8f3be4de2ca070649cee8b",
+        "routing-tables": "7193f64f62bae3c4a5f386d64a048a382b63b7cd2d11db3fe02d41293f74408d",
+        "routing-paths": "55c73abdaa8ea98d1143634b6328e9788ccfb5a28c849b6ca7b8d3af5eb60db0",
+    },
+    "grid5x6-h2": {
+        "oracle-coarse": "ba823fface0f1570dadef995d332e21039772d5c7e23fa13caa50a506749ae03",
+        "oracle-answers": "849a68564631c12a5063fdfb27a4e61e445e62e2594bf807c16fb6fa04b241ec",
+        "labeling": "17081f6e49182e000c618b26b3e9d4e18a7396cfeb3e7d34958fd3874484ad0d",
+        "routing-tables": "63a1527ffda5a3d2593c54db19449440b9fd1e479317f50291949defcd540dcf",
+        "routing-paths": "9c9c57ceb5e2b0339419d3c31b8344ceb42afdbe34175bcd92705df707fd3355",
+    },
+    "gnp28-h4": {
+        "oracle-coarse": "62c8e750c1eec58559a2f41e509e807f2a090bbc2865b0958ff3d3e032fefee2",
+        "oracle-answers": "072e13101ae173d4d200a9211669ea31a7d137ad29e0355d2c6d528eaa68f6b7",
+        "labeling": "efd31af2c813e87f7bf0243bbf048f834a52a5ce435b14dd64d1041f25cca791",
+        "routing-tables": "f5f9acf06172c2e9734708849150876b3ee182f848f0f9fea4a8773135393aaa",
+        "routing-paths": "1a6c078fdcc4bd50c2102f5b5b68387fece0d7f769dda89206433a57f31f70a4",
+    },
+    "rw40-h8": {
+        "oracle-coarse": "2ffeb6ee1bfacdb80eeb54dbd35534f7597f2e297d7f746a43f12a02eeacabd7",
+        "oracle-answers": "6f96da03fd6150881028950212178c6bc0b3295b8335aa5338d210f34702c846",
+        "labeling": "e847c7f5e1591822d4db10a5c4da5803aec99b3127e2030b3735a9dbafe1d2d4",
+        "routing-tables": "a225fdb5f388f73aec2e72bd8274465a0aeaf38718ed4c667558f8adaa4069fd",
+        "routing-paths": "912a3fc11f2d4a0d6b091621497f64d5269a7575848048a8765c2aa743430f89",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_structure_digests(name):
+    assert outputs(name) == GOLDEN[name]
