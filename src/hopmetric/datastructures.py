@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import tz
-from .graph_core import INFINITY, WeightedGraph, is_inf
+from .graph_core import INFINITY, HopParams, WeightedGraph, is_inf
 from .ramsey import (RamseyEmbedding, _shared_rows, ramsey_distribution,
                      ramsey_embed)
 from .rng import substream
@@ -282,8 +282,7 @@ def _final_constants(t_coarse: float, beta_hops: int, k: int,
 
 def build_hop_oracle(G: WeightedGraph, h: int, k: int, epsilon: float,
                      seed: int = 0) -> HopOracle:
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must be in (0,1)")
+    HopParams(h, k, epsilon)
     coarse = build_coarse_oracle(G, h, k, seed)
     inner, omegas = _scale_structures(G, coarse, h, k, epsilon, "oracle", seed)
     B, stretch = _final_constants(coarse.t_coarse, coarse.beta_hops, k, epsilon)
@@ -332,8 +331,7 @@ class HopLabeling:
 
 def build_hop_labeling(G: WeightedGraph, h: int, k: int,
                        epsilon: float) -> HopLabeling:
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must be in (0,1)")
+    HopParams(h, k, epsilon)
     coarse = build_coarse_labeling(G, h, k)
     scale_labels, omegas = _scale_structures(G, coarse, h, k, epsilon, "labels", 0)
     labels = tuple(
@@ -387,8 +385,7 @@ class RouteResult:
 
 def build_routing_scheme(G: WeightedGraph, h: int, k: int, epsilon: float,
                          seed: int = 0) -> RoutingScheme:
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must be in (0,1)")
+    HopParams(h, k, epsilon)
     coarse = build_coarse_labeling(G, h, k)
     inner, omegas = _scale_structures(G, coarse, h, k, epsilon, "routing", seed)
     B, stretch = _final_constants(coarse.t_coarse, coarse.beta_hops, k, epsilon)

@@ -269,13 +269,17 @@ def finite_completion(G: WeightedGraph, h: int, k: int) -> Tuple[WeightedGraph, 
 
 def dijkstra(adj: Sequence[Sequence[Tuple[int, float]]], s: int,
              allowed: Optional[Set[int]] = None,
-             maxd: float = math.inf) -> List[float]:
+             maxd: float = math.inf,
+             bound: Optional[Sequence[float]] = None) -> List[float]:
     """Dijkstra from s over an adjacency structure (no hop constraint).
 
     ``allowed`` restricts the search to a vertex subset containing s, and
     ``maxd`` prunes distances above maxd; unreached vertices stay at INFINITY.
+    ``bound`` cuts the search off per vertex: v != s is reached only at a
+    distance below bound[v] by more than the 1e-15 improvement tolerance,
+    as if bound[v] were a distance already found.
     """
-    dist = [math.inf] * len(adj)
+    dist = [math.inf] * len(adj) if bound is None else list(bound)
     dist[s] = 0.0
     lim = maxd + 1e-12
     pq: List[Tuple[float, int]] = [(0.0, s)]
@@ -288,6 +292,9 @@ def dijkstra(adj: Sequence[Sequence[Tuple[int, float]]], s: int,
             if nd < dist[v] - 1e-15 and nd <= lim and (allowed is None or v in allowed):
                 dist[v] = nd
                 heapq.heappush(pq, (nd, v))
+    if bound is not None:
+        dist = [d if d < b else math.inf for d, b in zip(dist, bound)]
+        dist[s] = 0.0
     return dist
 
 

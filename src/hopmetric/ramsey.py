@@ -298,11 +298,19 @@ def alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
     budgets = sorted({budget(a, j) for a in range(L + 1) for j in range(2 * k + 1)})
     prof = _profile(rows, G, v, budgets, delta / 4.0 + _REL_TOL, allowed)
 
+    nested: Dict[Tuple[int, int], Tuple[FrozenSet[int], float]] = {}
+
+    def ball_and_measure(a: int, j: int) -> Tuple[FrozenSet[int], float]:
+        if (a, j) not in nested:
+            ball = _ball(prof[budget(a, j)], allowed, (a + j / (2.0 * k)) * delta / (4.0 * L))
+            nested[a, j] = (ball, _marked_measure(mu, ball, MY))
+        return nested[a, j]
+
     def A(a: int, j: int) -> FrozenSet[int]:
-        return _ball(prof[budget(a, j)], allowed, (a + j / (2.0 * k)) * delta / (4.0 * L))
+        return ball_and_measure(a, j)[0]
 
     def muA(a: int, j: int) -> float:
-        return _marked_measure(mu, A(a, j), MY)
+        return ball_and_measure(a, j)[1]
 
     a_sel = -1
     for a in range(L):

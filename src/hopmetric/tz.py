@@ -4,22 +4,42 @@ Classic sampled-level construction: nested landmark sets A_0 = V down to
 A_{k-1}, per-vertex pivots (nearest landmark per level) and bunches.  Used
 as the hop-free building block on each auxiliary scale graph; provides an
 oracle, a distance labeling, and a simulated tree-based routing scheme.
+
+Bunches are built from clusters (Thorup and Zwick).  Only the top level
+A_{k-1} gets full shortest-path rows (the routing scheme also gives them
+to A_1, whose landmark trees span their component); they give the top
+pivots.  Every other w in A_i - A_{i+1} grows its cluster
+C(w) = {x : d(w,x) < d(A_{i+1},x)} with one Dijkstra cut off at
+d(A_{i+1},x) per vertex, so it settles only its cluster, and the bunch of
+x is the set of clusters that contain x.  The cut-off search finds all of
+C(w) because the cluster is closed under shortest-path prefixes: if y lies
+on a shortest w-x path, then d(w,y) = d(w,x) - d(y,x) < d(A_{i+1},x) - d(y,x)
+<= d(A_{i+1},y) by the triangle inequality, so no prefix is cut off.  The
+level-i pivots follow from the clusters, since the pivot of x is in its
+level-i bunch or is its level-(i+1) pivot; because the smaller id wins a
+tie, the searches above level 0 also reach the vertices x where w ties
+d(A_{i+1},x).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .graph_core import dijkstra
 from .rng import substream
 
 Adjacency = Sequence[Sequence[Tuple[int, float]]]
+Row = Dict[int, float]             # reached vertex -> distance, ascending ids
 
 
 def sssp(adj: Adjacency, s: int) -> List[float]:
     """Unrestricted single-source shortest paths."""
     return dijkstra(adj, s)
+
+
+def _reached(dist: Sequence[float]) -> Row:
+    return {x: d for x, d in enumerate(dist) if d < math.inf}
 
 
 def _sample_levels(n: int, k: int, seed: int) -> List[FrozenSet[int]]:
@@ -31,7 +51,6 @@ def _sample_levels(n: int, k: int, seed: int) -> List[FrozenSet[int]]:
     for attempt in range(50):
         rng = substream(seed, f"tz-levels-{attempt}")
         cand = [frozenset(range(n))]
-        ok = True
         for _ in range(1, k):
             nxt = frozenset(v for v in sorted(cand[-1]) if rng.random() < q)
             cand.append(nxt)
@@ -63,44 +82,63 @@ class TZCore:
 
 
 def build_core(adj: Adjacency, k: int, seed: int = 0) -> TZCore:
-    return _core(adj, k, seed)[0]
+    return _core(adj, k, seed, k - 1)[0]
 
 
-def _core(adj: Adjacency, k: int,
-          seed: int) -> Tuple[TZCore, Dict[int, List[float]]]:
-    """The core and the shortest-path row of every vertex it was built from."""
-    n = len(adj)
+def _nearest(n: int, rows: Iterable[Tuple[int, Row]],
+             ) -> Tuple[List[Optional[int]], List[float]]:
+    """Pivot and pivot distance of every vertex over ``rows`` in ascending
+    id order: the smallest id at the minimum distance."""
+    piv: List[Optional[int]] = [None] * n
+    pdist = [math.inf] * n
+    for w, row in rows:
+        for x, d in row.items():
+            if d < pdist[x] - 1e-15:
+                piv[x], pdist[x] = w, d
+    return piv, pdist
+
+
+def _core(adj: Adjacency, k: int, seed: int,
+          full_level: int) -> Tuple[TZCore, Dict[int, Row]]:
+    """The core, and the search of every vertex it was built from: a full
+    shortest-path row for each vertex of levels[full_level] (which contains
+    the top level), a cluster search for every other vertex."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    levels = _sample_levels(n, k, seed)
-    dist_from: Dict[int, List[float]] = {w: sssp(adj, w) for w in range(n)}
-    piv: List[List[Optional[int]]] = []
-    pdist: List[List[float]] = []
-    for i in range(k):
-        row_p: List[Optional[int]] = [None] * n
-        row_d: List[float] = [math.inf] * n
-        level = sorted(levels[i])
-        for v in range(n):
-            best, arg = math.inf, None
-            for w in level:
-                d = dist_from[w][v]
-                if d < best - 1e-15:
-                    best, arg = d, w
-            row_p[v], row_d[v] = arg, best
-        piv.append(row_p)
-        pdist.append(row_d)
+    n = len(adj)
+    levels = _sample_levels(n, k, seed) + [frozenset()]
+    own = [sorted(levels[i] - levels[i + 1]) for i in range(k)]
+    rows: Dict[int, Row] = {w: _reached(sssp(adj, w))
+                            for w in sorted(levels[full_level])}
+    piv: List[List[Optional[int]]] = [[]] * k
+    pdist: List[List[float]] = [[]] * k + [[math.inf] * n]
+    piv[k - 1], pdist[k - 1] = _nearest(n, ((w, rows[w]) for w in own[k - 1]))
+    for i in range(k - 2, -1, -1):
+        lim = pdist[i + 1]
+        # a level-0 pivot is the vertex itself, which nothing ties; above
+        # level 0 the search also reaches ties with d(A_{i+1}, x)
+        bound = lim if i == 0 else [d * (1.0 + 1e-9) for d in lim]
+        for w in own[i]:
+            if w not in rows:
+                rows[w] = _reached(dijkstra(adj, w, bound=bound))
+        # the level-i pivot of x is in its level-i bunch or is p_{i+1}(x)
+        upper: Dict[int, Row] = {}
+        for x, p in enumerate(piv[i + 1]):
+            if p is not None:
+                upper.setdefault(p, {})[x] = lim[x]
+        cands = sorted([(w, rows[w]) for w in own[i]] + list(upper.items()),
+                       key=lambda wr: wr[0])
+        piv[i], pdist[i] = _nearest(n, cands)
     bunch: List[Dict[int, float]] = [dict() for _ in range(n)]
     for i in range(k):
-        upper = levels[i + 1] if i + 1 < k else frozenset()
-        for w in sorted(levels[i] - upper):
-            dw = dist_from[w]
-            for v in range(n):
-                lim = pdist[i + 1][v] if i + 1 < k else math.inf
-                if dw[v] < lim - 1e-15:
-                    bunch[v][w] = dw[v]
-    core = TZCore(n, k, tuple(levels), tuple(tuple(r) for r in piv),
-                  tuple(tuple(r) for r in pdist), tuple(bunch))
-    return core, dist_from
+        lim = pdist[i + 1]
+        for w in own[i]:
+            for x, d in rows[w].items():
+                if d < lim[x] - 1e-15:
+                    bunch[x][w] = d
+    core = TZCore(n, k, tuple(levels[:k]), tuple(tuple(r) for r in piv),
+                  tuple(tuple(r) for r in pdist[:k]), tuple(bunch))
+    return core, rows
 
 
 def _witness(k: int,
@@ -178,11 +216,13 @@ def build_oracle(adj: Adjacency, k: int, seed: int = 0) -> TZOracle:
     return TZOracle(build_core(adj, k, seed))
 
 
+def _labels(c: TZCore) -> Tuple[TZLabel, ...]:
+    return tuple(TZLabel(v, c.pivots_col(v), c.pdist_col(v), c.bunch[v])
+                 for v in range(c.n))
+
+
 def build_labeling(adj: Adjacency, k: int, seed: int = 0) -> TZLabeling:
-    c = build_core(adj, k, seed)
-    labels = tuple(TZLabel(v, c.pivots_col(v), c.pdist_col(v), c.bunch[v])
-                   for v in range(c.n))
-    return TZLabeling(k, labels)
+    return TZLabeling(k, _labels(build_core(adj, k, seed)))
 
 
 # -- routing ---------------------------------------------------------------
@@ -224,21 +264,18 @@ class TZRouting:
         return sum(t.size_words() for t in self.tables)
 
 
-def _spt(adj: Adjacency, root: int, allowed: Optional[FrozenSet[int]] = None,
-         ) -> Dict[int, Optional[int]]:
-    """Deterministic shortest-path tree: parent map over reached vertices."""
-    return _tree_of(adj, root, dijkstra(adj, root, allowed))
-
-
-def _tree_of(adj: Adjacency, root: int,
-             dist: Sequence[float]) -> Dict[int, Optional[int]]:
-    """Parent map of the shortest-path tree that ``dist`` (the distances
-    from root) spans; ties go to the smallest neighbour id."""
+def _tree_of(adj: Adjacency, root: int, dist: Row) -> Dict[int, Optional[int]]:
+    """Parent map of the shortest-path tree over the vertices ``dist``
+    reached from root; ties go to the smallest neighbour id."""
     parent: Dict[int, Optional[int]] = {root: None}
-    for v, dv in enumerate(dist):
-        if v == root or dv == math.inf:
+    inf = math.inf
+    for v, dv in dist.items():
+        if v == root:
             continue
-        best = min((u for u, w in adj[v] if abs(dist[u] + w - dv) <= 1e-9), default=None)
+        best = None
+        for u, w in adj[v]:
+            if (best is None or u < best) and abs(dist.get(u, inf) + w - dv) <= 1e-9:
+                best = u
         if best is None:
             raise AssertionError("broken shortest-path tree")
         parent[v] = best
@@ -254,52 +291,37 @@ def _tree_entries(parent: Dict[int, Optional[int]], root: int,
     for v in children:
         children[v].sort()
     tin: Dict[int, int] = {}
-    tout: Dict[int, int] = {}
+    span: Dict[int, Interval] = {}
     clock = 0
     stack: List[Tuple[int, bool]] = [(root, False)]
     while stack:
         x, done = stack.pop()
         if done:
-            tout[x] = clock
+            span[x] = (tin[x], clock)
             continue
         tin[x] = clock
         clock += 1
         stack.append((x, True))
         for c in reversed(children[x]):
             stack.append((c, False))
-    out: Dict[int, TreeEntry] = {}
-    for v in parent:
-        kids = tuple(((tin[c], tout[c]), c) for c in children[v])
-        out[v] = TreeEntry(parent[v], (tin[v], tout[v]), kids)
-    return out
+    return {v: TreeEntry(p, span[v], tuple((span[c], c) for c in children[v]))
+            for v, p in parent.items()}
 
 
 def build_routing(adj: Adjacency, k: int, seed: int = 0) -> TZRouting:
-    c, dist_from = _core(adj, k, seed)
+    # landmarks (A_1) need full trees over their component; every other w
+    # gets the tree of its cluster search over C_0(w)
+    c, rows = _core(adj, k, seed, min(1, k - 1))
     n = c.n
-    trees: Dict[TreeKey, Dict[int, TreeEntry]] = {}
     top = c.levels[1] if k > 1 else frozenset()
-    for w in range(n):
-        dw = dist_from[w]
-        if w in top:
-            # landmark: full shortest-path tree over w's component
-            key: TreeKey = ("lm", w)
-            parent = _tree_of(adj, w, dw)
-        else:
-            # cluster tree over C_0(w) = {x : d(w,x) < d(A_1,x)}
-            lim = c.pivot_dist[1] if k > 1 else tuple([math.inf] * n)
-            C = frozenset(x for x in range(n) if dw[x] < lim[x] - 1e-15) | {w}
-            key = ("c0", w)
-            parent = _spt(adj, w, C)
-        trees[key] = _tree_entries(parent, w)
     node_trees: List[Dict[TreeKey, TreeEntry]] = [dict() for _ in range(n)]
     intervals: List[Dict[TreeKey, Interval]] = [dict() for _ in range(n)]
-    for key, entries in trees.items():
-        for v, e in entries.items():
+    for w in range(n):
+        key: TreeKey = ("lm", w) if w in top else ("c0", w)
+        for v, e in _tree_entries(_tree_of(adj, w, rows[w]), w).items():
             node_trees[v][key] = e
             intervals[v][key] = e.interval
-    labels = tuple(TZLabel(v, c.pivots_col(v), c.pdist_col(v), c.bunch[v])
-                   for v in range(n))
+    labels = _labels(c)
     tables = tuple(NodeTable(labels[v], node_trees[v]) for v in range(n))
     rlabels = tuple(RoutingLabel(labels[v], intervals[v]) for v in range(n))
     return TZRouting(k, tables, rlabels)

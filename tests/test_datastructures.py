@@ -271,3 +271,23 @@ class TestRouting:
         S = build_routing_scheme(G, 1, 2, 0.5)
         res = route(S, 0, 2)
         assert not res.delivered
+
+
+class TestParameterValidation:
+    """Out-of-range h, k or epsilon fail at the public boundary with a
+    message that names the parameter."""
+
+    @pytest.mark.parametrize("build", [build_hop_oracle, build_hop_labeling,
+                                       build_routing_scheme])
+    @pytest.mark.parametrize("h, k, eps, message", [
+        (0, 2, 0.5, "h must be >= 1"),
+        (-1, 2, 0.5, "h must be >= 1"),
+        (2, 0, 0.5, "k must be >= 1"),
+        (2, -3, 0.5, "k must be >= 1"),
+        (2, 2, 0.0, "epsilon"),
+        (2, 2, 1.0, "epsilon"),
+        (2, 2, 1.5, "epsilon"),
+    ])
+    def test_rejects_out_of_range(self, build, h, k, eps, message):
+        with pytest.raises(ValueError, match=message):
+            build(P4(), h, k, eps)
