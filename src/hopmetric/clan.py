@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
-from .graph_core import INFINITY, WeightedGraph, is_inf
+from .graph_core import INFINITY, HopParams, WeightedGraph, is_inf
 from .ramsey import (ClusterTriple, Measure, _Balls, _check_measure,
                      _shared_rows, alt_levels, alt_rule, finite_graph,
                      measure_of, standard_rule)
 from .ultrametric import Ultrametric, saturate_labels, ultra_distance
+
+if TYPE_CHECKING:
+    from .ramsey import CarveGraph
 
 
 @dataclass
@@ -55,7 +58,7 @@ class ClanEmbedding:
         return best
 
 
-def clan_create_cluster(G: WeightedGraph, Y: Set[int], mu: Measure,
+def clan_create_cluster(G: CarveGraph, Y: Set[int], mu: Measure,
                         h: int, k: int, scale_i: int,
                         balls: Optional[_Balls] = None) -> ClusterTriple:
     """Carve a cluster triple from G[Y]; the measure condition guarantees the
@@ -72,7 +75,7 @@ def clan_create_cluster(G: WeightedGraph, Y: Set[int], mu: Measure,
                          balls or _Balls())
 
 
-def clan_create_cluster_alt(G: WeightedGraph, Y: Set[int], mu: Measure,
+def clan_create_cluster_alt(G: CarveGraph, Y: Set[int], mu: Measure,
                             h: int, k: int, scale_i: int,
                             balls: Optional[_Balls] = None) -> ClusterTriple:
     """Alternative rule; non-trivial outer clusters hold at most half of mu(Y)."""
@@ -83,7 +86,7 @@ def clan_create_cluster_alt(G: WeightedGraph, Y: Set[int], mu: Measure,
                     lambda: clan_create_cluster(G, Y, mu, h, k, scale_i, balls))
 
 
-def clan_cover(G: WeightedGraph, X: Set[int], mu: Measure, h: int, k: int,
+def clan_cover(G: CarveGraph, X: Set[int], mu: Measure, h: int, k: int,
                scale_i: int, variant: str = "standard") -> List[ClusterTriple]:
     """Iteratively carve triples; only inner clusters are removed, so outer
     clusters cover X (with overlaps) while inner clusters partition it.
@@ -124,6 +127,7 @@ def _join_with_maps(children: List[Tuple[Ultrametric, Dict[int, int]]],
 def clan_embed(G: WeightedGraph, mu: Measure, h: int, k: int,
                variant: str = "standard") -> ClanEmbedding:
     """Build the clan embedding of G; leaves are vertex copies."""
+    HopParams(h, k)
     if variant not in ("standard", "alt"):
         raise ValueError(f"unknown variant {variant!r}")
     _check_measure(mu, G.n)
@@ -242,6 +246,7 @@ def clan_distribution(G: WeightedGraph, h: int, mode: str, rounds: int,
     mode "expected": expected clan size <= 1+epsilon per vertex.
     The rounds share bounded-hop rows (see ``ramsey._shared_rows``).
     """
+    HopParams(h, k)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     n = G.n

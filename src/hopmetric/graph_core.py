@@ -246,6 +246,12 @@ def max_finite_hop_distance(G: WeightedGraph, h: int) -> float:
     return _finite_scan(G, h)[0]
 
 
+def completion_weight(G: WeightedGraph, k: int, dprime: float) -> float:
+    """omega = 17k*D'; with no h-hop connected pair of distinct vertices
+    (D' = 0), D' is taken to be the largest edge weight."""
+    return 17.0 * k * (dprime if dprime != 0.0 else G.max_weight())
+
+
 def finite_completion(G: WeightedGraph, h: int, k: int) -> Tuple[WeightedGraph, float]:
     """Add an edge of weight omega = 17k*D' for every pair not h-hop connected.
 
@@ -253,14 +259,16 @@ def finite_completion(G: WeightedGraph, h: int, k: int) -> Tuple[WeightedGraph, 
     diameter: omega >= D' bounds every finite h-hop distance of G, every
     path through an added edge weighs at least omega, and the added pairs
     are at distance exactly omega.
+
+    This is the reference builder.  The carvers never build it up front:
+    ``ramsey.finite_graph`` hands them a ``ramsey.Completion``, which
+    relaxes G itself below omega and calls this function only for a
+    relaxation whose radius reaches omega.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     dprime, missing = _finite_scan(G, h)
-    if dprime == 0.0:
-        # no finite pair other than trivial ones; fall back to max edge weight
-        dprime = G.max_weight()
-    omega = 17.0 * k * dprime
+    omega = completion_weight(G, k, dprime)
     if not missing:
         return G, omega
     added = ((u, v, omega) for u, v in missing)

@@ -12,11 +12,11 @@ from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, Iterator, List,
+                    Optional, Sequence, Set, Tuple, Union)
 
-from .graph_core import (WeightedGraph, finite_completion, hop_diameter,
-                         hop_profile, is_inf)
+from .graph_core import (HopParams, WeightedGraph, _finite_scan,
+                         completion_weight, finite_completion, hop_profile)
 from .ultrametric import Ultrametric, join_under_root, saturate_labels
 
 _REL_TOL = 1e-12
@@ -58,6 +58,51 @@ class RamseyEmbedding:
         return self.U.leaf_index()
 
 
+class Completion:
+    """The finite completion of ``base`` at (h, k) (see
+    ``graph_core.finite_completion``), relaxed on ``base`` below omega.
+
+    A relaxation pruned at maxr accepts a candidate nd only when
+    nd <= maxr + 1e-12.  Every distance du is >= 0, so a step over an added
+    edge offers du + omega >= omega; when maxr + 1e-12 < omega no such step
+    is ever accepted, and the row on the completion is the row on ``base``,
+    entry for entry: each round takes the least of its candidates, whatever
+    the order of the adjacency lists.  The carving stays below omega: the
+    largest radius at scale i is the alt rule's diameter check at 2^(i-1),
+    and with phi = ceil(log2 omega), 2^(phi-1) < omega.  Only a float edge
+    case, omega within 1e-12 above a power of two, reaches it.  The
+    completion's O(n^2) edge list is built for such a relaxation alone, on
+    first use, and lives as long as this object: the build scope of
+    ``_shared_rows`` or the one embedding call.
+    """
+    __slots__ = ("base", "h", "k", "omega", "_graph")
+
+    def __init__(self, base: WeightedGraph, h: int, k: int, omega: float) -> None:
+        self.base, self.h, self.k, self.omega = base, h, k, omega
+        self._graph: Optional[WeightedGraph] = None
+
+    @property
+    def n(self) -> int:
+        return self.base.n
+
+    def reaches_omega(self, maxr: float) -> bool:
+        """Whether a relaxation pruned at maxr can take an added edge."""
+        return not maxr + _REL_TOL < self.omega
+
+    def completed(self) -> WeightedGraph:
+        """The completion itself, built on first use."""
+        if self._graph is None:
+            self._graph = finite_completion(self.base, self.h, self.k)[0]
+        return self._graph
+
+
+if TYPE_CHECKING:
+    # the graph a carving relaxes: G itself, or its finite completion.  Not
+    # built at run time: typing caches a Union with its classes, which would
+    # keep every re-imported copy of this module alive.
+    CarveGraph = Union[WeightedGraph, Completion]
+
+
 def _check_measure(mu: Measure, n: int) -> None:
     if len(mu) != n:
         raise ValueError(f"measure has {len(mu)} entries for {n} vertices")
@@ -71,7 +116,7 @@ _Rows = Dict[Tuple[int, int], Tuple[float, array]]   # (budget, source) -> (R, r
 
 
 class _BuildMemo:
-    """Finite completions by (G, h, k) and row tables by (graph, Y)."""
+    """Finite graphs by (G, h, k) and row tables by (G, Y)."""
     __slots__ = ("graphs", "rows")
 
     def __init__(self) -> None:
@@ -85,15 +130,18 @@ _MEMO: ContextVar[Optional[_BuildMemo]] = ContextVar("hopmetric_build_memo",
 
 @contextmanager
 def _shared_rows() -> Iterator[None]:
-    """Share finite completions and bounded-hop rows across the embeddings
-    of one multi-embedding build; re-entrant, released when the outermost
-    scope exits.
+    """Share finite graphs and bounded-hop rows across the embeddings of one
+    multi-embedding build; re-entrant, released when the outermost scope
+    exits.
 
     The rounds of a distribution embed the same graph again and again, and
     only the choice of centers depends on the measure, so most carvings ask
-    for rows an earlier round already computed.  A row is keyed by (finite
-    graph, vertex set Y, budget b, source s) and kept with the radius R it
-    was pruned at; a request with maxr = r <= R is served from it.  This is
+    for rows an earlier round already computed.  A row is keyed by (base
+    graph G, vertex set Y, budget b, source s) and kept with the radius R it
+    was pruned at; a request with maxr = r <= R is served from it.  Only rows
+    of G are kept: below omega a finite completion's rows are G's rows,
+    whatever (h, k) it was made for, and a relaxation that reaches omega runs
+    on the completion and is never stored (see ``Completion``).  This is
     exact: weights are positive and float addition is monotone, so no prefix
     of a walk weighs more than the walk, and pruning at R only turns the
     entries above R + 1e-12 into infinity.  Hence the row pruned at R equals
@@ -121,19 +169,27 @@ def _shared_rows() -> Iterator[None]:
         _MEMO.reset(token)
 
 
-def _rows_of(G: WeightedGraph, Y: Set[int]) -> Optional[_Rows]:
-    """The shared rows of G[Y], or None outside a build scope."""
+def _rows_of(G: CarveGraph, Y: Set[int]) -> Optional[_Rows]:
+    """The shared rows of G[Y] (of its base graph for a completion), or None
+    outside a build scope."""
     memo = _MEMO.get()
     if memo is None:
         return None
+    if isinstance(G, Completion):
+        G = G.base
     return memo.rows.setdefault((G, frozenset(Y)), {})
 
 
-def _profile(rows: Optional[_Rows], G: WeightedGraph, s: int,
+def _profile(rows: Optional[_Rows], G: CarveGraph, s: int,
              budgets: Sequence[int], maxr: float,
              allowed: List[int]) -> Dict[int, Sequence[float]]:
     """hop_profile(G, s, budgets, maxr, allowed), served from ``rows`` where
-    a stored row was pruned at a radius >= maxr (see ``_shared_rows``)."""
+    a stored row was pruned at a radius >= maxr (see ``_shared_rows``).  A
+    completion is relaxed on its base graph below omega (see ``Completion``)."""
+    if isinstance(G, Completion):
+        if G.reaches_omega(maxr):
+            return hop_profile(G.completed(), s, budgets, maxr=maxr, allowed=allowed)
+        G = G.base
     if rows is None:
         return hop_profile(G, s, budgets, maxr=maxr, allowed=allowed)
     out: Dict[int, Sequence[float]] = {}
@@ -193,7 +249,7 @@ class _Balls:
         # (budget, radius) -> candidate -> [ball, marked measure or None]
         self._tables: Dict[Tuple[int, float], Dict[int, list]] = {}
 
-    def measure(self, rows: Optional[_Rows], G: WeightedGraph, v: int,
+    def measure(self, rows: Optional[_Rows], G: CarveGraph, v: int,
                 budget: int, r: float, allowed: List[int], mu: Measure,
                 MY: Set[int]) -> float:
         """mu(B(v) & MY) in G[allowed], for ball budget and radius r."""
@@ -224,7 +280,7 @@ def _live_marks(Y: Set[int], M: Set[int]) -> Set[int]:
     return MY
 
 
-def standard_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
+def standard_rule(G: CarveGraph, Y: Set[int], MY: Set[int], mu: Measure,
                   h: int, k: int, k_geom: int, scale_i: int,
                   split: bool, balls: _Balls) -> ClusterTriple:
     """Carve a cluster triple from G[Y] around a max-marked-ball center.
@@ -263,7 +319,7 @@ def standard_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
     raise AssertionError(f"no admissible cluster index j <= {nb - 2}")
 
 
-def alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
+def alt_rule(G: CarveGraph, Y: Set[int], MY: Set[int], mu: Measure,
              h: int, k: int, scale_i: int, balls: _Balls,
              fallback: Callable[[], ClusterTriple]) -> ClusterTriple:
     """Alternative cluster rule: hop budget independent of the scale count.
@@ -328,7 +384,7 @@ def alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
     raise AssertionError("no admissible cluster index j <= 2(k-1)")
 
 
-def create_cluster(G: WeightedGraph, Y: Set[int], M: Set[int], mu: Measure,
+def create_cluster(G: CarveGraph, Y: Set[int], M: Set[int], mu: Measure,
                    h: int, k: int, scale_i: int,
                    balls: Optional[_Balls] = None) -> ClusterTriple:
     """Carve a cluster triple from G[Y] around a max-marked-ball center.
@@ -340,7 +396,7 @@ def create_cluster(G: WeightedGraph, Y: Set[int], M: Set[int], mu: Measure,
                          balls or _Balls())
 
 
-def create_cluster_alt(G: WeightedGraph, Y: Set[int], M: Set[int], mu: Measure,
+def create_cluster_alt(G: CarveGraph, Y: Set[int], M: Set[int], mu: Measure,
                        h: int, k: int, scale_i: int,
                        balls: Optional[_Balls] = None) -> ClusterTriple:
     """Alternative cluster rule: hop budget independent of the scale count."""
@@ -349,7 +405,7 @@ def create_cluster_alt(G: WeightedGraph, Y: Set[int], M: Set[int], mu: Measure,
                     lambda: create_cluster(G, Y, M, mu, h, k, scale_i, balls))
 
 
-def _bounded_diam_at_most(rows: Optional[_Rows], G: WeightedGraph,
+def _bounded_diam_at_most(rows: Optional[_Rows], G: CarveGraph,
                           allowed: List[int], budget: int, bound: float) -> bool:
     for s in allowed:
         prof = _profile(rows, G, s, [budget], bound, allowed)
@@ -360,20 +416,26 @@ def _bounded_diam_at_most(rows: Optional[_Rows], G: WeightedGraph,
 
 
 def finite_graph(G: WeightedGraph, h: int,
-                 k: int) -> Tuple[WeightedGraph, Optional[float], float]:
-    """(graph, omega, h-hop diameter): G itself with omega None, or its finite
-    completion when some pair has no h-hop path, whose h-hop diameter is
-    omega (see ``finite_completion``).  Memoized inside a build scope, so
-    every round of a distribution carves the same graph object."""
+                 k: int) -> Tuple[CarveGraph, Optional[float], float]:
+    """(graph, omega, h-hop diameter) from one all-pairs h-hop scan.
+
+    When every pair has an h-hop path this is (G, None, D'), where D', the
+    largest h-hop distance, is the h-hop diameter.  Otherwise it is
+    (Completion(G, h, k), omega, omega): omega = 17k*D' is the completion's
+    h-hop diameter (see ``graph_core.finite_completion``).  The completion's
+    edges are not built here: the carvers relax G below omega, which is
+    exact, and a relaxation that reaches omega builds them on first use (see
+    ``Completion``).  Memoized inside a build scope, so every round of a
+    distribution carves the same object."""
     memo = _MEMO.get()
     if memo is not None and (G, h, k) in memo.graphs:
         return memo.graphs[(G, h, k)]
-    diam = hop_diameter(G, h)
-    if not is_inf(diam):
-        out = G, None, diam
+    dprime, missing = _finite_scan(G, h)
+    if not missing:
+        out = G, None, dprime
     else:
-        Gw, omega = finite_completion(G, h, k)
-        out = Gw, omega, omega
+        omega = completion_weight(G, k, dprime)
+        out = Completion(G, h, k, omega), omega, omega
     if memo is not None:
         memo.graphs[(G, h, k)] = out
     return out
@@ -386,7 +448,7 @@ def alt_levels(mu_total: float) -> int:
     return max(1, math.ceil(1.0 + math.log2(math.log2(mu_total))))
 
 
-def padded_partition(G: WeightedGraph, X: Set[int], mu: Measure, M: Set[int],
+def padded_partition(G: CarveGraph, X: Set[int], mu: Measure, M: Set[int],
                      h: int, k: int, scale_i: int,
                      variant: str = "standard",
                      stats: Optional[dict] = None) -> List[Tuple[FrozenSet[int], FrozenSet[int]]]:
@@ -424,10 +486,13 @@ def padded_partition(G: WeightedGraph, X: Set[int], mu: Measure, M: Set[int],
 def ramsey_embed(G: WeightedGraph, mu: Measure, M0: Set[int], h: int, k: int,
                  variant: str = "standard") -> RamseyEmbedding:
     """Build the full Ramsey-type embedding of G (all vertices as leaves)."""
+    HopParams(h, k)
     if variant not in ("standard", "alt"):
         raise ValueError(f"unknown variant {variant!r}")
     _check_measure(mu, G.n)
     M0 = set(M0)
+    if not all(0 <= v < G.n for v in M0):
+        raise ValueError(f"marked set has a vertex outside range({G.n})")
     Gw, omega, diam = finite_graph(G, h, k)
     if G.n == 1 or diam == 0.0:
         U = Ultrametric.leaf(0) if G.n == 1 else None
@@ -495,6 +560,7 @@ def ramsey_distribution(G: WeightedGraph, h: int, mode: str, rounds: int,
     mode "inclusion": k is derived from epsilon and inclusion >= 1-epsilon.
     The rounds share bounded-hop rows (see ``_shared_rows``).
     """
+    HopParams(h, k)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     n = G.n

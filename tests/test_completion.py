@@ -1,0 +1,183 @@
+"""Carving below omega: a finite completion (``ramsey.Completion``) is
+relaxed on its base graph unless the radius reaches omega, and the
+embeddings equal those carved on the eagerly built completion.  Also the
+boundary checks of the embedding entry points."""
+from __future__ import annotations
+
+import gc
+import random
+import tracemalloc
+
+import pytest
+
+from hopmetric import clan, ramsey
+from hopmetric.clan import clan_distribution, clan_embed
+from hopmetric.cli import gen_graph
+from hopmetric.graph_core import WeightedGraph, finite_completion, hop_profile
+from hopmetric.ramsey import (Completion, finite_graph, ramsey_distribution,
+                              ramsey_embed)
+from oracles import connected_random_graph, random_graph
+from test_ramsey import _below
+
+# omega = 34 * 1.8823529411764712 = 64.00000000000003 sits 3e-14 above
+# 2^6, so at phi = 7 the alt rule's diameter check at bound 2^6 reaches it
+EDGE = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.8823529411764712)])
+EDGE_MU = [10.0, 10.0, 1.0, 1.0]
+
+
+def _completion_cases():
+    """(G, h, k) with some pair not h-hop connected: disconnected random
+    graphs, connected ones at short h, and the omega boundary graph."""
+    rng = random.Random(81)
+    for _ in range(4):
+        G = random_graph(rng, rng.randint(6, 14), 0.12, 1.0, 8.0)
+        yield G, rng.randint(1, 3), rng.randint(1, 3)
+    for _ in range(4):
+        G = connected_random_graph(rng, rng.randint(6, 14), 0.2, 1.0, 8.0)
+        yield G, 1, rng.randint(1, 3)
+    yield EDGE, 1, 2
+
+
+def _builds(G, h, k):
+    """One thunk per public embedding entry point that carves."""
+    n = G.n
+    mu = EDGE_MU if G is EDGE else [1.0 + (3 * v % 5) / 2.0 for v in range(n)]
+    M0 = {0, 1} if G is EDGE else set(range(0, n, 2))
+    return [
+        lambda: ramsey_embed(G, mu, M0, h, k).U.to_json(),
+        lambda: ramsey_embed(G, mu, M0, h, k, "alt").U.to_json(),
+        lambda: clan_embed(G, mu, h, k).U.to_json(),
+        lambda: clan_embed(G, mu, h, k, "alt").U.to_json(),
+        lambda: [emb.U.to_json() for emb, _ in
+                 ramsey_distribution(G, h, "fixed_k", 3, k, variant="alt")],
+    ]
+
+
+def test_served_rows_equal_completion_rows(monkeypatch):
+    """Every row a carver is served equals the row on the completion at the
+    same radius, at or below that radius."""
+    served = []
+    real = ramsey._profile
+
+    def spy(rows, G, s, budgets, maxr, allowed):
+        out = real(rows, G, s, budgets, maxr, allowed)
+        served.append((G, s, list(budgets), maxr, list(allowed),
+                       {b: list(out[b]) for b in budgets}))
+        return out
+
+    monkeypatch.setattr(ramsey, "_profile", spy)
+    checked = reached = 0
+    for G, h, k in _completion_cases():
+        Gw, omega = finite_completion(G, h, k)
+        assert Gw is not G
+        for build in _builds(G, h, k):
+            del served[:]
+            build()
+            for Gf, s, budgets, maxr, allowed, rows in served:
+                assert isinstance(Gf, Completion) and Gf.base is G
+                want = hop_profile(Gw, s, budgets, maxr=maxr, allowed=allowed)
+                for b in budgets:
+                    assert _below(rows[b], maxr) == _below(want[b], maxr)
+                checked += 1
+                reached += Gf.reaches_omega(maxr)
+    assert reached > 0 and checked > 100 * reached
+
+
+def test_embeddings_equal_eager_completion(monkeypatch):
+    """The embeddings equal those carved on the completion built up front."""
+    cases = list(_completion_cases())
+    lazy = [[build() for build in _builds(G, h, k)] for G, h, k in cases]
+
+    def eager(G, h, k):
+        Gw, omega = finite_completion(G, h, k)
+        return Gw, omega, omega
+
+    monkeypatch.setattr(ramsey, "finite_graph", eager)
+    monkeypatch.setattr(clan, "finite_graph", eager)
+    for (G, h, k), want in zip(cases, lazy):
+        assert [build() for build in _builds(G, h, k)] == want
+
+
+def test_radius_reaching_omega_uses_the_completion(monkeypatch):
+    Gf, omega, diam = finite_graph(EDGE, 1, 2)
+    assert isinstance(Gf, Completion) and omega == diam == 64.00000000000003
+    allowed = [0, 1, 2, 3]
+    # the added edge (0, 2) of weight omega is within 64 + 1e-12 on the
+    # completion; on the base graph 0 and 2 are not connected at all
+    assert ramsey._bounded_diam_at_most(None, Gf, allowed, 32, 64.0)
+    assert not ramsey._bounded_diam_at_most(None, EDGE, allowed, 32, 64.0)
+    assert Gf.reaches_omega(64.0) and not Gf.reaches_omega(63.99)
+
+    decisions = []
+    real = ramsey._bounded_diam_at_most
+
+    def spy(rows, G, allowed, budget, bound):
+        ok = real(rows, G, allowed, budget, bound)
+        decisions.append((len(allowed), bound, ok))
+        return ok
+
+    monkeypatch.setattr(ramsey, "_bounded_diam_at_most", spy)
+    emb = ramsey_embed(EDGE, EDGE_MU, {0, 1}, 1, 2, "alt")
+    assert (emb.phi, emb.omega) == (7, omega)
+    assert (4, 64.0, True) in decisions
+
+
+def _live_completions() -> int:
+    gc.collect()
+    return sum(isinstance(obj, Completion) for obj in gc.get_objects())
+
+
+def test_single_embeddings_retain_no_completion():
+    G = gen_graph("grid", {"rows": 10, "cols": 10})
+    ones = [1.0] * G.n
+    assert isinstance(finite_graph(G, 2, 2)[0], Completion)
+
+    def embed():
+        ramsey_embed(G, ones, set(range(G.n)), 2, 2)
+
+    embed()
+    tracemalloc.start()
+    try:
+        embed()
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(10):
+            embed()
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert _live_completions() == 0
+    # one completion of this grid holds 4,628 edges, well over 100 kB
+    assert after - before < 32 * 1024
+
+
+P4 = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+ENTRY_POINTS = {
+    "ramsey_embed": lambda h, k: ramsey_embed(P4, [1.0] * 4, {0, 1}, h, k),
+    "clan_embed": lambda h, k: clan_embed(P4, [1.0] * 4, h, k),
+    "ramsey_distribution": lambda h, k: ramsey_distribution(P4, h, "fixed_k", 2, k),
+    "clan_distribution": lambda h, k: clan_distribution(P4, h, "fixed_k", 2, k),
+}
+
+
+class TestBoundary:
+    """Out-of-range input fails at the entry point with a message that
+    names it."""
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("h, k, message", [
+        (0, 2, "h must be >= 1"),
+        (-1, 2, "h must be >= 1"),
+        (3, 0, "k must be >= 1"),      # P4 is 3-hop connected
+        (1, 0, "k must be >= 1"),
+        (3, -2, "k must be >= 1"),
+    ])
+    def test_rejects_out_of_range(self, entry, h, k, message):
+        with pytest.raises(ValueError, match=message):
+            ENTRY_POINTS[entry](h, k)
+
+    @pytest.mark.parametrize("M0", [{0, 9}, {-1}, {4}])
+    def test_rejects_marked_vertex_out_of_range(self, M0):
+        with pytest.raises(ValueError, match="outside range"):
+            ramsey_embed(P4, [1.0] * 4, M0, 2, 2)

@@ -8,8 +8,8 @@ import random
 import pytest
 
 from hopmetric import ramsey
-from hopmetric.graph_core import (WeightedGraph, hop_diameter, hop_distance_all,
-                                  hop_profile, is_inf)
+from hopmetric.graph_core import (WeightedGraph, finite_completion, hop_diameter,
+                                  hop_distance_all, hop_profile, is_inf)
 from hopmetric.ramsey import (alt_levels, create_cluster, create_cluster_alt,
                               finite_graph, mwu_measures, padded_partition,
                               ramsey_distribution, ramsey_embed)
@@ -310,11 +310,13 @@ class TestSharedRows:
             params = [(h, k) for h in (1, 2, 3) for k in (1, 2, 3)]
             alone = [finite_graph(G, h, k) for h, k in params]
             with ramsey._shared_rows():
-                for (h, k), (Gw, omega, diam) in zip(params, alone):
+                for (h, k), (Gf, omega, diam) in zip(params, alone):
+                    Gw = finite_completion(G, h, k)[0]
                     assert diam == hop_diameter(Gw, h)
-                    assert (omega is None) == (Gw is G)
+                    assert omega is None or omega == hop_diameter(Gw, h)
+                    assert (omega is None) == (Gf is G) == (Gw is G)
                     Gs, omega_s, diam_s = finite_graph(G, h, k)
-                    assert Gs.edges == Gw.edges
+                    assert Gs is Gf or Gs.completed().edges == Gw.edges
                     assert (omega_s, diam_s) == (omega, diam)
 
     @pytest.mark.parametrize("seed", [63, 64, 65])
