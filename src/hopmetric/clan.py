@@ -93,6 +93,8 @@ def clan_cover(G: CarveGraph, X: Set[int], mu: Measure, h: int, k: int,
     The carvings share one ball table (see ``ramsey._Balls``)."""
     if not X:
         raise ValueError("X must be nonempty")
+    if variant not in ("standard", "alt"):
+        raise ValueError(f"unknown variant {variant!r}")
     carve = clan_create_cluster if variant == "standard" else clan_create_cluster_alt
     Y = set(X)
     balls = _Balls()

@@ -31,10 +31,12 @@ SEED_ENV = "HOPMETRIC_SEED"
 
 
 def _default_seed() -> int:
+    raw = os.environ.get(SEED_ENV, "0")
     try:
-        return int(os.environ.get(SEED_ENV, "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        raise click.UsageError(
+            f"${SEED_ENV} must be an integer seed, got {raw!r}") from None
 
 
 # -- graph generation ------------------------------------------------------

@@ -47,6 +47,13 @@ def tree_label_query(lx: TreeLabel, ly: TreeLabel) -> float:
     return lx[p - 1][1]
 
 
+def _round_labels(emb: RamseyEmbedding, n: int) -> List[TreeLabel]:
+    """Every vertex's tree label in one embedding's ultrametric."""
+    leaf_of = emb.leaf_of()
+    tl = build_tree_labels(emb.U)
+    return [tl[leaf_of[v]] for v in range(n)]
+
+
 def _coarse_estimate(rows_u: Sequence[TreeLabel], home_u: int,
                     rows_v: Sequence[TreeLabel], home_v: int) -> float:
     """min over both home rounds; each side is individually sandwiched."""
@@ -87,16 +94,14 @@ def build_coarse_labeling(G: WeightedGraph, h: int, k: int) -> CoarseLabeling:
     ones = [1.0] * n
     remaining: Set[int] = set(range(n))
     home = [-1] * n
-    per_round: List[Dict[int, TreeLabel]] = []
+    per_round: List[List[TreeLabel]] = []
     t_coarse, beta_hops = 1.0, 1
     rnd = 0
     while remaining:
         emb = ramsey_embed(G, ones, set(remaining), h, k, "alt")
         t_coarse = max(t_coarse, emb.t)
         beta_hops = max(beta_hops, emb.beta)
-        leaf_of = emb.leaf_of()
-        tl = build_tree_labels(emb.U)
-        per_round.append({v: tl[leaf_of[v]] for v in range(n)})
+        per_round.append(_round_labels(emb, n))
         for v in emb.M & remaining:
             home[v] = rnd
         remaining -= emb.M
@@ -174,20 +179,11 @@ def build_coarse_oracle(G: WeightedGraph, h: int, k: int, seed: int = 0,
     seq, home = best
     t_coarse = max(emb.t for emb in seq)
     beta_hops = max(emb.beta for emb in seq)
-    labels: List[Tuple[TreeLabel, ...]] = []
-    cache: Dict[int, Dict[int, TreeLabel]] = {}
-
-    def round_labels(i: int) -> Dict[int, TreeLabel]:
-        if i not in cache:
-            emb = seq[i]
-            leaf_of = emb.leaf_of()
-            tl = build_tree_labels(emb.U)
-            cache[i] = {v: tl[leaf_of[v]] for v in range(n)}
-        return cache[i]
-
-    for v in range(n):
-        labels.append(tuple(round_labels(i)[v] for i in range(home[v] + 1)))
-    return CoarseOracle(n, h, k, tuple(home), tuple(labels), t_coarse,
+    # the last sampled round is some vertex's home, so every round is read
+    per_round = [_round_labels(emb, n) for emb in seq]
+    labels = tuple(tuple(per_round[i][v] for i in range(home[v] + 1))
+                   for v in range(n))
+    return CoarseOracle(n, h, k, tuple(home), labels, t_coarse,
                         beta_hops, attempt)
 
 
@@ -218,9 +214,8 @@ def auxiliary_graph(G: WeightedGraph, i: int, h: int, t_coarse: float,
 
 
 def inner_metric_structure(Gi: AuxiliaryGraph, k: int, mode: str, seed: int = 0):
-    """Classic hop-free structure on the scale graph (stretch 2k-1)."""
-    if mode == "oracle":
-        return tz.build_oracle(Gi.adj, k, seed)
+    """Classic hop-free structure on the scale graph (stretch 2k-1); the
+    labels serve as the hop oracle's per-scale structure too."""
     if mode == "labels":
         return tz.build_labeling(Gi.adj, k, seed)
     if mode == "routing":
@@ -263,7 +258,7 @@ class HopOracle:
     k: int
     epsilon: float
     coarse: CoarseOracle
-    inner: Dict[int, tz.TZOracle] = field(hash=False, default_factory=dict)
+    inner: Dict[int, tz.TZLabeling] = field(hash=False, default_factory=dict)
     omegas: Dict[int, float] = field(hash=False, default_factory=dict)
     hop_budget: int = 1                      # lower-side hop budget B
     stretch: float = 1.0                     # upper-side factor over d^{(h)}
@@ -284,7 +279,7 @@ def build_hop_oracle(G: WeightedGraph, h: int, k: int, epsilon: float,
                      seed: int = 0) -> HopOracle:
     HopParams(h, k, epsilon)
     coarse = build_coarse_oracle(G, h, k, seed)
-    inner, omegas = _scale_structures(G, coarse, h, k, epsilon, "oracle", seed)
+    inner, omegas = _scale_structures(G, coarse, h, k, epsilon, "labels", seed)
     B, stretch = _final_constants(coarse.t_coarse, coarse.beta_hops, k, epsilon)
     return HopOracle(G, h, k, epsilon, coarse, inner, omegas, B, stretch)
 
@@ -295,7 +290,8 @@ def hop_oracle_query(O: HopOracle, u: int, v: int) -> float:
     est = O.coarse.query(u, v)
     if is_inf(est):
         return INFINITY
-    return O.inner[_scale_of(est)].query(u, v)
+    L = O.inner[_scale_of(est)]
+    return tz.label_query(O.k, L.labels[u], L.labels[v])
 
 
 # -- final labeling --------------------------------------------------------

@@ -460,6 +460,8 @@ def padded_partition(G: CarveGraph, X: Set[int], mu: Measure, M: Set[int],
     """
     if not X:
         raise ValueError("X must be nonempty")
+    if variant not in ("standard", "alt"):
+        raise ValueError(f"unknown variant {variant!r}")
     carve = create_cluster if variant == "standard" else create_cluster_alt
     Y = set(X)
     MY = set(M) & Y

@@ -2,8 +2,10 @@
 
 Classic sampled-level construction: nested landmark sets A_0 = V down to
 A_{k-1}, per-vertex pivots (nearest landmark per level) and bunches.  Used
-as the hop-free building block on each auxiliary scale graph; provides an
-oracle, a distance labeling, and a simulated tree-based routing scheme.
+as the hop-free building block on each auxiliary scale graph; provides a
+distance labeling and a simulated tree-based routing scheme.  The oracle is
+the labeling: a vertex's label is its pivots, pivot distances and bunch,
+and ``label_query`` answers from the labels of the two endpoints alone.
 
 Bunches are built from clusters (Thorup and Zwick).  Only the top level
 A_{k-1} gets full shortest-path rows (the routing scheme also gives them
@@ -71,12 +73,6 @@ class TZCore:
     pivot_dist: Tuple[Tuple[float, ...], ...]           # pivot_dist[i][v]
     bunch: Tuple[Dict[int, float], ...]                 # bunch[v][w] = d(w, v)
 
-    def pivots_col(self, v: int) -> Tuple[Optional[int], ...]:
-        return tuple(self.pivots[i][v] for i in range(self.k))
-
-    def pdist_col(self, v: int) -> Tuple[float, ...]:
-        return tuple(self.pivot_dist[i][v] for i in range(self.k))
-
     def size_words(self) -> int:
         return sum(len(b) for b in self.bunch) + 2 * self.k * self.n
 
@@ -141,43 +137,20 @@ def _core(adj: Adjacency, k: int, seed: int,
     return core, rows
 
 
-def _witness(k: int,
-             piv_u: Sequence[Optional[int]], pd_u: Sequence[float], bunch_u: Dict[int, float],
-             piv_v: Sequence[Optional[int]], pd_v: Sequence[float], bunch_v: Dict[int, float],
-             ) -> Optional[Tuple[int, int, bool]]:
+def _witness(k: int, lu: TZLabel, lv: TZLabel) -> Optional[Tuple[int, int, bool]]:
     """Returns (level, witness, swapped) with witness = pivot of the
     (possibly swapped) first side, contained in the other side's bunch."""
-    sides = ((piv_u, pd_u, bunch_u), (piv_v, pd_v, bunch_v))
+    sides = (lu, lv)
     x = 0
     i = 0
-    w = sides[0][0][0]
-    while w is None or w not in sides[1 - x][2]:
+    w = lu.pivots[0]
+    while w is None or w not in sides[1 - x].bunch:
         i += 1
         if i >= k:
             return None
         x = 1 - x
-        w = sides[x][0][i]
+        w = sides[x].pivots[i]
     return i, w, x == 1
-
-
-@dataclass(frozen=True)
-class TZOracle:
-    core: TZCore
-
-    def query(self, u: int, v: int) -> float:
-        if u == v:
-            return 0.0
-        c = self.core
-        got = _witness(c.k, c.pivots_col(u), c.pdist_col(u), c.bunch[u],
-                       c.pivots_col(v), c.pdist_col(v), c.bunch[v])
-        if got is None:
-            return math.inf
-        i, w, swapped = got
-        x, y = (v, u) if swapped else (u, v)
-        return c.pivot_dist[i][x] + c.bunch[y][w]
-
-    def size_words(self) -> int:
-        return self.core.size_words()
 
 
 @dataclass(frozen=True)
@@ -203,8 +176,7 @@ class TZLabeling:
 def label_query(k: int, lu: TZLabel, lv: TZLabel) -> float:
     if lu.vertex == lv.vertex:
         return 0.0
-    got = _witness(k, lu.pivots, lu.pivot_dist, lu.bunch,
-                   lv.pivots, lv.pivot_dist, lv.bunch)
+    got = _witness(k, lu, lv)
     if got is None:
         return math.inf
     i, w, swapped = got
@@ -212,13 +184,10 @@ def label_query(k: int, lu: TZLabel, lv: TZLabel) -> float:
     return lx.pivot_dist[i] + ly.bunch[w]
 
 
-def build_oracle(adj: Adjacency, k: int, seed: int = 0) -> TZOracle:
-    return TZOracle(build_core(adj, k, seed))
-
-
 def _labels(c: TZCore) -> Tuple[TZLabel, ...]:
-    return tuple(TZLabel(v, c.pivots_col(v), c.pdist_col(v), c.bunch[v])
-                 for v in range(c.n))
+    """The core's per-level tables transposed into per-vertex labels."""
+    return tuple(TZLabel(v, piv, pd, bunch) for v, (piv, pd, bunch)
+                 in enumerate(zip(zip(*c.pivots), zip(*c.pivot_dist), c.bunch)))
 
 
 def build_labeling(adj: Adjacency, k: int, seed: int = 0) -> TZLabeling:
@@ -338,9 +307,7 @@ class Header:
 def prepare_header(scheme: TZRouting, table_u: NodeTable,
                    dest: RoutingLabel) -> Optional[Header]:
     """Source-side decision from the local table and destination label only."""
-    lu, lv = table_u.label, dest.label
-    got = _witness(scheme.k, lu.pivots, lu.pivot_dist, lu.bunch,
-                   lv.pivots, lv.pivot_dist, lv.bunch)
+    got = _witness(scheme.k, table_u.label, dest.label)
     if got is None:
         return None
     i, w, _swapped = got
@@ -374,9 +341,12 @@ def forward(table_x: NodeTable, header: Header) -> int:
     raise AssertionError("no child subtree contains the destination")
 
 
-def route(scheme: TZRouting, u: int, v: int, max_hops: int = 10 ** 6,
+def route(scheme: TZRouting, u: int, v: int,
           ) -> Optional[Tuple[List[int], List[int]]]:
-    """Simulate routing; returns (path, table read log) or None if declined."""
+    """Simulate routing; returns (path, table read log) or None if declined.
+
+    A tree route climbs at most to the root and then descends, so it takes
+    fewer than 2n hops on n vertices; a longer walk is a loop."""
     reads = [u]
     header = prepare_header(scheme, scheme.tables[u], scheme.rlabels[v])
     if header is None:
@@ -384,7 +354,7 @@ def route(scheme: TZRouting, u: int, v: int, max_hops: int = 10 ** 6,
     path = [u]
     cur = u
     while cur != v:
-        if len(path) > max_hops:
+        if len(path) > 2 * len(scheme.tables):
             raise AssertionError("routing loop detected")
         reads.append(cur)
         cur = forward(scheme.tables[cur], header)

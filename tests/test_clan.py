@@ -86,6 +86,11 @@ class TestClanCover:
             assert seen_inner == X, "inner clusters partition X"
             assert set().union(*(t.outer for t in cover)) == X
 
+    def test_rejects_unknown_variant(self):
+        G = WeightedGraph(2, [(0, 1, 1.0)])
+        with pytest.raises(ValueError, match="unknown variant"):
+            clan_cover(G, {0, 1}, [1.0, 1.0], 1, 2, 1, "Alt")
+
 
 def _check_clan(G, emb, mu):
     assert validate_ultrametric(emb.U)

@@ -100,6 +100,21 @@ class TestCommands:
                                  "--p", "0.3", "--seed", "8"])
         assert a.output != c.output
 
+    def test_malformed_seed_env_is_usage_error(self, tmp_path, monkeypatch):
+        runner = CliRunner()
+        monkeypatch.setenv("HOPMETRIC_SEED", "abc")
+        res = runner.invoke(main, ["gen", "--family", "gnp", "--n", "10",
+                                   "--p", "0.3"])
+        assert res.exit_code == 2
+        assert "HOPMETRIC_SEED" in res.output and "'abc'" in res.output
+        # an explicit --seed never reads the variable
+        gpath = tmp_path / "g.json"
+        res = runner.invoke(main, ["gen", "--family", "gnp", "--n", "6",
+                                   "--p", "0.5", "--seed", "9", "-o", str(gpath)])
+        assert res.exit_code == 0
+        res = runner.invoke(main, ["ramsey", "--graph", str(gpath)])
+        assert res.exit_code == 2 and "HOPMETRIC_SEED" in res.output
+
     def test_missing_graph_is_usage_error(self):
         runner = CliRunner()
         res = runner.invoke(main, ["ramsey"])

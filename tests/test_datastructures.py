@@ -149,25 +149,42 @@ class TestLandmarkHierarchy:
     def test_oracle_stretch(self):
         for G, rng in self._graphs(231, 10):
             for k in (1, 2, 3):
-                O = tz.build_oracle(G.adj, k, seed=rng.randrange(100))
+                L = tz.build_labeling(G.adj, k, seed=rng.randrange(100))
                 for u in range(G.n):
                     d = tz.sssp(G.adj, u)
                     for v in range(G.n):
-                        got = O.query(u, v)
+                        got = tz.label_query(k, L.label(u), L.label(v))
                         assert got >= d[v] * (1 - 1e-9)
                         assert got <= (2 * k - 1) * d[v] * (1 + 1e-9)
                         if k == 1:
                             assert got == pytest.approx(d[v])
 
-    def test_labeling_matches_oracle(self):
+    @staticmethod
+    def _core_query(c: tz.TZCore, u: int, v: int) -> float:
+        """The query read straight off the core's per-level tables."""
+        if u == v:
+            return 0.0
+        x, y, i = u, v, 0
+        w = c.pivots[0][x]
+        while w is None or w not in c.bunch[y]:
+            i += 1
+            if i >= c.k:
+                return math.inf
+            x, y = y, x
+            w = c.pivots[i][x]
+        return c.pivot_dist[i][x] + c.bunch[y][w]
+
+    def test_labeling_matches_core(self):
         for G, rng in self._graphs(232, 6):
-            s = rng.randrange(100)
-            O = tz.build_oracle(G.adj, 2, seed=s)
-            L = tz.build_labeling(G.adj, 2, seed=s)
-            for u in range(G.n):
-                for v in range(G.n):
-                    assert L.labels and O.query(u, v) == pytest.approx(
-                        tz.label_query(2, L.label(u), L.label(v)))
+            for k in (1, 2, 3):
+                s = rng.randrange(100)
+                C = tz.build_core(G.adj, k, seed=s)
+                L = tz.build_labeling(G.adj, k, seed=s)
+                assert len(L.labels) == G.n
+                for u in range(G.n):
+                    for v in range(G.n):
+                        assert tz.label_query(k, L.label(u), L.label(v)) == \
+                            self._core_query(C, u, v)
 
     def test_routing_delivers_with_stretch(self):
         for G, rng in self._graphs(233, 8):

@@ -132,6 +132,11 @@ class TestPaddedPartition:
         with pytest.raises(ValueError):
             padded_partition(G, set(), [1.0, 1.0], {0}, 1, 1, 0)
 
+    def test_rejects_unknown_variant(self):
+        G = WeightedGraph(2, [(0, 1, 1.0)])
+        with pytest.raises(ValueError, match="unknown variant"):
+            padded_partition(G, {0, 1}, [1.0, 1.0], {0}, 1, 2, 1, "Alt")
+
 
 def _check_embedding(G, emb, mu, M0):
     assert validate_ultrametric(emb.U)
