@@ -12,7 +12,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import click
 
@@ -25,7 +25,7 @@ from .preserve import (Unreachable, build_path_tree_embedding,
                        image_of_general_subgraph, induced_path)
 from .ramsey import ramsey_embed
 from .rng import substream
-from .ultrametric import validate_ultrametric
+from .ultrametric import ultra_distance, validate_ultrametric
 
 SEED_ENV = "HOPMETRIC_SEED"
 
@@ -184,20 +184,12 @@ def _run_ramsey(G: WeightedGraph, cfg: ExperimentConfig, rep: Report) -> None:
     rep.check("measure survival mu(M) >= mu(M0)^(1-1/k)",
               len(emb.M) >= need - 1e-9, f"{len(emb.M)} vs {need}")
     leaf = emb.leaf_of()
-    from .ultrametric import ultra_distance
-    bad = 0
-    for u in range(G.n):
-        dh = hop_distance_all(G, u, cfg.h)
-        dB = hop_distance_all(G, u, emb.beta * cfg.h)
-        for v in range(G.n):
-            if v == u:
-                continue
-            dU = ultra_distance(emb.U, leaf[u], leaf[v])
-            if not is_inf(dB[v]) and not is_inf(dU) and dU < dB[v] * (1 - 1e-9):
-                bad += 1
-            if (u in emb.M or v in emb.M) and not is_inf(dh[v]):
-                if is_inf(dU) or dU > emb.t * dh[v] * (1 + 1e-9):
-                    bad += 1
+
+    def answer(u: int, v: int) -> Tuple[float, Optional[float]]:
+        dU = ultra_distance(emb.U, leaf[u], leaf[v])
+        return dU, (dU if u in emb.M or v in emb.M else None)
+
+    bad, _ = _sandwich(G, cfg.h, emb.beta, emb.t, answer)
     rep.check("domination and marked-pair distortion", bad == 0, f"{bad} violations")
     jmax = 2 * (cfg.k - 1)
     rep.check("cluster index j <= 2(k-1)", emb.max_j <= jmax,
@@ -214,20 +206,9 @@ def _run_clan(G: WeightedGraph, cfg: ExperimentConfig, rep: Report) -> None:
     rep.check("ultrametric valid", validate_ultrametric(emb.U))
     rep.check("weighted clan size <= mu(V)^(1+1/k)", size <= bound + 1e-9,
               f"{size} vs {bound}")
-    bad = 0
-    for u in range(G.n):
-        dh = hop_distance_all(G, u, cfg.h)
-        dB = hop_distance_all(G, u, emb.beta * cfg.h)
-        for v in range(G.n):
-            if v == u:
-                continue
-            dmin = emb.min_copy_distance(u, v)
-            if not is_inf(dB[v]) and not is_inf(dmin) and dmin < dB[v] * (1 - 1e-9):
-                bad += 1
-            if not is_inf(dh[v]):
-                dc = emb.chief_distance(u, v)
-                if is_inf(dc) or dc > emb.t * dh[v] * (1 + 1e-9):
-                    bad += 1
+    bad, _ = _sandwich(G, cfg.h, emb.beta, emb.t,
+                       lambda u, v: (emb.min_copy_distance(u, v),
+                                     emb.chief_distance(u, v)))
     rep.check("domination and chief distortion", bad == 0, f"{bad} violations")
 
 
@@ -302,22 +283,34 @@ def _run_preserve(G: WeightedGraph, cfg: ExperimentConfig, rep: Report) -> None:
     rep.check("induced paths within hop bound", bad == 0, f"{bad} violations")
 
 
-def _sandwich_report(G: WeightedGraph, cfg: ExperimentConfig, rep: Report,
-                     query, budget: int, stretch: float) -> None:
-    bad = 0
-    checked = 0
+def _sandwich(G: WeightedGraph, h: int, budget: int, stretch: float,
+              answer: Callable[[int, int], Tuple[float, Optional[float]]],
+              ) -> Tuple[int, int]:
+    """(violations, pairs checked) of d^(budget*h) <= lower and
+    upper <= stretch*d^(h) over ordered pairs u != v, where answer(u, v)
+    gives (lower, upper); an upper of None is not checked."""
+    bad = checked = 0
     for u in range(G.n):
-        dh = hop_distance_all(G, u, cfg.h)
-        dB = hop_distance_all(G, u, budget * cfg.h)
+        dh = hop_distance_all(G, u, h)
+        dB = hop_distance_all(G, u, budget * h)
         for v in range(G.n):
             if v == u:
                 continue
-            q = query(u, v)
+            lo, up = answer(u, v)
             checked += 1
-            if not is_inf(q) and not is_inf(dB[v]) and q < dB[v] * (1 - 1e-9):
+            if not is_inf(lo) and not is_inf(dB[v]) and lo < dB[v] * (1 - 1e-9):
                 bad += 1
-            if not is_inf(dh[v]) and (is_inf(q) or q > stretch * dh[v] * (1 + 1e-9)):
+            if up is not None and not is_inf(dh[v]) and (
+                    is_inf(up) or up > stretch * dh[v] * (1 + 1e-9)):
                 bad += 1
+    return bad, checked
+
+
+def _sandwich_report(G: WeightedGraph, cfg: ExperimentConfig, rep: Report,
+                     query: Callable[[int, int], float], budget: int,
+                     stretch: float) -> None:
+    bad, checked = _sandwich(G, cfg.h, budget, stretch,
+                             lambda u, v: (query(u, v),) * 2)
     rep.check("sandwich d^(Bh) <= query <= stretch*d^(h)", bad == 0,
               f"{bad}/{checked} violations")
 

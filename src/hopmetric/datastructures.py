@@ -135,9 +135,12 @@ class CoarseBudgetExceeded(RuntimeError):
     """Every attempt at a coarse oracle stored more labels than its budget."""
 
 
+_COARSE_ROUNDS = 8   # embeddings in the distribution the coarse oracle samples
+
+
 @_shared_rows()
 def build_coarse_oracle(G: WeightedGraph, h: int, k: int, seed: int = 0,
-                        rounds: int = 8, max_attempts: int = 30) -> CoarseOracle:
+                        max_attempts: int = 30) -> CoarseOracle:
     """Sample rounds of an alt-Ramsey distribution until every vertex is
     padded; the distribution and the straggler embeddings share rows.
 
@@ -145,7 +148,7 @@ def build_coarse_oracle(G: WeightedGraph, h: int, k: int, seed: int = 0,
     budget.
     """
     n = G.n
-    dist = ramsey_distribution(G, h, "fixed_k", rounds, k=k, variant="alt")
+    dist = ramsey_distribution(G, h, "fixed_k", _COARSE_ROUNDS, k=k, variant="alt")
     incl = [sum(1 for emb, _ in dist if v in emb.M) / len(dist) for v in range(n)]
     # expected stored rounds per vertex is 1/p(v); restart while 4x over budget
     budget = 4.0 * sum(1.0 / p for p in incl if p > 0) + 4.0 * n
@@ -157,7 +160,7 @@ def build_coarse_oracle(G: WeightedGraph, h: int, k: int, seed: int = 0,
         seq: List[RamseyEmbedding] = []
         home = [-1] * n
         unhomed = set(range(n))
-        while unhomed and len(seq) < 8 * rounds * max(1, math.ceil(n ** (1.0 / k))):
+        while unhomed and len(seq) < 8 * _COARSE_ROUNDS * max(1, math.ceil(n ** (1.0 / k))):
             emb = dist[rng.randrange(len(dist))][0]
             seq.append(emb)
             for v in list(unhomed):
@@ -321,7 +324,7 @@ class HopLabeling:
 
     def size_words(self) -> int:
         return sum(sum(2 * len(t) for t in l.coarse)
-                   + sum(len(t.bunch) + 2 * self.k for t in l.inner.values())
+                   + sum(t.size_words() for t in l.inner.values())
                    for l in self.labels)
 
 

@@ -225,20 +225,24 @@ def hop_diameter(G: WeightedGraph, h: int) -> float:
     return best
 
 
-def _finite_scan(G: WeightedGraph, h: int) -> Tuple[float, List[Tuple[int, int]]]:
-    """One pass over the all-pairs h-hop rows: (D', pairs u < v with no h-hop
-    path)."""
+def _finite_scan(G: WeightedGraph, h: int,
+                 missing: Optional[List[Tuple[int, int]]] = None) -> Tuple[float, bool]:
+    """One pass over the all-pairs h-hop rows: (D', whether some pair u < v
+    has no h-hop path).  The pairs themselves are appended to ``missing``
+    when it is given; only the reference builder needs them."""
     best = 0.0
-    missing: List[Tuple[int, int]] = []
+    lacking = False
     for s in range(G.n):
         dist = hop_distance_all(G, s, h)
         for v in range(s + 1, G.n):
             d = dist[v]
             if is_inf(d):
-                missing.append((s, v))
+                lacking = True
+                if missing is not None:
+                    missing.append((s, v))
             elif d > best:
                 best = d
-    return best, missing
+    return best, lacking
 
 
 def max_finite_hop_distance(G: WeightedGraph, h: int) -> float:
@@ -267,7 +271,8 @@ def finite_completion(G: WeightedGraph, h: int, k: int) -> Tuple[WeightedGraph, 
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    dprime, missing = _finite_scan(G, h)
+    missing: List[Tuple[int, int]] = []
+    dprime, _ = _finite_scan(G, h, missing)
     omega = completion_weight(G, k, dprime)
     if not missing:
         return G, omega

@@ -85,7 +85,7 @@ def build_path_tree_embedding(G: WeightedGraph, r: int, h: int,
     total_copies = emb.clan_size()
     if total_copies > (2 * n) ** 1.5 + 1e-9:
         raise AssertionError(f"copy count {total_copies} exceeds (2n)^1.5")
-    T0, _ = ultrametric_to_tree(emb.U, allow_infinite=True)
+    T0 = ultrametric_to_tree(emb.U, allow_infinite=True)
     K = emb.U.leaves()
     T, new_id = steiner_point_removal(T0, K)
     # Steiner removal must not contract distances, and may stretch by <= 8.
@@ -127,7 +127,7 @@ def build_path_tree_embedding(G: WeightedGraph, r: int, h: int,
             raise AssertionError(f"associated path weight {w} exceeds tree edge "
                                  f"weight {T.weight[c]}")
         assoc[key] = (path, w)
-    hop_bound = 2 * T.hop_depth() * budget
+    hop_bound = 2 * T.depth() * budget
     path_bound = 8.0 * emb.path_t
     return PathTreeEmbedding(G, emb, T, fmap, chi, assoc, budget, hop_bound,
                              path_bound, h, r)

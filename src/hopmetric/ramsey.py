@@ -430,8 +430,8 @@ def finite_graph(G: WeightedGraph, h: int,
     memo = _MEMO.get()
     if memo is not None and (G, h, k) in memo.graphs:
         return memo.graphs[(G, h, k)]
-    dprime, missing = _finite_scan(G, h)
-    if not missing:
+    dprime, lacking = _finite_scan(G, h)
+    if not lacking:
         out = G, None, dprime
     else:
         omega = completion_weight(G, k, dprime)
@@ -496,12 +496,9 @@ def ramsey_embed(G: WeightedGraph, mu: Measure, M0: Set[int], h: int, k: int,
     if not all(0 <= v < G.n for v in M0):
         raise ValueError(f"marked set has a vertex outside range({G.n})")
     Gw, omega, diam = finite_graph(G, h, k)
-    if G.n == 1 or diam == 0.0:
-        U = Ultrametric.leaf(0) if G.n == 1 else None
-        if U is None:
-            raise AssertionError("distinct vertices at distance 0")
-        return RamseyEmbedding(U, frozenset(M0), 16.0 * k, 1, h, k, variant,
-                               0, omega, 0)
+    if G.n == 1:
+        return RamseyEmbedding(Ultrametric.leaf(0), frozenset(M0), 16.0 * k, 1,
+                               h, k, variant, 0, omega, 0)
     phi = max(0, math.ceil(math.log2(diam)))
     stats: dict = {}
 

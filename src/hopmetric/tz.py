@@ -73,9 +73,6 @@ class TZCore:
     pivot_dist: Tuple[Tuple[float, ...], ...]           # pivot_dist[i][v]
     bunch: Tuple[Dict[int, float], ...]                 # bunch[v][w] = d(w, v)
 
-    def size_words(self) -> int:
-        return sum(len(b) for b in self.bunch) + 2 * self.k * self.n
-
 
 def build_core(adj: Adjacency, k: int, seed: int = 0) -> TZCore:
     return _core(adj, k, seed, k - 1)[0]
@@ -160,6 +157,10 @@ class TZLabel:
     pivot_dist: Tuple[float, ...]
     bunch: Dict[int, float] = field(hash=False, default_factory=dict)
 
+    def size_words(self) -> int:
+        """One word per bunch entry, two per level (pivot and its distance)."""
+        return len(self.bunch) + 2 * len(self.pivots)
+
 
 @dataclass(frozen=True)
 class TZLabeling:
@@ -170,7 +171,7 @@ class TZLabeling:
         return self.labels[v]
 
     def size_words(self) -> int:
-        return sum(len(l.bunch) + 2 * self.k for l in self.labels)
+        return sum(l.size_words() for l in self.labels)
 
 
 def label_query(k: int, lu: TZLabel, lv: TZLabel) -> float:
@@ -213,7 +214,7 @@ class NodeTable:
     trees: Dict[TreeKey, TreeEntry] = field(hash=False, default_factory=dict)
 
     def size_words(self) -> int:
-        return (len(self.label.bunch) + 2 * len(self.label.pivots)
+        return (self.label.size_words()
                 + sum(3 + 3 * len(e.children) for e in self.trees.values()))
 
 

@@ -10,31 +10,27 @@ import itertools
 import json
 import math
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .graph_core import INFINITY, is_inf
 
 _EPS = 1e-9
+_SAMPLE_TRIPLES = 200         # triples validate_ultrametric samples above 24 leaves
 
 
-class Ultrametric:
-    """Rooted labeled tree; nodes are indices into parallel arrays.
+class _RootedTree:
+    """Rooted tree in parent arrays; nodes are indices.
 
-    parent[root] is None.  payload[x] is the carried vertex/copy id for
-    leaves and None for internal nodes.
+    parent[root] is None; payload[x] is what node x carries.
     """
 
-    __slots__ = ("parent", "label", "payload", "_children", "_root")
+    __slots__ = ("parent", "payload", "_children", "_root")
 
-    def __init__(self, parent: List[Optional[int]], label: List[float],
-                 payload: List[Optional[object]]):
-        if not (len(parent) == len(label) == len(payload)):
-            raise ValueError("array lengths differ")
+    def __init__(self, parent: List[Optional[int]], payload: List[Optional[object]]):
         roots = [i for i, p in enumerate(parent) if p is None]
         if len(roots) != 1:
             raise ValueError("tree must have exactly one root")
         self.parent = list(parent)
-        self.label = list(label)
         self.payload = list(payload)
         self._root = roots[0]
         ch: List[List[int]] = [[] for _ in parent]
@@ -43,18 +39,46 @@ class Ultrametric:
                 ch[p].append(i)
         self._children = ch
 
-    # -- construction ----------------------------------------------------
-
-    @classmethod
-    def leaf(cls, payload: object) -> "Ultrametric":
-        return cls([None], [0.0], [payload])
-
     @property
     def root(self) -> int:
         return self._root
 
     def children(self, x: int) -> Sequence[int]:
         return self._children[x]
+
+    def n_nodes(self) -> int:
+        return len(self.parent)
+
+    def path_to_root(self, x: int) -> List[int]:
+        out = [x]
+        while self.parent[out[-1]] is not None:
+            out.append(self.parent[out[-1]])
+        return out
+
+    def depth(self) -> int:
+        """Number of edges on the longest root-to-node path."""
+        return max(len(self.path_to_root(x)) for x in range(self.n_nodes())) - 1
+
+
+class Ultrametric(_RootedTree):
+    """Rooted labeled tree.  payload[x] is the carried vertex/copy id for
+    leaves and None for internal nodes.
+    """
+
+    __slots__ = ("label",)
+
+    def __init__(self, parent: List[Optional[int]], label: List[float],
+                 payload: List[Optional[object]]):
+        if not (len(parent) == len(label) == len(payload)):
+            raise ValueError("array lengths differ")
+        super().__init__(parent, payload)
+        self.label = list(label)
+
+    # -- construction ----------------------------------------------------
+
+    @classmethod
+    def leaf(cls, payload: object) -> "Ultrametric":
+        return cls([None], [0.0], [payload])
 
     def is_leaf(self, x: int) -> bool:
         return not self._children[x]
@@ -70,22 +94,6 @@ class Ultrametric:
             if p in out:
                 raise ValueError(f"duplicate leaf payload {p!r}")
             out[p] = i
-        return out
-
-    def depth(self) -> int:
-        best = 0
-        for x in self.leaves():
-            d = 0
-            while self.parent[x] is not None:
-                x = self.parent[x]
-                d += 1
-            best = max(best, d)
-        return best
-
-    def path_to_root(self, x: int) -> List[int]:
-        out = [x]
-        while self.parent[out[-1]] is not None:
-            out.append(self.parent[out[-1]])
         return out
 
     # -- serialization ---------------------------------------------------
@@ -113,8 +121,7 @@ def ultra_distance(U: Ultrametric, x: int, y: int) -> float:
     return U.label[z]
 
 
-def validate_ultrametric(U: Ultrametric, sample_triples: int = 200,
-                         rng: Optional[random.Random] = None) -> bool:
+def validate_ultrametric(U: Ultrametric) -> bool:
     """Label monotonicity plus the strong triangle inequality on triples
     (exhaustive for small leaf counts, sampled otherwise)."""
     for i, p in enumerate(U.parent):
@@ -131,9 +138,9 @@ def validate_ultrametric(U: Ultrametric, sample_triples: int = 200,
     if len(lvs) <= 24:
         triples = itertools.combinations(lvs, 3)
     else:
-        rng = rng or random.Random(0)
+        rng = random.Random(0)
         triples = ((rng.choice(lvs), rng.choice(lvs), rng.choice(lvs))
-                   for _ in range(sample_triples))
+                   for _ in range(_SAMPLE_TRIPLES))
     for a, b, c in triples:
         dab = ultra_distance(U, a, b)
         dbc = ultra_distance(U, b, c)
@@ -172,62 +179,25 @@ def saturate_labels(U: Ultrametric, omega: float) -> Ultrametric:
     return Ultrametric(list(U.parent), lab, list(U.payload))
 
 
-class WeightedTree:
+class WeightedTree(_RootedTree):
     """Rooted tree with positive edge weights; payload per node."""
 
-    __slots__ = ("parent", "weight", "payload", "_children", "_root")
+    __slots__ = ("weight",)
 
     def __init__(self, parent: List[Optional[int]], weight: List[float],
                  payload: List[Optional[object]]):
-        roots = [i for i, p in enumerate(parent) if p is None]
-        if len(roots) != 1:
-            raise ValueError("tree must have exactly one root")
-        self.parent = list(parent)
+        super().__init__(parent, payload)
         self.weight = list(weight)  # weight of edge to parent; 0 at root
-        self.payload = list(payload)
-        self._root = roots[0]
-        ch: List[List[int]] = [[] for _ in parent]
-        for i, p in enumerate(parent):
-            if p is not None:
-                ch[p].append(i)
-        self._children = ch
-
-    @property
-    def root(self) -> int:
-        return self._root
-
-    def children(self, x: int) -> Sequence[int]:
-        return self._children[x]
-
-    def n_nodes(self) -> int:
-        return len(self.parent)
-
-    def hop_depth(self) -> int:
-        best = 0
-        for x in range(len(self.parent)):
-            d = 0
-            y = x
-            while self.parent[y] is not None:
-                y = self.parent[y]
-                d += 1
-            best = max(best, d)
-        return best
 
     def path(self, u: int, v: int) -> List[int]:
         """Node sequence of the unique u-v path."""
-        au = [u]
-        while self.parent[au[-1]] is not None:
-            au.append(self.parent[au[-1]])
+        au = self.path_to_root(u)
         pos = {x: i for i, x in enumerate(au)}
         av = [v]
         while av[-1] not in pos:
             av.append(self.parent[av[-1]])
         lca = av[-1]
         return au[:pos[lca] + 1] + list(reversed(av[:-1]))
-
-    def to_json(self) -> str:
-        return json.dumps({"parent": self.parent, "weight": self.weight,
-                           "payload": self.payload})
 
 
 def tree_distance(T: WeightedTree, u: int, v: int) -> float:
@@ -313,10 +283,10 @@ def steiner_point_removal(T: WeightedTree, K: Iterable[int]) -> Tuple[WeightedTr
     return WeightedTree(parent, weight, payload), new_id
 
 
-def ultrametric_to_tree(U: Ultrametric,
-                        allow_infinite: bool = False) -> Tuple[WeightedTree, Dict[int, int]]:
+def ultrametric_to_tree(U: Ultrametric, allow_infinite: bool = False) -> WeightedTree:
     """Realize U as a weighted tree with identical leaf-to-leaf distances.
 
+    The tree keeps U's parent array and payloads, so its node ids are U's.
     Edge to parent gets weight (label(parent) - label(child))/2, so a
     leaf-to-LCA path weighs label(LCA)/2 and leaf distances match exactly.
     With allow_infinite, saturated labels become float('inf') edge weights
@@ -327,14 +297,11 @@ def ultrametric_to_tree(U: Ultrametric,
         for l in U.label:
             if is_inf(l):
                 raise ValueError("cannot realize infinite labels as a finite tree")
-    parent = list(U.parent)
-    weight = [0.0] * len(parent)
-    for i, p in enumerate(parent):
+    weight = [0.0] * U.n_nodes()
+    for i, p in enumerate(U.parent):
         if p is not None:
             if is_inf(U.label[p]):
                 weight[i] = 0.0 if is_inf(U.label[i]) else math.inf
             else:
                 weight[i] = (U.label[p] - U.label[i]) / 2.0
-    payload = list(U.payload)
-    T = WeightedTree(parent, weight, payload)
-    return T, {i: i for i in range(len(parent))}
+    return WeightedTree(U.parent, weight, U.payload)

@@ -152,6 +152,21 @@ def test_single_embeddings_retain_no_completion():
     assert after - before < 32 * 1024
 
 
+def test_finite_graph_does_not_collect_missing_pairs():
+    """At h = 1 a 400-vertex path lacks an h-hop path for 79,401 pairs;
+    finite_graph needs only to know that one is missing."""
+    G = gen_graph("path", {"n": 400})
+    tracemalloc.start()
+    try:
+        Gw, omega, diam = finite_graph(G, 1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(Gw, Completion) and diam == omega
+    # a list of the missing pairs alone takes several MB
+    assert peak < 256 * 1024
+
+
 P4 = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
 ENTRY_POINTS = {
     "ramsey_embed": lambda h, k: ramsey_embed(P4, [1.0] * 4, {0, 1}, h, k),

@@ -88,24 +88,49 @@ class TestBasics:
         assert is_inf(ultra_distance(U, a, b))
 
 
+@pytest.mark.parametrize("parent", [[0, 0], [None, None, 0]],
+                         ids=["no-root", "two-roots"])
+@pytest.mark.parametrize("make", [
+    lambda parent: Ultrametric(parent, [0.0] * len(parent), [None] * len(parent)),
+    lambda parent: WeightedTree(parent, [0.0] * len(parent), [None] * len(parent)),
+], ids=["ultrametric", "weighted-tree"])
+def test_trees_need_exactly_one_root(make, parent):
+    with pytest.raises(ValueError, match="exactly one root"):
+        make(parent)
+
+
+@pytest.mark.parametrize("label, payload", [([8.0], [None, "a"]),
+                                            ([8.0, 0.0], [None])])
+def test_ultrametric_rejects_unequal_array_lengths(label, payload):
+    with pytest.raises(ValueError, match="array lengths differ"):
+        Ultrametric([None, 0], label, payload)
+
+
 class TestTreeRealization:
     def test_leaf_distances_preserved(self):
         rng = random.Random(5)
         for _ in range(8):
             U = random_ultrametric(rng, rng.randint(2, 10))
-            T, node_of = ultrametric_to_tree(U)
+            T = ultrametric_to_tree(U)
             for x in U.leaves():
                 for y in U.leaves():
-                    assert tree_distance(T, node_of[x], node_of[y]) == \
+                    assert tree_distance(T, x, y) == \
                         pytest.approx(ultra_distance(U, x, y), abs=1e-9)
+
+    def test_node_ids_are_kept(self):
+        U = join_under_root([two_leaf(2.0), Ultrametric.leaf("c")], 8.0)
+        T = ultrametric_to_tree(U)
+        assert T.parent == U.parent
+        assert T.payload == U.payload
+        assert T.depth() == U.depth() == 2
 
     def test_infinite_labels_rejected_by_default(self):
         U = saturate_labels(two_leaf(8.0), 5.0)
         with pytest.raises(ValueError):
             ultrametric_to_tree(U)
-        T, node_of = ultrametric_to_tree(U, allow_infinite=True)
+        T = ultrametric_to_tree(U, allow_infinite=True)
         a, b = U.leaves()
-        assert tree_distance(T, node_of[a], node_of[b]) == math.inf
+        assert tree_distance(T, a, b) == math.inf
 
 
 class TestSteinerPointRemoval:
@@ -113,8 +138,8 @@ class TestSteinerPointRemoval:
         rng = random.Random(6)
         for _ in range(10):
             U = random_ultrametric(rng, rng.randint(3, 12))
-            T, node_of = ultrametric_to_tree(U)
-            K = [node_of[x] for x in U.leaves()]
+            T = ultrametric_to_tree(U)
+            K = U.leaves()
             T2, new_id = steiner_point_removal(T, K)
             assert T2.n_nodes() == len(K)
             # non-contracting, bounded stretch
@@ -129,15 +154,15 @@ class TestSteinerPointRemoval:
 
     def test_payloads_kept(self):
         U = two_leaf(4.0)
-        T, node_of = ultrametric_to_tree(U)
-        K = [node_of[x] for x in U.leaves()]
+        T = ultrametric_to_tree(U)
+        K = U.leaves()
         T2, new_id = steiner_point_removal(T, K)
         assert sorted(T2.payload) == sorted(T.payload[x] for x in K)
 
     def test_subset_of_terminals(self):
         # terminals on one side only: everything folds toward them
         U = join_under_root([two_leaf(2.0), Ultrametric.leaf("c")], 8.0)
-        T, _ = ultrametric_to_tree(U)
+        T = ultrametric_to_tree(U)
         leaves = [x for x in range(T.n_nodes()) if not T.children(x)]
         T2, _ = steiner_point_removal(T, leaves[:2])
         assert T2.n_nodes() == 2
