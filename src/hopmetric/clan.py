@@ -248,7 +248,7 @@ def clan_distribution(G: WeightedGraph, h: int, mode: str, rounds: int,
     mode "expected": expected clan size <= 1+epsilon per vertex.
     The rounds share bounded-hop rows (see ``ramsey._shared_rows``).
     """
-    HopParams(h, k)
+    HopParams(h, k, epsilon)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     n = G.n

@@ -12,12 +12,12 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import click
 
 from . import datastructures as ds
-from .clan import clan_embed, optimal_path_copies
+from .clan import clan_embed
 from .cover import edge_costs, sparse_cover
 from .graph_core import (WeightedGraph, dijkstra, hop_diameter,
                          hop_distance_all, is_inf)

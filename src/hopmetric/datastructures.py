@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import tz
 from .graph_core import INFINITY, HopParams, WeightedGraph, is_inf
@@ -47,13 +47,6 @@ def tree_label_query(lx: TreeLabel, ly: TreeLabel) -> float:
     return lx[p - 1][1]
 
 
-def _round_labels(emb: RamseyEmbedding, n: int) -> List[TreeLabel]:
-    """Every vertex's tree label in one embedding's ultrametric."""
-    leaf_of = emb.leaf_of()
-    tl = build_tree_labels(emb.U)
-    return [tl[leaf_of[v]] for v in range(n)]
-
-
 def _coarse_estimate(rows_u: Sequence[TreeLabel], home_u: int,
                     rows_v: Sequence[TreeLabel], home_v: int) -> float:
     """min over both home rounds; each side is individually sandwiched."""
@@ -64,29 +57,44 @@ def _coarse_estimate(rows_u: Sequence[TreeLabel], home_u: int,
 # -- coarse structures -----------------------------------------------------
 
 @dataclass(frozen=True)
-class CoarseLabeling:
-    """Asymmetric labeling: iterated alt-Ramsey rounds with uniform measure.
-
-    Long label: tree labels in every round's ultrametric; short label: the
-    home round where the vertex was padded.
-    """
-    n: int
-    h: int
-    k: int
+class _CoarseRecord:
+    """Tree labels over a sequence of alt-Ramsey rounds: vertex v stores its
+    labels in a prefix of the rounds that ends at or after its home round,
+    the first round that padded it.  The estimate lies between d^(beta h)
+    and t times d^(h)."""
     home: Tuple[int, ...]
     labels: Tuple[Tuple[TreeLabel, ...], ...]   # labels[v][round]
     t_coarse: float
     beta_hops: int
 
+    @classmethod
+    def _from_rounds(cls, seq: Sequence[RamseyEmbedding], home: Sequence[int],
+                     stored: Sequence[int], *extra):
+        """Vertex v keeps its tree labels in the first stored[v] rounds."""
+        rounds = [(emb.leaf_of(), build_tree_labels(emb.U)) for emb in seq]
+        labels = tuple(tuple(tl[leaf_of[v]] for leaf_of, tl in rounds[:stored[v]])
+                       for v in range(len(home)))
+        return cls(tuple(home), labels, max(emb.t for emb in seq),
+                   max(emb.beta for emb in seq), *extra)
+
+    def size_words(self) -> int:
+        return sum(2 * len(l) for row in self.labels for l in row)
+
+
+@dataclass(frozen=True)
+class CoarseLabeling(_CoarseRecord):
+    """Asymmetric labeling: iterated alt-Ramsey rounds with uniform measure.
+
+    Long label: tree labels in every round's ultrametric; short label: the
+    home round.
+    """
+
     def rounds(self) -> int:
-        return len(self.labels[0]) if self.n else 0
+        return len(self.labels[0])
 
     def query(self, u: int, v: int) -> float:
         return _coarse_estimate(self.labels[u], self.home[u],
                                 self.labels[v], self.home[v])
-
-    def size_words(self) -> int:
-        return sum(2 * len(l) for row in self.labels for l in row)
 
 
 def build_coarse_labeling(G: WeightedGraph, h: int, k: int) -> CoarseLabeling:
@@ -94,41 +102,25 @@ def build_coarse_labeling(G: WeightedGraph, h: int, k: int) -> CoarseLabeling:
     ones = [1.0] * n
     remaining: Set[int] = set(range(n))
     home = [-1] * n
-    per_round: List[List[TreeLabel]] = []
-    t_coarse, beta_hops = 1.0, 1
-    rnd = 0
+    seq: List[RamseyEmbedding] = []
     while remaining:
         emb = ramsey_embed(G, ones, set(remaining), h, k, "alt")
-        t_coarse = max(t_coarse, emb.t)
-        beta_hops = max(beta_hops, emb.beta)
-        per_round.append(_round_labels(emb, n))
         for v in emb.M & remaining:
-            home[v] = rnd
+            home[v] = len(seq)
         remaining -= emb.M
-        rnd += 1
-    labels = tuple(tuple(per_round[r][v] for r in range(rnd)) for v in range(n))
-    return CoarseLabeling(n, h, k, tuple(home), labels, t_coarse, beta_hops)
+        seq.append(emb)
+    return CoarseLabeling._from_rounds(seq, home, [len(seq)] * n)
 
 
 @dataclass(frozen=True)
-class CoarseOracle:
+class CoarseOracle(_CoarseRecord):
     """Sampled-embedding oracle; each vertex stores labels only up to the
     first sample in which it was padded."""
-    n: int
-    h: int
-    k: int
-    home: Tuple[int, ...]
-    labels: Tuple[Tuple[TreeLabel, ...], ...]   # labels[v][0..home[v]]
-    t_coarse: float
-    beta_hops: int
     attempts: int
 
     def query(self, u: int, v: int) -> float:
         i = min(self.home[u], self.home[v])
         return tree_label_query(self.labels[u][i], self.labels[v][i])
-
-    def size_words(self) -> int:
-        return sum(2 * len(l) for row in self.labels for l in row)
 
 
 class CoarseBudgetExceeded(RuntimeError):
@@ -180,30 +172,15 @@ def build_coarse_oracle(G: WeightedGraph, h: int, k: int, seed: int = 0,
         raise CoarseBudgetExceeded(
             f"coarse oracle size budget exceeded in all {max_attempts} attempts")
     seq, home = best
-    t_coarse = max(emb.t for emb in seq)
-    beta_hops = max(emb.beta for emb in seq)
-    # the last sampled round is some vertex's home, so every round is read
-    per_round = [_round_labels(emb, n) for emb in seq]
-    labels = tuple(tuple(per_round[i][v] for i in range(home[v] + 1))
-                   for v in range(n))
-    return CoarseOracle(n, h, k, tuple(home), labels, t_coarse,
-                        beta_hops, attempt)
+    return CoarseOracle._from_rounds(seq, home, [i + 1 for i in home], attempt)
 
 
 # -- auxiliary scale graphs ------------------------------------------------
 
 @dataclass(frozen=True)
 class AuxiliaryGraph:
-    n: int
-    scale_i: int
     omega: float
     adj: Tuple[Tuple[Tuple[int, float], ...], ...]
-
-    def weight_of_path(self, path: Sequence[int]) -> float:
-        total = 0.0
-        for a, b in zip(path, path[1:]):
-            total += next(w for x, w in self.adj[a] if x == b)
-        return total
 
 
 def auxiliary_graph(G: WeightedGraph, i: int, h: int, t_coarse: float,
@@ -213,7 +190,7 @@ def auxiliary_graph(G: WeightedGraph, i: int, h: int, t_coarse: float,
         raise ValueError("scale index must be >= 0")
     omega = (epsilon / (t_coarse * h)) * 2.0 ** i
     adj = tuple(tuple((v, w + omega) for v, w in row) for row in G.adj)
-    return AuxiliaryGraph(G.n, i, omega, adj)
+    return AuxiliaryGraph(omega, adj)
 
 
 def inner_metric_structure(Gi: AuxiliaryGraph, k: int, mode: str, seed: int = 0):
@@ -240,23 +217,25 @@ def _realized_scales(coarse, n: int) -> List[int]:
     return sorted(scales)
 
 
-def _scale_structures(G: WeightedGraph, coarse, h: int, k: int, epsilon: float,
-                      mode: str, seed: int) -> Tuple[Dict[int, object], Dict[int, float]]:
-    """One inner structure per realized scale, with the scale's surcharge."""
+def _scale_step(G: WeightedGraph, coarse: _CoarseRecord, h: int, k: int,
+                epsilon: float, mode: str, seed: int,
+                ) -> Tuple[Dict[int, object], Dict[int, float], int, float]:
+    """One inner structure per realized scale with the scale's surcharge,
+    then the lower-side hop budget B and the upper-side stretch."""
     inner: Dict[int, object] = {}
     omegas: Dict[int, float] = {}
     for i in _realized_scales(coarse, G.n):
         Gi = auxiliary_graph(G, i, h, coarse.t_coarse, epsilon)
         inner[i] = inner_metric_structure(Gi, k, mode, seed)
         omegas[i] = Gi.omega
-    return inner, omegas
+    B = max(math.ceil(2.0 * coarse.t_coarse / epsilon), coarse.beta_hops)
+    return inner, omegas, B, (2 * k - 1) * (1.0 + epsilon)
 
 
 # -- final oracle ----------------------------------------------------------
 
 @dataclass(frozen=True)
 class HopOracle:
-    G: WeightedGraph
     h: int
     k: int
     epsilon: float
@@ -271,20 +250,12 @@ class HopOracle:
                                               for o in self.inner.values())
 
 
-def _final_constants(t_coarse: float, beta_hops: int, k: int,
-                     epsilon: float) -> Tuple[int, float]:
-    B = max(math.ceil(2.0 * t_coarse / epsilon), beta_hops)
-    stretch = (2 * k - 1) * (1.0 + epsilon)
-    return B, stretch
-
-
 def build_hop_oracle(G: WeightedGraph, h: int, k: int, epsilon: float,
                      seed: int = 0) -> HopOracle:
     HopParams(h, k, epsilon)
     coarse = build_coarse_oracle(G, h, k, seed)
-    inner, omegas = _scale_structures(G, coarse, h, k, epsilon, "labels", seed)
-    B, stretch = _final_constants(coarse.t_coarse, coarse.beta_hops, k, epsilon)
-    return HopOracle(G, h, k, epsilon, coarse, inner, omegas, B, stretch)
+    return HopOracle(h, k, epsilon, coarse,
+                     *_scale_step(G, coarse, h, k, epsilon, "labels", seed))
 
 
 def hop_oracle_query(O: HopOracle, u: int, v: int) -> float:
@@ -332,12 +303,12 @@ def build_hop_labeling(G: WeightedGraph, h: int, k: int,
                        epsilon: float) -> HopLabeling:
     HopParams(h, k, epsilon)
     coarse = build_coarse_labeling(G, h, k)
-    scale_labels, omegas = _scale_structures(G, coarse, h, k, epsilon, "labels", 0)
+    scale_labels, omegas, B, stretch = _scale_step(G, coarse, h, k, epsilon,
+                                                   "labels", 0)
     labels = tuple(
         HopVertexLabel(v, coarse.home[v], coarse.labels[v],
                        {i: sl.label(v) for i, sl in scale_labels.items()})
         for v in range(G.n))
-    B, stretch = _final_constants(coarse.t_coarse, coarse.beta_hops, k, epsilon)
     return HopLabeling(h, k, epsilon, labels, omegas, coarse.t_coarse,
                        coarse.beta_hops, B, stretch)
 
@@ -386,9 +357,8 @@ def build_routing_scheme(G: WeightedGraph, h: int, k: int, epsilon: float,
                          seed: int = 0) -> RoutingScheme:
     HopParams(h, k, epsilon)
     coarse = build_coarse_labeling(G, h, k)
-    inner, omegas = _scale_structures(G, coarse, h, k, epsilon, "routing", seed)
-    B, stretch = _final_constants(coarse.t_coarse, coarse.beta_hops, k, epsilon)
-    return RoutingScheme(G, h, k, epsilon, coarse, inner, omegas, B, stretch)
+    return RoutingScheme(G, h, k, epsilon, coarse,
+                         *_scale_step(G, coarse, h, k, epsilon, "routing", seed))
 
 
 def route(S: RoutingScheme, u: int, v: int) -> RouteResult:

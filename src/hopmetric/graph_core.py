@@ -114,13 +114,6 @@ class WeightedGraph:
                 return w
         raise KeyError((u, v))
 
-    def induced(self, vertices: Iterable[int]) -> Tuple["WeightedGraph", Dict[int, int]]:
-        """Induced subgraph plus the old-id -> new-id map (weights kept as-is)."""
-        keep = sorted(set(vertices))
-        idx = {v: i for i, v in enumerate(keep)}
-        es = [(idx[u], idx[v], w) for u, v, w in self.edges if u in idx and v in idx]
-        return WeightedGraph(len(keep), es, normalize=False), idx
-
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise ValueError(f"invalid vertex id {v}")
@@ -309,6 +302,24 @@ def dijkstra(adj: Sequence[Sequence[Tuple[int, float]]], s: int,
         dist = [d if d < b else math.inf for d, b in zip(dist, bound)]
         dist[s] = 0.0
     return dist
+
+
+def shortest_path_tree(adj: Sequence[Sequence[Tuple[int, float]]], root: int,
+                       dist: Dict[int, float]) -> Dict[int, Optional[int]]:
+    """Parent map of the shortest-path tree over the vertices ``dist``
+    reached from root; ties go to the smallest neighbour id."""
+    parent: Dict[int, Optional[int]] = {root: None}
+    for v, dv in dist.items():
+        if v == root:
+            continue
+        best = None
+        for u, w in adj[v]:
+            if (best is None or u < best) and abs(dist.get(u, math.inf) + w - dv) <= 1e-9:
+                best = u
+        if best is None:
+            raise AssertionError("broken shortest-path tree")
+        parent[v] = best
+    return parent
 
 
 def is_h_respecting(G: WeightedGraph, H_edges: Iterable[Tuple[int, int]], h: int) -> bool:

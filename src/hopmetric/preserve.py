@@ -14,7 +14,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from .clan import ClanEmbedding, clan_embed, optimal_path_copies
 from .cover import SparseCover, sparse_cover
-from .graph_core import WeightedGraph, bellman_ford, is_h_respecting, is_inf
+from .graph_core import (WeightedGraph, bellman_ford, dijkstra, is_h_respecting,
+                         is_inf, shortest_path_tree)
 from .ultrametric import (WeightedTree, steiner_point_removal, tree_distance,
                           ultra_distance, ultrametric_to_tree)
 
@@ -290,18 +291,11 @@ def image_of_general_subgraph(G: WeightedGraph, H_edges: Sequence[Tuple[int, int
         if len(C) < 2:
             continue
         # hop-shortest tree inside the cluster, rooted at the center
-        tree_edges: List[Tuple[int, int]] = []
-        seen = {center}
-        frontier = [center]
-        while frontier:
-            nxt: List[int] = []
-            for u in sorted(frontier):
-                for v, _w in H1.adj[u]:
-                    if v in C and v not in seen:
-                        seen.add(v)
-                        tree_edges.append((u, v))
-                        nxt.append(v)
-            frontier = nxt
+        dist = dijkstra(H1.adj, center, allowed=C)
+        reached = {v: d for v, d in enumerate(dist) if not is_inf(d)}
+        tree_edges = [(p, v) for v, p in
+                      shortest_path_tree(H1.adj, center, reached).items()
+                      if p is not None]
         if not tree_edges:
             continue
         img = image_of_respecting_subgraph(PTE, tree_edges)

@@ -559,7 +559,7 @@ def ramsey_distribution(G: WeightedGraph, h: int, mode: str, rounds: int,
     mode "inclusion": k is derived from epsilon and inclusion >= 1-epsilon.
     The rounds share bounded-hop rows (see ``_shared_rows``).
     """
-    HopParams(h, k)
+    HopParams(h, k, epsilon)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     n = G.n

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .graph_core import dijkstra
+from .graph_core import dijkstra, shortest_path_tree
 from .rng import substream
 
 Adjacency = Sequence[Sequence[Tuple[int, float]]]
@@ -234,24 +234,6 @@ class TZRouting:
         return sum(t.size_words() for t in self.tables)
 
 
-def _tree_of(adj: Adjacency, root: int, dist: Row) -> Dict[int, Optional[int]]:
-    """Parent map of the shortest-path tree over the vertices ``dist``
-    reached from root; ties go to the smallest neighbour id."""
-    parent: Dict[int, Optional[int]] = {root: None}
-    inf = math.inf
-    for v, dv in dist.items():
-        if v == root:
-            continue
-        best = None
-        for u, w in adj[v]:
-            if (best is None or u < best) and abs(dist.get(u, inf) + w - dv) <= 1e-9:
-                best = u
-        if best is None:
-            raise AssertionError("broken shortest-path tree")
-        parent[v] = best
-    return parent
-
-
 def _tree_entries(parent: Dict[int, Optional[int]], root: int,
                   ) -> Dict[int, TreeEntry]:
     children: Dict[int, List[int]] = {v: [] for v in parent}
@@ -288,7 +270,7 @@ def build_routing(adj: Adjacency, k: int, seed: int = 0) -> TZRouting:
     intervals: List[Dict[TreeKey, Interval]] = [dict() for _ in range(n)]
     for w in range(n):
         key: TreeKey = ("lm", w) if w in top else ("c0", w)
-        for v, e in _tree_entries(_tree_of(adj, w, rows[w]), w).items():
+        for v, e in _tree_entries(shortest_path_tree(adj, w, rows[w]), w).items():
             node_trees[v][key] = e
             intervals[v][key] = e.interval
     labels = _labels(c)

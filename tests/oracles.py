@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from hopmetric.graph_core import WeightedGraph, hop_distance_all, is_inf
 from hopmetric.ultrametric import Ultrametric

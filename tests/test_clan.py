@@ -216,6 +216,13 @@ class TestClanDistribution:
         with pytest.raises(ValueError):
             clan_distribution(G, 1, "other", rounds=1)
 
+    @pytest.mark.parametrize("mode", ["fixed_k", "expected"])
+    @pytest.mark.parametrize("epsilon", [0.0, -2.0])
+    def test_rejects_bad_epsilon(self, mode, epsilon):
+        G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        with pytest.raises(ValueError, match="epsilon"):
+            clan_distribution(G, 1, mode, 1, epsilon=epsilon)
+
     @pytest.mark.parametrize("seed", [93, 94])
     def test_distribution_matches_standalone_embeddings(self, seed):
         rng = random.Random(seed)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopmetric import graph_core
-from hopmetric.graph_core import (INFINITY, HopParams, WeightedGraph, dijkstra,
+from hopmetric.graph_core import (INFINITY, HopParams, WeightedGraph,
                                   finite_completion, hop_ball, hop_diameter,
                                   hop_distance, hop_distance_all,
                                   is_h_respecting, is_inf,

@@ -12,7 +12,9 @@ from hopmetric.preserve import (Unreachable, bounded_hop_path,
                                 build_path_tree_embedding,
                                 image_of_general_subgraph,
                                 image_of_respecting_subgraph, induced_path)
+from hopmetric.cli import gen_graph
 from oracles import connected_random_graph, random_graph, walk_enum_distance
+from test_golden_structures import _digest
 
 
 def _assert_walk(G: WeightedGraph, walk, weight):
@@ -202,3 +204,26 @@ class TestGeneralImage:
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         with pytest.raises(ValueError):
             image_of_general_subgraph(G, [(0, 2)], 1)
+
+
+
+# SHA-256 of image_of_general_subgraph's output on generated graphs, with H
+# every ``step``-th edge of G; pins the cluster trees taken inside the cover.
+# The n = 12 graph's digest changes if tied parents go to the largest id.
+GENERAL_IMAGE_GOLDEN = {
+    ("random-weighted", (("n", 12), ("p", 0.3), ("wmax", 5.0)), 2, 1, 1):
+        "3c94839e5a13339938d36a3acc115c6ca5bcf894fed4e73dabf17682fc36bcae",
+    ("grid", (("cols", 4), ("rows", 3)), 1, 1, 2):
+        "8261c78bf032432c46d9f386bca9b6c5785ee385afbded75153db65583d3653a",
+    ("random-weighted", (("n", 10), ("p", 0.4), ("wmax", 5.0)), 3, 2, 2):
+        "b8b958c0e72673918818ea3918cd3f641154a627b0213ad8f3eda765651a137a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERAL_IMAGE_GOLDEN))
+def test_general_image_golden(case):
+    family, params, seed, h, step = case
+    G = gen_graph(family, dict(params), seed)
+    H = [(u, v) for u, v, _ in G.edges[::step]]
+    _, gi = image_of_general_subgraph(G, H, h, seed=seed)
+    assert _digest(gi) == GENERAL_IMAGE_GOLDEN[case]

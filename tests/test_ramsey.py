@@ -257,6 +257,13 @@ class TestMWU:
         with pytest.raises(ValueError):
             ramsey_distribution(G, 1, "other", rounds=1)
 
+    @pytest.mark.parametrize("mode", ["fixed_k", "inclusion"])
+    @pytest.mark.parametrize("epsilon", [0.0, -0.5])
+    def test_rejects_bad_epsilon(self, mode, epsilon):
+        G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        with pytest.raises(ValueError, match="epsilon"):
+            ramsey_distribution(G, 2, mode, 1, epsilon=epsilon)
+
 
 def _counting_profiles(monkeypatch) -> list:
     """Count the hop_profile calls the carving rules make."""

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopmetric.graph_core import INFINITY, is_inf
+from hopmetric.graph_core import is_inf
 from hopmetric.ultrametric import (Ultrametric, WeightedTree, join_under_root,
                                    saturate_labels, steiner_point_removal,
                                    tree_distance, ultra_distance,
