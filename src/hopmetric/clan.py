@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from .graph_core import INFINITY, HopParams, WeightedGraph, is_inf
-from .ramsey import (ClusterTriple, Measure, _Balls, _check_measure,
-                     _shared_rows, alt_levels, alt_rule, finite_graph,
-                     measure_of, standard_rule)
-from .ultrametric import Ultrametric, saturate_labels, ultra_distance
+from .ramsey import (ClusterTriple, Measure, _Balls, _check_variant,
+                     _constants, _embed_setup, _mwu_rounds, _scale_tree,
+                     _shared_rows, alt_rule, measure_of, standard_rule)
+from .ultrametric import Ultrametric, ultra_distance
 
 if TYPE_CHECKING:
     from .ramsey import CarveGraph
@@ -93,8 +93,7 @@ def clan_cover(G: CarveGraph, X: Set[int], mu: Measure, h: int, k: int,
     The carvings share one ball table (see ``ramsey._Balls``)."""
     if not X:
         raise ValueError("X must be nonempty")
-    if variant not in ("standard", "alt"):
-        raise ValueError(f"unknown variant {variant!r}")
+    _check_variant(variant)
     carve = clan_create_cluster if variant == "standard" else clan_create_cluster_alt
     Y = set(X)
     balls = _Balls()
@@ -110,84 +109,44 @@ def clan_cover(G: CarveGraph, X: Set[int], mu: Measure, h: int, k: int,
     return out
 
 
-def _join_with_maps(children: List[Tuple[Ultrametric, Dict[int, int]]],
-                    label: float) -> Tuple[Ultrametric, List[Dict[int, int]]]:
-    """join_under_root that also remaps per-child node-id dictionaries."""
-    from .ultrametric import join_under_root
-
-    U = join_under_root([c for c, _ in children], label)
-    offsets = []
-    off = 1
-    for c, _ in children:
-        offsets.append(off)
-        off += len(c.parent)
-    remapped = [{key: offsets[idx] + node for key, node in mp.items()}
-                for idx, (_, mp) in enumerate(children)]
-    return U, remapped
-
-
 def clan_embed(G: WeightedGraph, mu: Measure, h: int, k: int,
                variant: str = "standard") -> ClanEmbedding:
     """Build the clan embedding of G; leaves are vertex copies."""
-    HopParams(h, k)
-    if variant not in ("standard", "alt"):
-        raise ValueError(f"unknown variant {variant!r}")
-    _check_measure(mu, G.n)
-    Gw, omega, diam = finite_graph(G, h, k)
-    if G.n == 1:
-        U = Ultrametric.leaf(0)
-        return ClanEmbedding(U, {0: (0,)}, {0: 0}, 16.0 * (k + 1), 1, h, k,
-                             variant, 0, omega, 16.0 * (k + 1))
-    phi = max(0, math.ceil(math.log2(diam)))
+    Gw, omega, phi = _embed_setup(G, mu, h, k, variant)
+    copies: Dict[int, List[int]] = {v: [] for v in range(G.n)}
+    chi: Dict[int, int] = {}
 
-    def recurse(X: Set[int], i: int) -> Tuple[Ultrametric, Dict[int, int]]:
-        """Returns (U, chi) where chi maps vertex -> chief leaf node id."""
-        if len(X) == 1:
-            v = next(iter(X))
-            return Ultrametric.leaf(v), {v: 0}
-        if i < 0:
-            raise AssertionError("scale exhausted with a non-singleton cluster")
+    def split(X, chiefs, i):
+        """Outer clusters; each chief goes to the first mid cluster holding it."""
         cover = clan_cover(Gw, X, mu, h, k, i, variant)
         if len(cover) == 1:
-            return recurse(set(cover[0].outer), i - 1)
-        subs = [recurse(set(trip.outer), i - 1) for trip in cover]
-        U, chis = _join_with_maps(list(subs), 2.0 ** i)
-        chi: Dict[int, int] = {}
-        for z in X:
-            for q, trip in enumerate(cover):
+            return [(set(cover[0].outer), chiefs)]
+        owned: List[Set[int]] = [set() for _ in cover]
+        for z in chiefs:   # a chief in no mid cluster fails the chief check
+            for own, trip in zip(owned, cover):
                 if z in trip.mid:
-                    chi[z] = chis[q][z]
+                    own.add(z)
                     break
-            else:
-                raise AssertionError(f"vertex {z} not in any mid cluster")
-        return U, chi
+        return [(set(trip.outer), own) for trip, own in zip(cover, owned)]
 
-    U, chi = recurse(set(range(G.n)), phi)
-    if omega is not None:
-        U = saturate_labels(U, omega)
-    f: Dict[int, List[int]] = {v: [] for v in range(G.n)}
-    for leaf in U.leaves():
-        f[U.payload[leaf]].append(leaf)
-    fmap = {v: tuple(sorted(c)) for v, c in f.items()}
+    def at_leaf(leaf, v, chiefs):   # leaf ids ascend
+        copies[v].append(leaf)
+        if v in chiefs:
+            chi[v] = leaf
+
+    U = _scale_tree(G.n, phi, omega, set(range(G.n)), split, at_leaf)
+    f = {v: tuple(c) for v, c in copies.items()}
     for v in range(G.n):
-        if not fmap[v] or chi[v] not in fmap[v]:
+        if chi.get(v) not in f[v]:
             raise AssertionError("chief must be one of the vertex's copies")
     muV = measure_of(mu, range(G.n))
-    if variant == "standard":
-        t = 16.0 * (k + 1)
-        beta = 2 * (phi + 1) * 2 * (k + 1)
-        path_t = 2.0 * 8.0 * (k + 1) * max(1.0, math.log(muV) / math.log(1.5))
-    else:
-        L_top = alt_levels(muV)
-        t = 16.0 * (k + 1) * L_top
-        beta = 4 * k * L_top
-        path_t = 2.0 * 8.0 * (k + 1) * L_top * max(1.0, math.log(muV) / math.log(1.5))
+    t, beta, path_t = _constants("clan", variant, G.n, k, phi, muV)
     # weighted clan-size guarantee, asserted on every run
-    weighted = sum(mu[v] * len(fmap[v]) for v in range(G.n))
+    weighted = sum(mu[v] * len(f[v]) for v in range(G.n))
     bound = muV ** (1.0 + 1.0 / k)
     if weighted > bound * (1.0 + 1e-9):
         raise AssertionError(f"clan size bound violated: {weighted} > {bound}")
-    return ClanEmbedding(U, fmap, chi, t, beta, h, k, variant, phi, omega, path_t)
+    return ClanEmbedding(U, f, chi, t, beta, h, k, variant, phi, omega, path_t)
 
 
 def optimal_path_copies(emb: ClanEmbedding, P: Sequence[int]) -> Tuple[List[int], float]:
@@ -249,8 +208,6 @@ def clan_distribution(G: WeightedGraph, h: int, mode: str, rounds: int,
     The rounds share bounded-hop rows (see ``ramsey._shared_rows``).
     """
     HopParams(h, k, epsilon)
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
     n = G.n
     if mode == "fixed_k":
         kk = k
@@ -258,13 +215,6 @@ def clan_distribution(G: WeightedGraph, h: int, mode: str, rounds: int,
         kk = max(1, math.ceil(math.log(2 * n) / math.log(1.0 + epsilon / 2.0)))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    eta = 0.5 / math.sqrt(rounds)
-    weights = [1.0] * n
-    out: List[Tuple[ClanEmbedding, float]] = []
-    for _ in range(rounds):
-        mu = clan_mwu_measure(weights)
-        emb = clan_embed(G, mu, h, kk, variant)
-        out.append((emb, 1.0 / rounds))
-        for v in range(n):
-            weights[v] *= (1.0 + eta) ** (len(emb.f[v]) - 1)
-    return out
+    return _mwu_rounds(n, rounds,
+                       lambda w: clan_embed(G, clan_mwu_measure(w), h, kk, variant),
+                       lambda emb, v: len(emb.f[v]) - 1)

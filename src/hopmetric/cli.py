@@ -438,7 +438,7 @@ def gen(family, n, rows, cols, p, wmin, wmax, seed, output):
 
 @main.command()
 @_common
-@click.option("--h", type=int, default=2)
+@click.option("--h", type=click.IntRange(min=1), default=2)
 def check(graph, seed, output, h):
     """Report basic graph statistics."""
     _emit(run_experiment(_mkcfg("check", graph, seed, h=h)), output)
@@ -446,8 +446,8 @@ def check(graph, seed, output, h):
 
 @main.command()
 @_common
-@click.option("--h", type=int, default=2)
-@click.option("--k", type=int, default=2)
+@click.option("--h", type=click.IntRange(min=1), default=2)
+@click.option("--k", type=click.IntRange(min=1), default=2)
 @click.option("--alt", is_flag=True)
 def ramsey(graph, seed, output, h, k, alt):
     """Ramsey-type ultrametric embedding + invariant suite."""
@@ -458,8 +458,8 @@ def ramsey(graph, seed, output, h, k, alt):
 
 @main.command()
 @_common
-@click.option("--h", type=int, default=2)
-@click.option("--k", type=int, default=2)
+@click.option("--h", type=click.IntRange(min=1), default=2)
+@click.option("--k", type=click.IntRange(min=1), default=2)
 @click.option("--alt", is_flag=True)
 def clan(graph, seed, output, h, k, alt):
     """Clan embedding + invariant suite."""
@@ -470,7 +470,7 @@ def clan(graph, seed, output, h, k, alt):
 
 @main.command()
 @_common
-@click.option("--delta", type=float, required=True)
+@click.option("--delta", type=click.FloatRange(min=0, min_open=True), required=True)
 def cover(graph, seed, output, delta):
     """Sparse cover + invariant suite."""
     _emit(run_experiment(_mkcfg("cover", graph, seed, delta=delta)), output)
@@ -478,7 +478,7 @@ def cover(graph, seed, output, delta):
 
 @main.command()
 @_common
-@click.option("--h", type=int, default=2)
+@click.option("--h", type=click.IntRange(min=1), default=2)
 @click.option("--root", type=int, default=0)
 @click.option("--alt", is_flag=True)
 @click.option("--subgraph", type=click.Path(exists=True), default=None)
@@ -492,10 +492,11 @@ def preserve(graph, seed, output, h, root, alt, subgraph):
 def _final_command(name: str):
     @main.command(name=name)
     @_common
-    @click.option("--h", type=int, default=2)
-    @click.option("--k", type=int, default=2)
-    @click.option("--epsilon", type=float, default=0.5)
-    @click.option("--pairs", type=int, default=200)
+    @click.option("--h", type=click.IntRange(min=1), default=2)
+    @click.option("--k", type=click.IntRange(min=1), default=2)
+    @click.option("--epsilon", default=0.5,
+                  type=click.FloatRange(0, 1, min_open=True, max_open=True))
+    @click.option("--pairs", type=click.IntRange(min=1), default=200)
     def _cmd(graph, seed, output, h, k, epsilon, pairs):
         cfg = _mkcfg(name, graph, seed, h=h, k=k, epsilon=epsilon, pairs=pairs)
         _emit(run_experiment(cfg), output)

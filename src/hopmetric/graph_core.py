@@ -27,10 +27,11 @@ class HopParams:
     epsilon: float = 0.5
 
     def __post_init__(self):
-        if self.h < 1:
-            raise ValueError("h must be >= 1")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        for name, val in (("h", self.h), ("k", self.k)):
+            if not float(val).is_integer():
+                raise ValueError(f"{name} must be an integer, got {val!r}")
+            if val < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must be in (0,1)")
 
@@ -236,11 +237,6 @@ def _finite_scan(G: WeightedGraph, h: int,
             elif d > best:
                 best = d
     return best, lacking
-
-
-def max_finite_hop_distance(G: WeightedGraph, h: int) -> float:
-    """D' = max over pairs with hop_G(u,v) <= h of d^{(h)}(u,v); 0 if none."""
-    return _finite_scan(G, h)[0]
 
 
 def completion_weight(G: WeightedGraph, k: int, dprime: float) -> float:

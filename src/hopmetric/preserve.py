@@ -76,7 +76,7 @@ def build_path_tree_embedding(G: WeightedGraph, r: int, h: int,
     n = G.n
     if n == 1:
         T = WeightedTree([None], [0.0], [0])
-        return PathTreeEmbedding(G, clan_embed(G, [1.0], h, 2), T,
+        return PathTreeEmbedding(G, clan_embed(G, [1.0], h, 2, variant), T,
                                  {0: (0,)}, {0: 0}, {}, h, 0, 1.0, h, r)
     mu = [1.0] * n
     mu[r] = float(n)

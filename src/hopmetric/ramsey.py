@@ -17,7 +17,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, Iterator, List,
 
 from .graph_core import (HopParams, WeightedGraph, _finite_scan,
                          completion_weight, finite_completion, hop_profile)
-from .ultrametric import Ultrametric, join_under_root, saturate_labels
+from .ultrametric import Ultrametric, saturate_labels
 
 _REL_TOL = 1e-12
 
@@ -106,8 +106,13 @@ if TYPE_CHECKING:
 def _check_measure(mu: Measure, n: int) -> None:
     if len(mu) != n:
         raise ValueError(f"measure has {len(mu)} entries for {n} vertices")
-    if any(m < 1.0 - 1e-12 for m in mu):
-        raise ValueError("measure must be >= 1 on every vertex")
+    if not all(1.0 - 1e-12 <= m < math.inf for m in mu):
+        raise ValueError("measure must be finite and >= 1 on every vertex")
+
+
+def _check_variant(variant: str) -> None:
+    if variant not in ("standard", "alt"):
+        raise ValueError(f"unknown variant {variant!r}")
 
 
 # -- rows shared by the embeddings of one build -----------------------------
@@ -460,8 +465,7 @@ def padded_partition(G: CarveGraph, X: Set[int], mu: Measure, M: Set[int],
     """
     if not X:
         raise ValueError("X must be nonempty")
-    if variant not in ("standard", "alt"):
-        raise ValueError(f"unknown variant {variant!r}")
+    _check_variant(variant)
     carve = create_cluster if variant == "standard" else create_cluster_alt
     Y = set(X)
     MY = set(M) & Y
@@ -485,59 +489,99 @@ def padded_partition(G: CarveGraph, X: Set[int], mu: Measure, M: Set[int],
     return out
 
 
+def _embed_setup(G: WeightedGraph, mu: Measure, h: int, k: int,
+                 variant: str) -> Tuple[CarveGraph, Optional[float], int]:
+    """Check an embedding's arguments; (graph to carve, omega, top scale phi)."""
+    HopParams(h, k)
+    _check_variant(variant)
+    _check_measure(mu, G.n)
+    Gw, omega, diam = finite_graph(G, h, k)
+    return Gw, omega, math.ceil(math.log2(max(diam, 1.0)))
+
+
+def _scale_tree(n: int, phi: int, omega: Optional[float], state: object,
+                split: Callable[[Set[int], object, int], List[Tuple[Set[int], object]]],
+                at_leaf: Callable[[int, int, object], None]) -> Ultrametric:
+    """The ultrametric of the scale recursion, built top-down in pre-order.
+
+    ``split(X, state, i)`` carves X at scale 2^i into [(cluster, state)];
+    a split into several clusters gets a node labeled 2^i, and a singleton
+    {v} becomes a leaf, reported as ``at_leaf(leaf id, v, state)``.  Labels
+    at least omega, when given, saturate to infinity.
+    """
+    parent: List[Optional[int]] = []
+    label: List[float] = []
+    payload: List[Optional[int]] = []
+
+    def grow(X: Set[int], state: object, i: int, up: Optional[int]) -> None:
+        if len(X) > 1 and i < 0:
+            raise AssertionError("scale exhausted with a non-singleton cluster")
+        parts = split(X, state, i) if len(X) > 1 else ()
+        if len(parts) == 1:
+            return grow(*parts[0], i - 1, up)
+        lab = 2.0 ** i if parts else 0.0
+        if up is not None and lab > label[up]:
+            raise ValueError("root label smaller than a child root label")
+        node = len(parent)
+        parent.append(up)
+        label.append(lab)
+        payload.append(None if parts else next(iter(X)))
+        if not parts:
+            at_leaf(node, payload[node], state)
+        for Y, sub in parts:
+            grow(Y, sub, i - 1, node)
+
+    grow(set(range(n)), state, phi, None)
+    U = Ultrametric(parent, label, payload)
+    return U if omega is None else saturate_labels(U, omega)
+
+
+def _constants(kind: str, variant: str, n: int, k: int, phi: int,
+               mass: float) -> Tuple[float, int, float]:
+    """(t, beta, path_t) of a "ramsey" or "clan" embedding; the alt rule's
+    top level L is taken from ``mass``.  path_t is the clan path bound."""
+    kg = k if kind == "ramsey" else k + 1
+    if n == 1:
+        return 16.0 * kg, 1, 16.0 * kg
+    if variant == "standard":
+        L = 1
+        beta = 2 * (phi + (2 if kind == "ramsey" else 1)) * 2 * kg
+    else:
+        L = alt_levels(mass)
+        beta = 4 * k * L
+    path_t = 2.0 * 8.0 * kg * L * max(1.0, math.log(mass) / math.log(1.5))
+    return 16.0 * kg * L, beta, path_t
+
+
 def ramsey_embed(G: WeightedGraph, mu: Measure, M0: Set[int], h: int, k: int,
                  variant: str = "standard") -> RamseyEmbedding:
     """Build the full Ramsey-type embedding of G (all vertices as leaves)."""
-    HopParams(h, k)
-    if variant not in ("standard", "alt"):
-        raise ValueError(f"unknown variant {variant!r}")
-    _check_measure(mu, G.n)
     M0 = set(M0)
     if not all(0 <= v < G.n for v in M0):
         raise ValueError(f"marked set has a vertex outside range({G.n})")
-    Gw, omega, diam = finite_graph(G, h, k)
-    if G.n == 1:
-        return RamseyEmbedding(Ultrametric.leaf(0), frozenset(M0), 16.0 * k, 1,
-                               h, k, variant, 0, omega, 0)
-    phi = max(0, math.ceil(math.log2(diam)))
+    Gw, omega, phi = _embed_setup(G, mu, h, k, variant)
     stats: dict = {}
+    survivors: Set[int] = set()
 
-    def recurse(X: Set[int], M: Set[int], i: int) -> Tuple[Ultrametric, Set[int]]:
-        if len(X) == 1:
-            v = next(iter(X))
-            return Ultrametric.leaf(v), set(M) & X
-        if i < 0:
-            raise AssertionError("scale exhausted with a non-singleton cluster")
-        parts = padded_partition(Gw, X, mu, M, h, k, i, variant, stats=stats)
-        subs: List[Ultrametric] = []
-        survivors: Set[int] = set()
-        for cluster, marked in parts:
-            Uq, Sq = recurse(set(cluster), set(marked), i - 1)
-            subs.append(Uq)
-            survivors |= Sq
-        if len(subs) == 1:
-            return subs[0], survivors
-        return join_under_root(subs, 2.0 ** i), survivors
+    def split(X, M, i):
+        return [(set(cluster), set(marked)) for cluster, marked in
+                padded_partition(Gw, X, mu, M, h, k, i, variant, stats=stats)]
 
-    U, M = recurse(set(range(G.n)), M0, phi)
-    if omega is not None:
-        U = saturate_labels(U, omega)
-    if variant == "standard":
-        t = 16.0 * k
-        beta = 2 * (phi + 2) * 2 * k
-    else:
-        L_top = alt_levels(measure_of(mu, M0) if M0 else measure_of(mu, range(G.n)))
-        t = 16.0 * k * L_top
-        beta = 4 * k * L_top
-    max_j = max(stats.get("j_values", [0]))
-    emb = RamseyEmbedding(U, frozenset(M), t, beta, h, k, variant, phi, omega, max_j)
+    def at_leaf(leaf, v, M):
+        if v in M:
+            survivors.add(v)
+
+    U = _scale_tree(G.n, phi, omega, M0, split, at_leaf)
+    t, beta, _ = _constants("ramsey", variant, G.n, k, phi,
+                            measure_of(mu, M0 or range(G.n)))
     # measure survival guarantee, asserted on every run
     if M0:
-        surv = measure_of(mu, M)
+        surv = measure_of(mu, survivors)
         need = measure_of(mu, M0) ** (1.0 - 1.0 / k)
         if surv < need - 1e-6:
             raise AssertionError(f"measure survival violated: {surv} < {need}")
-    return emb
+    return RamseyEmbedding(U, frozenset(survivors), t, beta, h, k, variant, phi,
+                           omega, max(stats.get("j_values", [0])))
 
 
 def mwu_measures(weights: Sequence[float], k: int) -> List[float]:
@@ -547,6 +591,23 @@ def mwu_measures(weights: Sequence[float], k: int) -> List[float]:
     delta = (k + 1) ** (-(k + 1) / k)
     s = n ** (1.0 / k) / delta
     return [s * n * (1.0 / (s * n) + (s - 1.0) / s * (w / total)) for w in weights]
+
+
+def _mwu_rounds(n: int, rounds: int, embed: Callable[[List[float]], object],
+                penalty: Callable[[object, int], int]) -> list:
+    """[(embed(weights), 1/rounds)] per round; after each round w[v] is
+    multiplied by (1 + eta)^penalty(embedding, v)."""
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    eta = 0.5 / math.sqrt(rounds)
+    weights = [1.0] * n
+    out = []
+    for _ in range(rounds):
+        emb = embed(weights)
+        out.append((emb, 1.0 / rounds))
+        for v in range(n):
+            weights[v] *= (1.0 + eta) ** penalty(emb, v)
+    return out
 
 
 @_shared_rows()
@@ -560,8 +621,6 @@ def ramsey_distribution(G: WeightedGraph, h: int, mode: str, rounds: int,
     The rounds share bounded-hop rows (see ``_shared_rows``).
     """
     HopParams(h, k, epsilon)
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
     n = G.n
     if mode == "fixed_k":
         kk = k
@@ -569,14 +628,7 @@ def ramsey_distribution(G: WeightedGraph, h: int, mode: str, rounds: int,
         kk = max(1, math.ceil(4.0 * math.log(n) / epsilon)) if n > 1 else 1
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    eta = 0.5 / math.sqrt(rounds)
-    weights = [1.0] * n
-    out: List[Tuple[RamseyEmbedding, float]] = []
-    for _ in range(rounds):
-        mu = mwu_measures(weights, kk)
-        emb = ramsey_embed(G, mu, set(range(n)), h, kk + 1, variant)
-        out.append((emb, 1.0 / rounds))
-        for v in range(n):
-            if v not in emb.M:
-                weights[v] *= 1.0 + eta
-    return out
+    return _mwu_rounds(
+        n, rounds,
+        lambda w: ramsey_embed(G, mwu_measures(w, kk), set(range(n)), h, kk + 1, variant),
+        lambda emb, v: v not in emb.M)

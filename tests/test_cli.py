@@ -166,3 +166,13 @@ class TestBadInput:
                                         "--root", root])
         self._usage_error(res)
         assert "not a vertex" in res.output
+
+    @pytest.mark.parametrize("args", [
+        ["ramsey", "--h", "0"], ["clan", "--k", "0"], ["check", "--h", "-1"],
+        ["preserve", "--h", "0"], ["oracle", "--epsilon", "1.5"],
+        ["labels", "--epsilon", "0"], ["route", "--pairs", "-1"],
+        ["route", "--k", "0"], ["cover", "--delta", "-1"], ["cover", "--delta", "0"]])
+    def test_parameter_out_of_range(self, tmp_path, args):
+        res = CliRunner().invoke(main, args + ["--graph", self._graph(tmp_path)])
+        self._usage_error(res)
+        assert "is not in the range" in res.output

@@ -5,6 +5,7 @@ boundary checks of the embedding entry points."""
 from __future__ import annotations
 
 import gc
+import math
 import random
 import tracemalloc
 
@@ -92,8 +93,8 @@ def test_embeddings_equal_eager_completion(monkeypatch):
         Gw, omega = finite_completion(G, h, k)
         return Gw, omega, omega
 
+    # both embeddings reach finite_graph through ramsey._embed_setup
     monkeypatch.setattr(ramsey, "finite_graph", eager)
-    monkeypatch.setattr(clan, "finite_graph", eager)
     for (G, h, k), want in zip(cases, lazy):
         assert [build() for build in _builds(G, h, k)] == want
 
@@ -187,10 +188,27 @@ class TestBoundary:
         (3, 0, "k must be >= 1"),      # P4 is 3-hop connected
         (1, 0, "k must be >= 1"),
         (3, -2, "k must be >= 1"),
+        (1.5, 2, "h must be an integer, got 1.5"),
+        (2, 2.5, "k must be an integer, got 2.5"),
+        (math.nan, 2, "h must be an integer"),
+        (2, math.inf, "k must be an integer"),
     ])
     def test_rejects_out_of_range(self, entry, h, k, message):
         with pytest.raises(ValueError, match=message):
             ENTRY_POINTS[entry](h, k)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_integral_float_accepted(self, entry):
+        ENTRY_POINTS[entry](2.0, 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("embed", [
+        lambda mu: ramsey_embed(P4, mu, {0, 1}, 2, 2),
+        lambda mu: clan_embed(P4, mu, 2, 2),
+        lambda mu: clan_embed(P4, mu, 2, 2, "alt")])
+    def test_rejects_non_finite_measure(self, embed, bad):
+        with pytest.raises(ValueError, match="measure must be finite"):
+            embed([1.0, bad, 1.0, 1.0])
 
     @pytest.mark.parametrize("M0", [{0, 9}, {-1}, {4}])
     def test_rejects_marked_vertex_out_of_range(self, M0):

@@ -302,6 +302,8 @@ class TestParameterValidation:
         (-1, 2, 0.5, "h must be >= 1"),
         (2, 0, 0.5, "k must be >= 1"),
         (2, -3, 0.5, "k must be >= 1"),
+        (1.5, 2, 0.5, "h must be an integer"),
+        (2, 2.5, 0.5, "k must be an integer"),
         (2, 2, 0.0, "epsilon"),
         (2, 2, 1.0, "epsilon"),
         (2, 2, 1.5, "epsilon"),

@@ -12,8 +12,7 @@ from hopmetric import graph_core
 from hopmetric.graph_core import (INFINITY, HopParams, WeightedGraph,
                                   finite_completion, hop_ball, hop_diameter,
                                   hop_distance, hop_distance_all,
-                                  is_h_respecting, is_inf,
-                                  max_finite_hop_distance)
+                                  is_h_respecting, is_inf)
 from oracles import edge_count_bellman_ford, random_graph, walk_enum_distance
 
 
@@ -125,7 +124,7 @@ class TestFiniteCompletion:
         assert not is_inf(hop_diameter(G, 1))
 
     def test_max_finite(self):
-        assert max_finite_hop_distance(P4(), 2) == pytest.approx(2.0)
+        assert graph_core._finite_scan(P4(), 2) == (pytest.approx(2.0), True)
 
     @pytest.mark.parametrize("h", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 2, 3])

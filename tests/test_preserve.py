@@ -98,6 +98,12 @@ class TestPathTreeEmbedding:
         pte = build_path_tree_embedding(WeightedGraph(1, []), 0, 1)
         assert pte.f[0] == (0,) and pte.root_copy() == 0
 
+    def test_singleton_variant(self):
+        one = WeightedGraph(1, [])
+        assert build_path_tree_embedding(one, 0, 1, "alt").clan.variant == "alt"
+        with pytest.raises(ValueError, match="unknown variant"):
+            build_path_tree_embedding(one, 0, 1, "bogus")
+
     def test_induced_paths(self):
         rng = random.Random(123)
         for _ in range(6):
