@@ -119,7 +119,7 @@ class Report:
             "config": {k: v for k, v in asdict(self.cfg).items() if v is not None},
             "constants": self.constants,
             "invariants": self.invariants,
-            "passed": all(e["passed"] for e in self.invariants),
+            "passed": self.passed,
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -153,6 +153,10 @@ def _sample_pairs(n: int, count: int, seed: int) -> List[Tuple[int, int]]:
     return [all_pairs[rng.randrange(len(all_pairs))] for _ in range(count)]
 
 
+# filled by @_subcommand below
+_RUNNERS: Dict[str, Callable[[WeightedGraph, ExperimentConfig, Report], None]] = {}
+
+
 def run_experiment(cfg: ExperimentConfig) -> Report:
     G = _load_graph(cfg)
     rep = Report(cfg)
@@ -163,6 +167,91 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     return rep
 
 
+# -- click wiring ----------------------------------------------------------
+
+class _Float(click.FloatRange):
+    """A FloatRange that also rejects NaN, which no bound comparison catches."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if math.isnan(rv):
+            self.fail(f"{rv} is not in the range {self._describe_range()}.",
+                      param, ctx)
+        return rv
+
+
+_POSITIVE = _Float(min=0, min_open=True)
+_OUTPUT = click.option("-o", "--output", type=click.Path(), default=None)
+_SEED = click.option(
+    "--seed", type=int, help=f"PRNG seed (default: ${SEED_ENV} or 0).",
+    callback=lambda _ctx, _param, seed: _default_seed() if seed is None else seed)
+_GRAPH = click.option("--graph", type=click.Path(exists=True), default=None,
+                      help="Graph JSON file.")
+_H = click.option("--h", type=click.IntRange(min=1), default=2)
+_K = click.option("--k", type=click.IntRange(min=1), default=2)
+_EPSILON = click.option("--epsilon", default=0.5,
+                        type=_Float(0, 1, min_open=True, max_open=True))
+_ALT = click.option("--alt", "variant", flag_value="alt", default="standard")
+
+
+def _write(text: str, output: Optional[str]) -> None:
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        click.echo(text, nl=False)
+
+
+@click.group()
+def main() -> None:
+    """Hop-constrained metric embeddings toolkit."""
+
+
+def _subcommand(name: str, doc: str, *options):
+    """Register a runner under name, with a click command of that name that
+    takes -o, --seed and --graph and then options, runs it and emits its
+    report (exit code 1 if an invariant fails)."""
+    def register(runner):
+        _RUNNERS[name] = runner
+
+        def command(output: Optional[str], **kw) -> None:
+            rep = run_experiment(ExperimentConfig(name, **kw))
+            _write(rep.to_json(), output)
+            if not rep.passed:
+                sys.exit(1)
+
+        for option in reversed((_OUTPUT, _SEED, _GRAPH) + options):
+            command = option(command)
+        main.command(name=name, help=doc)(command)
+        return runner
+    return register
+
+
+@main.command()
+@click.option("--family", required=True,
+              type=click.Choice(["path", "cycle", "grid", "gnp", "random-weighted"]))
+@click.option("--n", type=click.IntRange(min=1), default=8)
+@click.option("--rows", type=click.IntRange(min=1), default=4)
+@click.option("--cols", type=click.IntRange(min=1), default=4)
+@click.option("--p", type=_Float(0, 1), default=0.2)
+@click.option("--wmin", type=_POSITIVE, default=1.0)
+@click.option("--wmax", type=_POSITIVE, default=10.0)
+@_SEED
+@_OUTPUT
+def gen(family, n, rows, cols, p, wmin, wmax, seed, output):
+    """Generate a graph from a deterministic family."""
+    if wmin > wmax:
+        raise click.BadParameter(f"{wmin} is larger than --wmax {wmax}.",
+                                 param_hint="'--wmin'")
+    try:
+        G = gen_graph(family, {"n": n, "rows": rows, "cols": cols, "p": p,
+                               "wmin": wmin, "wmax": wmax}, seed)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+    _write(G.to_json() + "\n", output)
+
+
+@_subcommand("check", "Report basic graph statistics.", _H)
 def _run_check(G: WeightedGraph, cfg: ExperimentConfig, rep: Report) -> None:
     diam = hop_diameter(G, cfg.h)
     rep.constants.update({
@@ -174,6 +263,8 @@ def _run_check(G: WeightedGraph, cfg: ExperimentConfig, rep: Report) -> None:
     rep.check("graph well-formed", True)
 
 
+@_subcommand("ramsey", "Ramsey-type ultrametric embedding + invariant suite.",
+             _H, _K, _ALT)
 def _run_ramsey(G: WeightedGraph, cfg: ExperimentConfig, rep: Report) -> None:
     mu = [1.0] * G.n
     emb = ramsey_embed(G, mu, set(range(G.n)), cfg.h, cfg.k, cfg.variant)
@@ -196,6 +287,7 @@ def _run_ramsey(G: WeightedGraph, cfg: ExperimentConfig, rep: Report) -> None:
               f"{emb.max_j} vs {jmax}")
 
 
+@_subcommand("clan", "Clan embedding + invariant suite.", _H, _K, _ALT)
 def _run_clan(G: WeightedGraph, cfg: ExperimentConfig, rep: Report) -> None:
     mu = [1.0] * G.n
     emb = clan_embed(G, mu, cfg.h, cfg.k, cfg.variant)
@@ -212,6 +304,8 @@ def _run_clan(G: WeightedGraph, cfg: ExperimentConfig, rep: Report) -> None:
     rep.check("domination and chief distortion", bad == 0, f"{bad} violations")
 
 
+@_subcommand("cover", "Sparse cover + invariant suite.",
+             click.option("--delta", type=_POSITIVE, required=True))
 def _run_cover(G: WeightedGraph, cfg: ExperimentConfig, rep: Report) -> None:
     sc = sparse_cover(G, cfg.delta, cfg.seed)
     mu = edge_costs(G)
@@ -235,6 +329,9 @@ def _run_cover(G: WeightedGraph, cfg: ExperimentConfig, rep: Report) -> None:
               all(r <= rmax for _, _, r in sc.clusters))
 
 
+@_subcommand("preserve", "Path-tree embedding (or general-subgraph image) + invariant suite.",
+             _H, click.option("--root", type=int, default=0), _ALT,
+             click.option("--subgraph", type=click.Path(exists=True), default=None))
 def _run_preserve(G: WeightedGraph, cfg: ExperimentConfig, rep: Report) -> None:
     if not 0 <= cfg.root < G.n:
         raise click.UsageError(f"root {cfg.root} is not a vertex of the {G.n}-vertex graph")
@@ -315,6 +412,8 @@ def _sandwich_report(G: WeightedGraph, cfg: ExperimentConfig, rep: Report,
               f"{bad}/{checked} violations")
 
 
+@_subcommand("oracle", "Hop-constrained distance oracle + invariant suite.",
+             _H, _K, _EPSILON)
 def _run_oracle(G: WeightedGraph, cfg: ExperimentConfig, rep: Report) -> None:
     O = ds.build_hop_oracle(G, cfg.h, cfg.k, cfg.epsilon, cfg.seed)
     rep.constants.update({"B": O.hop_budget, "stretch": _fmt(O.stretch),
@@ -326,6 +425,8 @@ def _run_oracle(G: WeightedGraph, cfg: ExperimentConfig, rep: Report) -> None:
                      O.hop_budget, O.stretch)
 
 
+@_subcommand("labels", "Hop-constrained distance labeling + invariant suite.",
+             _H, _K, _EPSILON)
 def _run_labels(G: WeightedGraph, cfg: ExperimentConfig, rep: Report) -> None:
     L = ds.build_hop_labeling(G, cfg.h, cfg.k, cfg.epsilon)
     rep.constants.update({"B": L.hop_budget, "stretch": _fmt(L.stretch),
@@ -335,6 +436,9 @@ def _run_labels(G: WeightedGraph, cfg: ExperimentConfig, rep: Report) -> None:
                      L.hop_budget, L.stretch)
 
 
+@_subcommand("route", "Hop-constrained compact routing scheme + invariant suite.",
+             _H, _K, _EPSILON,
+             click.option("--pairs", type=click.IntRange(min=1), default=200))
 def _run_route(G: WeightedGraph, cfg: ExperimentConfig, rep: Report) -> None:
     S = ds.build_routing_scheme(G, cfg.h, cfg.k, cfg.epsilon, cfg.seed)
     rep.constants.update({"stretch": _fmt(S.stretch),
@@ -365,148 +469,6 @@ def _run_route(G: WeightedGraph, cfg: ExperimentConfig, rep: Report) -> None:
               f"{hops_bad} violations")
     rep.check("forwarding reads only local tables", nonlocal_bad == 0,
               f"{nonlocal_bad} violations")
-
-
-_RUNNERS = {
-    "check": _run_check,
-    "ramsey": _run_ramsey,
-    "clan": _run_clan,
-    "cover": _run_cover,
-    "preserve": _run_preserve,
-    "oracle": _run_oracle,
-    "labels": _run_labels,
-    "route": _run_route,
-}
-
-
-# -- click wiring ----------------------------------------------------------
-
-def _emit(rep: Report, output: Optional[str]) -> None:
-    text = rep.to_json()
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
-    if not rep.passed:
-        sys.exit(1)
-
-
-def _common(fn):
-    fn = click.option("--graph", type=click.Path(exists=True), default=None,
-                      help="Graph JSON file.")(fn)
-    fn = click.option("--seed", type=int, default=None,
-                      help=f"PRNG seed (default: ${SEED_ENV} or 0).")(fn)
-    fn = click.option("-o", "--output", type=click.Path(), default=None)(fn)
-    return fn
-
-
-def _mkcfg(sub: str, graph: Optional[str], seed: Optional[int],
-           **kw) -> ExperimentConfig:
-    return ExperimentConfig(subcommand=sub, graph=graph,
-                            seed=_default_seed() if seed is None else seed, **kw)
-
-
-@click.group()
-def main() -> None:
-    """Hop-constrained metric embeddings toolkit."""
-
-
-@main.command()
-@click.option("--family", required=True,
-              type=click.Choice(["path", "cycle", "grid", "gnp", "random-weighted"]))
-@click.option("--n", type=int, default=8)
-@click.option("--rows", type=int, default=4)
-@click.option("--cols", type=int, default=4)
-@click.option("--p", type=float, default=0.2)
-@click.option("--wmin", type=float, default=1.0)
-@click.option("--wmax", type=float, default=10.0)
-@click.option("--seed", type=int, default=None)
-@click.option("-o", "--output", type=click.Path(), default=None)
-def gen(family, n, rows, cols, p, wmin, wmax, seed, output):
-    """Generate a graph from a deterministic family."""
-    seed = _default_seed() if seed is None else seed
-    G = gen_graph(family, {"n": n, "rows": rows, "cols": cols, "p": p,
-                           "wmin": wmin, "wmax": wmax}, seed)
-    text = G.to_json() + "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
-
-
-@main.command()
-@_common
-@click.option("--h", type=click.IntRange(min=1), default=2)
-def check(graph, seed, output, h):
-    """Report basic graph statistics."""
-    _emit(run_experiment(_mkcfg("check", graph, seed, h=h)), output)
-
-
-@main.command()
-@_common
-@click.option("--h", type=click.IntRange(min=1), default=2)
-@click.option("--k", type=click.IntRange(min=1), default=2)
-@click.option("--alt", is_flag=True)
-def ramsey(graph, seed, output, h, k, alt):
-    """Ramsey-type ultrametric embedding + invariant suite."""
-    cfg = _mkcfg("ramsey", graph, seed, h=h, k=k,
-                 variant="alt" if alt else "standard")
-    _emit(run_experiment(cfg), output)
-
-
-@main.command()
-@_common
-@click.option("--h", type=click.IntRange(min=1), default=2)
-@click.option("--k", type=click.IntRange(min=1), default=2)
-@click.option("--alt", is_flag=True)
-def clan(graph, seed, output, h, k, alt):
-    """Clan embedding + invariant suite."""
-    cfg = _mkcfg("clan", graph, seed, h=h, k=k,
-                 variant="alt" if alt else "standard")
-    _emit(run_experiment(cfg), output)
-
-
-@main.command()
-@_common
-@click.option("--delta", type=click.FloatRange(min=0, min_open=True), required=True)
-def cover(graph, seed, output, delta):
-    """Sparse cover + invariant suite."""
-    _emit(run_experiment(_mkcfg("cover", graph, seed, delta=delta)), output)
-
-
-@main.command()
-@_common
-@click.option("--h", type=click.IntRange(min=1), default=2)
-@click.option("--root", type=int, default=0)
-@click.option("--alt", is_flag=True)
-@click.option("--subgraph", type=click.Path(exists=True), default=None)
-def preserve(graph, seed, output, h, root, alt, subgraph):
-    """Path-tree embedding (or general-subgraph image) + invariant suite."""
-    cfg = _mkcfg("preserve", graph, seed, h=h, root=root, subgraph=subgraph,
-                 variant="alt" if alt else "standard")
-    _emit(run_experiment(cfg), output)
-
-
-def _final_command(name: str):
-    @main.command(name=name)
-    @_common
-    @click.option("--h", type=click.IntRange(min=1), default=2)
-    @click.option("--k", type=click.IntRange(min=1), default=2)
-    @click.option("--epsilon", default=0.5,
-                  type=click.FloatRange(0, 1, min_open=True, max_open=True))
-    @click.option("--pairs", type=click.IntRange(min=1), default=200)
-    def _cmd(graph, seed, output, h, k, epsilon, pairs):
-        cfg = _mkcfg(name, graph, seed, h=h, k=k, epsilon=epsilon, pairs=pairs)
-        _emit(run_experiment(cfg), output)
-    _cmd.__doc__ = f"Hop-constrained {name} structure + invariant suite."
-    return _cmd
-
-
-oracle = _final_command("oracle")
-labels = _final_command("labels")
-route = _final_command("route")
 
 
 if __name__ == "__main__":

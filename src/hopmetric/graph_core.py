@@ -211,12 +211,8 @@ def hop_ball(G: WeightedGraph, v: int, r: float, h: int,
 
 
 def hop_diameter(G: WeightedGraph, h: int) -> float:
-    best = 0.0
-    for s in range(G.n):
-        best = max(best, max(hop_distance_all(G, s, h)[s + 1:], default=0.0))
-        if best == INFINITY:
-            break
-    return best
+    d, lacking = _finite_scan(G, h)
+    return INFINITY if lacking else d
 
 
 def _finite_scan(G: WeightedGraph, h: int,

@@ -120,6 +120,13 @@ class TestCommands:
         res = runner.invoke(main, ["ramsey"])
         assert res.exit_code != 0
 
+    def test_every_command_has_help(self):
+        for name, cmd in main.commands.items():
+            assert cmd.get_short_help_str(), name
+            assert next(p for p in cmd.params if p.name == "seed").help, name
+        assert [name for name, cmd in main.commands.items()
+                if any(p.name == "pairs" for p in cmd.params)] == ["route"]
+
 
 class TestBadInput:
     """Malformed input files and parameters are usage errors (exit code 2),
@@ -171,8 +178,24 @@ class TestBadInput:
         ["ramsey", "--h", "0"], ["clan", "--k", "0"], ["check", "--h", "-1"],
         ["preserve", "--h", "0"], ["oracle", "--epsilon", "1.5"],
         ["labels", "--epsilon", "0"], ["route", "--pairs", "-1"],
-        ["route", "--k", "0"], ["cover", "--delta", "-1"], ["cover", "--delta", "0"]])
+        ["route", "--k", "0"], ["cover", "--delta", "-1"], ["cover", "--delta", "0"],
+        ["cover", "--delta", "nan"], ["oracle", "--epsilon", "nan"]])
     def test_parameter_out_of_range(self, tmp_path, args):
         res = CliRunner().invoke(main, args + ["--graph", self._graph(tmp_path)])
         self._usage_error(res)
         assert "is not in the range" in res.output
+
+    @pytest.mark.parametrize("args, message", [
+        (["path", "--n", "0"], "is not in the range"),
+        (["grid", "--rows", "0"], "is not in the range"),
+        (["grid", "--cols", "-3"], "is not in the range"),
+        (["random-weighted", "--wmin", "-1"], "is not in the range"),
+        (["random-weighted", "--wmax", "nan"], "is not in the range"),
+        (["gnp", "--p", "-1"], "is not in the range"),
+        (["gnp", "--p", "nan"], "is not in the range"),
+        (["random-weighted", "--wmin", "5", "--wmax", "2"], "larger than --wmax"),
+        (["cycle", "--n", "2"], "cycle needs n >= 3")])
+    def test_gen_out_of_range(self, args, message):
+        res = CliRunner().invoke(main, ["gen", "--family"] + args)
+        self._usage_error(res)
+        assert message in res.output

@@ -70,6 +70,8 @@ class TestGuarantees:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             sparse_cover(P8(), 0.0)
+        with pytest.raises(ValueError):
+            sparse_cover(P8(), float("nan"))
 
 
 class TestSparsity:
