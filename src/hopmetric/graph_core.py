@@ -211,15 +211,18 @@ def hop_ball(G: WeightedGraph, v: int, r: float, h: int,
 
 
 def hop_diameter(G: WeightedGraph, h: int) -> float:
-    d, lacking = _finite_scan(G, h)
+    d, lacking = _finite_scan(G, h, stop_lacking=True)
     return INFINITY if lacking else d
 
 
 def _finite_scan(G: WeightedGraph, h: int,
-                 missing: Optional[List[Tuple[int, int]]] = None) -> Tuple[float, bool]:
+                 missing: Optional[List[Tuple[int, int]]] = None,
+                 stop_lacking: bool = False) -> Tuple[float, bool]:
     """One pass over the all-pairs h-hop rows: (D', whether some pair u < v
     has no h-hop path).  The pairs themselves are appended to ``missing``
-    when it is given; only the reference builder needs them."""
+    when it is given; only the reference builder needs them.  With
+    ``stop_lacking`` the scan ends after the row of the first pair lacking
+    a path, and D' is then only a lower bound."""
     best = 0.0
     lacking = False
     for s in range(G.n):
@@ -232,6 +235,8 @@ def _finite_scan(G: WeightedGraph, h: int,
                     missing.append((s, v))
             elif d > best:
                 best = d
+        if lacking and stop_lacking:
+            break
     return best, lacking
 
 

@@ -120,13 +120,23 @@ def _check_variant(variant: str) -> None:
 _Rows = Dict[Tuple[int, int], Tuple[float, array]]   # (budget, source) -> (R, row)
 
 
+class _Shared:
+    """What a build scope keeps of one G[Y]: its rows and its center balls."""
+    __slots__ = ("rows", "balls")
+
+    def __init__(self) -> None:
+        self.rows: _Rows = {}
+        # (budget, radius, center) -> ball
+        self.balls: Dict[Tuple[int, float, int], FrozenSet[int]] = {}
+
+
 class _BuildMemo:
-    """Finite graphs by (G, h, k) and row tables by (G, Y)."""
-    __slots__ = ("graphs", "rows")
+    """Finite graphs by (G, h, k) and the shared rows and balls by (G, Y)."""
+    __slots__ = ("graphs", "shared")
 
     def __init__(self) -> None:
         self.graphs: Dict[Tuple[WeightedGraph, int, int], tuple] = {}
-        self.rows: Dict[Tuple[WeightedGraph, FrozenSet[int]], _Rows] = {}
+        self.shared: Dict[Tuple[WeightedGraph, FrozenSet[int]], _Shared] = {}
 
 
 _MEMO: ContextVar[Optional[_BuildMemo]] = ContextVar("hopmetric_build_memo",
@@ -135,16 +145,18 @@ _MEMO: ContextVar[Optional[_BuildMemo]] = ContextVar("hopmetric_build_memo",
 
 @contextmanager
 def _shared_rows() -> Iterator[None]:
-    """Share finite graphs and bounded-hop rows across the embeddings of one
-    multi-embedding build; re-entrant, released when the outermost scope
-    exits.
+    """Share finite graphs, bounded-hop rows and center balls across the
+    embeddings of one multi-embedding build; re-entrant, released when the
+    outermost scope exits.
 
     The rounds of a distribution embed the same graph again and again, and
     only the choice of centers depends on the measure, so most carvings ask
-    for rows an earlier round already computed.  A row is keyed by (base
-    graph G, vertex set Y, budget b, source s) and kept with the radius R it
-    was pruned at; a request with maxr = r <= R is served from it.  Only rows
-    of G are kept: below omega a finite completion's rows are G's rows,
+    for rows and balls an earlier round already computed.  Both are kept per
+    (base graph G, vertex set Y) in one ``_Shared`` record.
+
+    Rows.  A row is keyed by (budget b, source s) and kept with the radius R
+    it was pruned at; a request with maxr = r <= R is served from it.  Only
+    rows of G are kept: below omega a finite completion's rows are G's rows,
     whatever (h, k) it was made for, and a relaxation that reaches omega runs
     on the completion and is never stored (see ``Completion``).  This is
     exact: weights are positive and float addition is monotone, so no prefix
@@ -155,14 +167,19 @@ def _shared_rows() -> Iterator[None]:
     (``_ball`` in both rules, ``_bounded_diam_at_most``), so it cannot tell
     a served row from a fresh one.
 
-    The work splits with ``_Balls``: within one ``padded_partition`` or
-    ``clan_cover`` call, the balls of the center choice are kept across its
-    carvings, so a row is requested again only for a candidate whose ball
-    the last carve touched.  The rows serve what is left to share: the
-    rounds of a distribution carving the same sets again, under measures
-    that move the centers.  Single ``ramsey_embed`` and ``clan_embed`` calls
-    open no scope: their partition calls carve other sets, mostly at other
-    budgets, so there the rows would mostly cost memory.
+    Balls.  The ball B(v) of G[Y] at (b, r) is a function of the row alone,
+    not of the measure, so it is keyed by (b, r, v) and built once per
+    scope; the rounds then only sum its marked measure again.  The stored
+    frozenset itself is served, so its iteration order, which fixes the
+    float order of ``_marked_measure``, is that of the first build; a fresh
+    build would have the same order anyway (same members, inserted in
+    ascending order).  As for rows, only balls below omega are kept.
+
+    ``_Balls`` keeps the marked sums, which depend on the measure, for the
+    carvings of one partition call, and asks this table on a miss.  Single
+    ``ramsey_embed`` and ``clan_embed`` calls open no scope: their partition
+    calls carve other sets, mostly at other budgets, so there the table
+    would mostly cost memory.
     """
     if _MEMO.get() is not None:
         yield
@@ -174,29 +191,35 @@ def _shared_rows() -> Iterator[None]:
         _MEMO.reset(token)
 
 
-def _rows_of(G: CarveGraph, Y: Set[int]) -> Optional[_Rows]:
-    """The shared rows of G[Y] (of its base graph for a completion), or None
-    outside a build scope."""
+def _rows_of(G: CarveGraph, Y: Set[int]) -> Optional[_Shared]:
+    """The shared rows and balls of G[Y] (of its base graph for a
+    completion), or None outside a build scope."""
     memo = _MEMO.get()
     if memo is None:
         return None
     if isinstance(G, Completion):
         G = G.base
-    return memo.rows.setdefault((G, frozenset(Y)), {})
+    key = (G, frozenset(Y))
+    shared = memo.shared.get(key)
+    if shared is None:
+        shared = memo.shared[key] = _Shared()
+    return shared
 
 
-def _profile(rows: Optional[_Rows], G: CarveGraph, s: int,
+def _profile(shared: Optional[_Shared], G: CarveGraph, s: int,
              budgets: Sequence[int], maxr: float,
              allowed: List[int]) -> Dict[int, Sequence[float]]:
-    """hop_profile(G, s, budgets, maxr, allowed), served from ``rows`` where
-    a stored row was pruned at a radius >= maxr (see ``_shared_rows``).  A
-    completion is relaxed on its base graph below omega (see ``Completion``)."""
+    """hop_profile(G, s, budgets, maxr, allowed), served from the shared
+    rows where a stored row was pruned at a radius >= maxr (see
+    ``_shared_rows``).  A completion is relaxed on its base graph below
+    omega (see ``Completion``)."""
     if isinstance(G, Completion):
         if G.reaches_omega(maxr):
             return hop_profile(G.completed(), s, budgets, maxr=maxr, allowed=allowed)
         G = G.base
-    if rows is None:
+    if shared is None:
         return hop_profile(G, s, budgets, maxr=maxr, allowed=allowed)
+    rows = shared.rows
     out: Dict[int, Sequence[float]] = {}
     missing = []
     for b in budgets:
@@ -220,9 +243,24 @@ def _marked_measure(mu: Measure, B: FrozenSet[int], MY: Set[int]) -> float:
     return sum(mu[u] for u in B if u in MY)
 
 
+def _center_ball(shared: Optional[_Shared], G: CarveGraph, v: int, budget: int,
+                 r: float, allowed: List[int]) -> FrozenSet[int]:
+    """B(v) of G[allowed] at (budget, r), kept in the shared table of a build
+    scope below omega (see ``_shared_rows``)."""
+    if shared is None or (isinstance(G, Completion) and G.reaches_omega(r)):
+        return _ball(_profile(shared, G, v, [budget], r, allowed)[budget], allowed, r)
+    key = (budget, r, v)
+    ball = shared.balls.get(key)
+    if ball is None:
+        prof = _profile(shared, G, v, [budget], r, allowed)
+        ball = shared.balls[key] = _ball(prof[budget], allowed, r)
+    return ball
+
+
 class _Balls:
-    """The center-choice balls of one ``padded_partition`` or ``clan_cover``
-    call, kept across its carvings and released when the call returns.
+    """The center-choice balls and their marked measures of one
+    ``padded_partition`` or ``clan_cover`` call, kept across its carvings
+    and released when the call returns.
 
     A carving of G[Y] picks its center by the marked measure of the ball
     B(v) = {u in Y : d^{(b)}_{G[Y]}(v, u) <= r} of every candidate v.  A ball
@@ -246,7 +284,10 @@ class _Balls:
       same frozenset, so the terms and their order are those of a fresh
       sum.  A ball meeting neither keeps its sum, which has the same terms.
 
-    So every rule compares the same floats and picks the same center.
+    So every rule compares the same floats and picks the same center.  A
+    ball missing here is taken from the build scope's shared table when
+    there is one (see ``_shared_rows``), and built from a row otherwise; the
+    marked sums stay here, since they depend on the measure.
     """
     __slots__ = ("_tables",)
 
@@ -254,18 +295,21 @@ class _Balls:
         # (budget, radius) -> candidate -> [ball, marked measure or None]
         self._tables: Dict[Tuple[int, float], Dict[int, list]] = {}
 
-    def measure(self, rows: Optional[_Rows], G: CarveGraph, v: int,
+    def measure(self, shared: Optional[_Shared], G: CarveGraph, v: int,
                 budget: int, r: float, allowed: List[int], mu: Measure,
                 MY: Set[int]) -> float:
         """mu(B(v) & MY) in G[allowed], for ball budget and radius r."""
         table = self._tables.setdefault((budget, r), {})
         entry = table.get(v)
         if entry is None:
-            prof = _profile(rows, G, v, [budget], r, allowed)
-            entry = table[v] = [_ball(prof[budget], allowed, r), None]
+            entry = table[v] = [_center_ball(shared, G, v, budget, r, allowed), None]
         if entry[1] is None:
             entry[1] = _marked_measure(mu, entry[0], MY)
         return entry[1]
+
+    def ball(self, budget: int, r: float, v: int) -> FrozenSet[int]:
+        """The ball of v at (budget, r), which ``measure`` has read."""
+        return self._tables[(budget, r)][v][0]
 
     def carved(self, removed: Set[int], unmarked: Set[int]) -> None:
         """Refresh the tables after a carve took ``removed`` out of Y and
@@ -301,15 +345,15 @@ def standard_rule(G: CarveGraph, Y: Set[int], MY: Set[int], mu: Measure,
     rho = 2.0 ** scale_i / (16.0 * k_geom)
     b0 = scale_i * 2 * k_geom * h if scale_i > 0 else 0
     allowed = sorted(Y)
-    rows = _rows_of(G, Y)
+    shared = _rows_of(G, Y)
     best_v, best_m = -1, -1.0
     for v in allowed:
-        m = balls.measure(rows, G, v, b0, r0, allowed, mu, MY)
+        m = balls.measure(shared, G, v, b0, r0, allowed, mu, MY)
         if m > best_m + _REL_TOL:
             best_v, best_m = v, m
     v = best_v
     nb = 2 * k_geom
-    prof = _profile(rows, G, v, [b0 + j * h for j in range(nb + 1)],
+    prof = _profile(shared, G, v, [b0 + j * h for j in range(nb + 1)],
                     r0 + nb * rho, allowed)
     A = [_ball(prof[b0 + j * h], allowed, r0 + j * rho) for j in range(nb + 1)]
     muA = [_marked_measure(mu, A[j], MY) for j in range(nb + 1)]
@@ -331,16 +375,33 @@ def alt_rule(G: CarveGraph, Y: Set[int], MY: Set[int], mu: Measure,
 
     Ball measures are read through ``balls``.  ``fallback`` runs the
     caller's standard rule when the trivial return cannot be certified.
+
+    The trivial return claims diam^{(2 bball)}(G[Y]) <= delta/2, where
+    bball = 2kLh, and the claim is checked: ``_bounded_diam_at_most``
+    accepts when every entry of every row is <= delta/2 + 1e-12.  One row
+    can decide it first (``_row_certifies``).  Let c be a candidate whose
+    ball at (bball, delta/4) is all of Y, and let every entry of c's row be
+    <= delta/4 * (1 - 1e-9).  For u, w in Y, each entry is the float sum of
+    a walk of at most bball edges in G[Y], within a relative bball * 2^-53
+    of its real weight; joining the walks u -> c -> w gives a walk of at
+    most 2 bball edges whose float sum is at most delta/2 * (1 - 1e-9) *
+    (1 + 3 bball * 2^-53), which is below delta/2 when bball < 10^6 (a
+    larger budget is left to the full check).  The relaxation's entry for
+    (u, w) is at most that float sum (float addition is monotone), so the
+    full check would accept.  When no ball is all of Y, or the row's
+    largest entry lies in the band above delta/4 * (1 - 1e-9), the full
+    check runs as before, so the decision is the same either way.
     """
     muM = measure_of(mu, MY)
     L = alt_levels(muM)
     delta = 2.0 ** scale_i
     allowed = sorted(Y)
-    rows = _rows_of(G, Y)
+    shared = _rows_of(G, Y)
     bball = 2 * k * L * h
+    candidates = sorted(MY)
     best_v, best_m = -1, math.inf
-    for v in sorted(MY):
-        m = balls.measure(rows, G, v, bball, delta / 4.0, allowed, mu, MY)
+    for v in candidates:
+        m = balls.measure(shared, G, v, bball, delta / 4.0, allowed, mu, MY)
         if m < best_m - _REL_TOL:
             best_v, best_m = v, m
     v = best_v
@@ -348,7 +409,8 @@ def alt_rule(G: CarveGraph, Y: Set[int], MY: Set[int], mu: Measure,
         # trivial return claims diam^{(4kLh)}(G[Y]) <= delta/2; certify it,
         # since far-away unmarked vertices can break the claim, in which
         # case the scale-bounded rule still guarantees progress
-        if _bounded_diam_at_most(rows, G, allowed, 2 * bball, delta / 2.0):
+        if (_row_certifies(shared, G, balls, candidates, allowed, bball, delta / 4.0)
+                or _bounded_diam_at_most(shared, G, allowed, 2 * bball, delta / 2.0)):
             X = frozenset(Y)
             return ClusterTriple(X, X, X, v, 0)
         return fallback()
@@ -357,7 +419,7 @@ def alt_rule(G: CarveGraph, Y: Set[int], MY: Set[int], mu: Measure,
         return (2 * k * a + j) * h
 
     budgets = sorted({budget(a, j) for a in range(L + 1) for j in range(2 * k + 1)})
-    prof = _profile(rows, G, v, budgets, delta / 4.0 + _REL_TOL, allowed)
+    prof = _profile(shared, G, v, budgets, delta / 4.0 + _REL_TOL, allowed)
 
     nested: Dict[Tuple[int, int], Tuple[FrozenSet[int], float]] = {}
 
@@ -410,10 +472,25 @@ def create_cluster_alt(G: CarveGraph, Y: Set[int], M: Set[int], mu: Measure,
                     lambda: create_cluster(G, Y, M, mu, h, k, scale_i, balls))
 
 
-def _bounded_diam_at_most(rows: Optional[_Rows], G: CarveGraph,
+def _row_certifies(shared: Optional[_Shared], G: CarveGraph, balls: _Balls,
+                   candidates: List[int], allowed: List[int], budget: int,
+                   r: float) -> bool:
+    """Whether the first candidate whose ball at (budget, r) is all of
+    ``allowed`` has a row within r * (1 - 1e-9); if so, every pair of
+    ``allowed`` is within 2r at budget 2 * budget (see ``alt_rule``)."""
+    if budget >= 10 ** 6:   # float error could reach the 1e-9 margin
+        return False
+    for c in candidates:
+        if len(balls.ball(budget, r, c)) == len(allowed):
+            d = _profile(shared, G, c, [budget], r, allowed)[budget]
+            return max(d[u] for u in allowed) <= r * (1.0 - 1e-9)
+    return False
+
+
+def _bounded_diam_at_most(shared: Optional[_Shared], G: CarveGraph,
                           allowed: List[int], budget: int, bound: float) -> bool:
     for s in allowed:
-        prof = _profile(rows, G, s, [budget], bound, allowed)
+        prof = _profile(shared, G, s, [budget], bound, allowed)
         d = prof[budget]
         if any(d[u] > bound + _REL_TOL for u in allowed):
             return False

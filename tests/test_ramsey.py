@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopmetric import ramsey
 from hopmetric.graph_core import (WeightedGraph, finite_completion, hop_diameter,
@@ -304,6 +306,38 @@ class TestSharedRows:
                         assert _below(prof[b], r) == _below(fresh[b], r)
         assert requests - len(calls) > requests / 4   # served from stored rows
 
+    def test_served_balls_match_fresh_balls(self, monkeypatch):
+        calls = _counting_profiles(monkeypatch)
+        rng = random.Random(66)
+        requests = 0
+        for _ in range(12):
+            n = rng.randint(3, 14)
+            G = connected_random_graph(rng, n, 0.3, 1.0, 6.0)
+            Ys = [set(range(n))]
+            while len(Ys[-1]) > 1 and len(Ys) < 4:
+                Ys.append(set(rng.sample(sorted(Ys[-1]), rng.randint(1, len(Ys[-1])))))
+            radii = {}
+            with ramsey._shared_rows():
+                for _ in range(80):
+                    Y = rng.choice(Ys)
+                    allowed = sorted(Y)
+                    v = rng.choice(allowed)
+                    budget = rng.randint(0, 5)
+                    # half of the radii sit exactly on a distance; a radius
+                    # is drawn once per (Y, budget) so that balls repeat
+                    exact = [d for d in hop_distance_all(G, v, budget, allowed)
+                             if not is_inf(d)]
+                    r = radii.setdefault((frozenset(Y), budget), rng.choice(
+                        exact if rng.random() < 0.5 else [rng.uniform(0.0, 12.0)]))
+                    shared = ramsey._rows_of(G, Y)
+                    ball = ramsey._center_ball(shared, G, v, budget, r, allowed)
+                    fresh = hop_profile(G, v, [budget], maxr=r, allowed=allowed)[budget]
+                    requests += 1
+                    assert ball == ramsey._ball(fresh, allowed, r)
+                    assert list(ball) == list(ramsey._ball(fresh, allowed, r))
+                    assert shared.balls[(budget, r, v)] is ball
+        assert requests - len(calls) > requests / 4   # served from stored balls
+
     def test_scope_is_reentrant_and_released(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         assert ramsey._rows_of(G, {0, 1, 2}) is None
@@ -334,12 +368,16 @@ class TestSharedRows:
     @pytest.mark.parametrize("seed", [63, 64, 65])
     def test_distribution_matches_standalone_embeddings(self, seed, monkeypatch):
         calls = _counting_profiles(monkeypatch)
+        balls = []
+        real_ball = ramsey._ball
+        monkeypatch.setattr(ramsey, "_ball",
+                            lambda *a: balls.append(a[2]) or real_ball(*a))
         rng = random.Random(seed)
         G = (connected_random_graph(rng, 16, 0.15, 1.0, 8.0) if seed != 65
              else random_graph(rng, 14, 0.15, 1.0, 8.0))
         n, rounds = G.n, 4
         dist = ramsey_distribution(G, 2, "fixed_k", rounds, variant="alt")
-        shared = len(calls)
+        shared, shared_balls = len(calls), len(balls)
         eta = 0.5 / math.sqrt(rounds)
         weights = [1.0] * n
         for emb, _ in dist:
@@ -350,3 +388,78 @@ class TestSharedRows:
                 if v not in alone.M:
                     weights[v] *= 1.0 + eta
         assert shared < len(calls) - shared
+        assert shared_balls < len(balls) - shared_balls
+
+
+def _certificate(G, Y, h, k, scale_i):
+    """(one-row certificate, full check) for the trivial return of the alt
+    rule on G[Y], every vertex marked with measure 1."""
+    allowed = sorted(Y)
+    mu = [1.0] * G.n
+    bball = 2 * k * alt_levels(float(len(Y))) * h
+    r = 2.0 ** scale_i / 4.0
+    balls = ramsey._Balls()
+    for v in allowed:
+        balls.measure(None, G, v, bball, r, allowed, mu, Y)
+    return (ramsey._row_certifies(None, G, balls, allowed, allowed, bball, r),
+            ramsey._bounded_diam_at_most(None, G, allowed, 2 * bball, 2 * r))
+
+
+def _spy_full_checks(monkeypatch) -> list:
+    decisions = []
+    real = ramsey._bounded_diam_at_most
+
+    def spy(*args):
+        ok = real(*args)
+        decisions.append(ok)
+        return ok
+
+    monkeypatch.setattr(ramsey, "_bounded_diam_at_most", spy)
+    return decisions
+
+
+class TestRowCertificate:
+    def test_certifies_without_full_check(self, monkeypatch):
+        # unit clique at a huge scale: every ball is all of Y, far within delta/4
+        G = WeightedGraph(4, [(u, v, 1.0) for u in range(4) for v in range(u + 1, 4)])
+        decisions = _spy_full_checks(monkeypatch)
+        assert _certificate(G, set(range(4)), 1, 2, 4)[0]
+        trip = create_cluster_alt(G, set(range(4)), set(range(4)), [1.0] * 4, 1, 2, 4)
+        assert trip.outer == frozenset(range(4))
+        assert decisions == [True]   # from _certificate alone
+
+    def test_row_in_tolerance_band_declines(self, monkeypatch):
+        # unit path 0-1-2 at delta = 4: the ball of 1 at radius delta/4 = 1 is
+        # all of Y, but its row reaches exactly 1, inside the band above
+        # delta/4 * (1 - 1e-9); the full check decides, and accepts
+        G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        assert _certificate(G, {0, 1, 2}, 1, 2, 2) == (False, True)
+        decisions = _spy_full_checks(monkeypatch)
+        trip = create_cluster_alt(G, {0, 1, 2}, {0, 1, 2}, [1.0] * 3, 1, 2, 2)
+        assert trip.inner == trip.outer == frozenset({0, 1, 2})
+        assert decisions == [True]
+
+    def test_no_full_ball_full_check_accepts(self, monkeypatch):
+        # unit 4-cycle at delta = 4: every ball at radius 1 holds 3 of the 4
+        # vertices, so none is all of Y, yet the diameter is 2 = delta/2
+        G = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
+        assert _certificate(G, set(range(4)), 1, 2, 2) == (False, True)
+        decisions = _spy_full_checks(monkeypatch)
+        trip = create_cluster_alt(G, set(range(4)), set(range(4)), [1.0] * 4, 1, 2, 2)
+        assert trip.outer == frozenset(range(4))
+        assert decisions == [True]
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.integers(min_value=2, max_value=10),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=-1, max_value=6),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_never_certifies_a_false_claim(self, seed, n, h, k, scale_i, connected):
+        rng = random.Random(seed)
+        make = connected_random_graph if connected else random_graph
+        G = make(rng, n, 0.4, 1.0, rng.choice([1.0, 2.0, 8.0]))
+        Y = set(rng.sample(range(n), rng.randint(1, n)))
+        certified, full = _certificate(G, Y, h, k, scale_i)
+        assert full or not certified
