@@ -333,7 +333,7 @@ class TestSharedRows:
                     ball = ramsey._center_ball(shared, G, v, budget, r, allowed)
                     fresh = hop_profile(G, v, [budget], maxr=r, allowed=allowed)[budget]
                     requests += 1
-                    assert ball == ramsey._ball(fresh, allowed, r)
+                    # same members in the same iteration order
                     assert list(ball) == list(ramsey._ball(fresh, allowed, r))
                     assert shared.balls[(budget, r, v)] is ball
         assert requests - len(calls) > requests / 4   # served from stored balls
