@@ -19,7 +19,7 @@ import click
 from . import datastructures as ds
 from .clan import clan_embed
 from .cover import edge_costs, sparse_cover
-from .graph_core import (WeightedGraph, dijkstra, hop_diameter,
+from .graph_core import (WeightedGraph, as_integer, dijkstra, hop_diameter,
                          hop_distance_all, is_inf)
 from .preserve import (Unreachable, build_path_tree_embedding,
                        image_of_general_subgraph, induced_path)
@@ -45,15 +45,15 @@ def gen_graph(family: str, params: Dict[str, float], seed: int = 0) -> WeightedG
     """Deterministic graph families: path, cycle, grid, gnp, random-weighted."""
     rng = substream(seed, f"gen-{family}")
     if family == "path":
-        n = int(params["n"])
+        n = as_integer(params["n"], "n")
         return WeightedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
     if family == "cycle":
-        n = int(params["n"])
+        n = as_integer(params["n"], "n")
         if n < 3:
             raise ValueError("cycle needs n >= 3")
         return WeightedGraph(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
     if family == "grid":
-        rows, cols = int(params["rows"]), int(params["cols"])
+        rows, cols = as_integer(params["rows"], "rows"), as_integer(params["cols"], "cols")
         idx = lambda r, c: r * cols + c
         edges = []
         for r in range(rows):
@@ -64,7 +64,7 @@ def gen_graph(family: str, params: Dict[str, float], seed: int = 0) -> WeightedG
                     edges.append((idx(r, c), idx(r + 1, c), 1.0))
         return WeightedGraph(rows * cols, edges)
     if family in ("gnp", "random-weighted"):
-        n, p = int(params["n"]), float(params["p"])
+        n, p = as_integer(params["n"], "n"), float(params["p"])
         wmin = float(params.get("wmin", 1.0))
         wmax = float(params.get("wmax", 1.0))
         edges = []
@@ -338,7 +338,8 @@ def _run_preserve(G: WeightedGraph, cfg: ExperimentConfig, rep: Report) -> None:
     if cfg.subgraph:
         try:
             with open(cfg.subgraph, "r", encoding="utf-8") as fh:
-                H_edges = [(int(u), int(v)) for u, v, *_ in json.load(fh)["edges"]]
+                H_edges = [(as_integer(u, "vertex id"), as_integer(v, "vertex id"))
+                           for u, v, *_ in json.load(fh)["edges"]]
         except _BAD_FILE as exc:
             raise click.UsageError(f"malformed subgraph file {cfg.subgraph!r}: {exc!r}") from exc
         for u, v in H_edges:

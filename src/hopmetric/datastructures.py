@@ -145,8 +145,6 @@ def build_coarse_oracle(G: WeightedGraph, h: int, k: int, seed: int = 0,
     # expected stored rounds per vertex is 1/p(v); restart while 4x over budget
     budget = 4.0 * sum(1.0 / p for p in incl if p > 0) + 4.0 * n
     ones = [1.0] * n
-    best: Optional[Tuple[List[RamseyEmbedding], List[int]]] = None
-    attempt = 0
     for attempt in range(1, max_attempts + 1):
         rng = substream(seed, f"coarse-oracle-{attempt}")
         seq: List[RamseyEmbedding] = []
@@ -164,15 +162,10 @@ def build_coarse_oracle(G: WeightedGraph, h: int, k: int, seed: int = 0,
             emb = ramsey_embed(G, ones, {v}, h, k, "alt")
             seq.append(emb)
             home[v] = len(seq) - 1
-        stored = sum(home[v] + 1 for v in range(n))
-        if stored <= budget:
-            best = (seq, home)
-            break
-    if best is None:
-        raise CoarseBudgetExceeded(
-            f"coarse oracle size budget exceeded in all {max_attempts} attempts")
-    seq, home = best
-    return CoarseOracle._from_rounds(seq, home, [i + 1 for i in home], attempt)
+        if sum(home[v] + 1 for v in range(n)) <= budget:
+            return CoarseOracle._from_rounds(seq, home, [i + 1 for i in home], attempt)
+    raise CoarseBudgetExceeded(
+        f"coarse oracle size budget exceeded in all {max_attempts} attempts")
 
 
 # -- auxiliary scale graphs ------------------------------------------------
@@ -217,9 +210,30 @@ def _realized_scales(coarse, n: int) -> List[int]:
     return sorted(scales)
 
 
-def _scale_step(G: WeightedGraph, coarse: _CoarseRecord, h: int, k: int,
-                epsilon: float, mode: str, seed: int,
-                ) -> Tuple[Dict[int, object], Dict[int, float], int, float]:
+# -- one record for the oracle, labeling and routing scheme ---------------
+
+@dataclass(frozen=True)
+class _HopRecord:
+    """The hop oracle, labeling and routing scheme: a coarse record picks
+    the scale of a query, and the scale's inner structure on the graph
+    surcharged by omegas[scale] answers it.  Answers are at least
+    d^(hop_budget h) and at most stretch times d^(h)."""
+    h: int
+    k: int
+    epsilon: float
+    coarse: _CoarseRecord
+    inner: Dict[int, object] = field(hash=False)   # tz.TZLabeling or tz.TZRouting
+    omegas: Dict[int, float] = field(hash=False)
+    hop_budget: int
+    stretch: float
+
+    def size_words(self) -> int:
+        return self.coarse.size_words() + sum(s.size_words()
+                                              for s in self.inner.values())
+
+
+def _scale_step(cls, G: WeightedGraph, coarse: _CoarseRecord, h: int, k: int,
+                epsilon: float, mode: str, seed: int, *extra):
     """One inner structure per realized scale with the scale's surcharge,
     then the lower-side hop budget B and the upper-side stretch."""
     inner: Dict[int, object] = {}
@@ -229,33 +243,21 @@ def _scale_step(G: WeightedGraph, coarse: _CoarseRecord, h: int, k: int,
         inner[i] = inner_metric_structure(Gi, k, mode, seed)
         omegas[i] = Gi.omega
     B = max(math.ceil(2.0 * coarse.t_coarse / epsilon), coarse.beta_hops)
-    return inner, omegas, B, (2 * k - 1) * (1.0 + epsilon)
+    return cls(h, k, epsilon, coarse, inner, omegas, B,
+               (2 * k - 1) * (1.0 + epsilon), *extra)
 
 
 # -- final oracle ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class HopOracle:
-    h: int
-    k: int
-    epsilon: float
-    coarse: CoarseOracle
-    inner: Dict[int, tz.TZLabeling] = field(hash=False, default_factory=dict)
-    omegas: Dict[int, float] = field(hash=False, default_factory=dict)
-    hop_budget: int = 1                      # lower-side hop budget B
-    stretch: float = 1.0                     # upper-side factor over d^{(h)}
-
-    def size_words(self) -> int:
-        return self.coarse.size_words() + sum(o.size_words()
-                                              for o in self.inner.values())
+class HopOracle(_HopRecord):
+    """Sampled coarse oracle; a scale's TZ labels answer its queries."""
 
 
 def build_hop_oracle(G: WeightedGraph, h: int, k: int, epsilon: float,
                      seed: int = 0) -> HopOracle:
     HopParams(h, k, epsilon)
-    coarse = build_coarse_oracle(G, h, k, seed)
-    return HopOracle(h, k, epsilon, coarse,
-                     *_scale_step(G, coarse, h, k, epsilon, "labels", seed))
+    return _scale_step(HopOracle, G, build_coarse_oracle(G, h, k, seed), h, k,
+                       epsilon, "labels", seed)
 
 
 def hop_oracle_query(O: HopOracle, u: int, v: int) -> float:
@@ -275,42 +277,30 @@ class HopVertexLabel:
     vertex: int
     home: int
     coarse: Tuple[TreeLabel, ...]
-    inner: Dict[int, tz.TZLabel] = field(hash=False, default_factory=dict)
+    inner: Dict[int, tz.TZLabel] = field(hash=False)
 
 
 @dataclass(frozen=True)
-class HopLabeling:
-    h: int
-    k: int
-    epsilon: float
-    labels: Tuple[HopVertexLabel, ...]
-    omegas: Dict[int, float] = field(hash=False, default_factory=dict)
-    t_coarse: float = 1.0
-    beta_hops: int = 1
-    hop_budget: int = 1
-    stretch: float = 1.0
+class HopLabeling(_HopRecord):
+    """Coarse labeling plus per-scale TZ labels, split into one label per
+    vertex at construction."""
+    labels: Tuple[HopVertexLabel, ...] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(
+            HopVertexLabel(v, home, self.coarse.labels[v],
+                           {i: sl.label(v) for i, sl in self.inner.items()})
+            for v, home in enumerate(self.coarse.home)))
 
     def label(self, v: int) -> HopVertexLabel:
         return self.labels[v]
-
-    def size_words(self) -> int:
-        return sum(sum(2 * len(t) for t in l.coarse)
-                   + sum(t.size_words() for t in l.inner.values())
-                   for l in self.labels)
 
 
 def build_hop_labeling(G: WeightedGraph, h: int, k: int,
                        epsilon: float) -> HopLabeling:
     HopParams(h, k, epsilon)
-    coarse = build_coarse_labeling(G, h, k)
-    scale_labels, omegas, B, stretch = _scale_step(G, coarse, h, k, epsilon,
-                                                   "labels", 0)
-    labels = tuple(
-        HopVertexLabel(v, coarse.home[v], coarse.labels[v],
-                       {i: sl.label(v) for i, sl in scale_labels.items()})
-        for v in range(G.n))
-    return HopLabeling(h, k, epsilon, labels, omegas, coarse.t_coarse,
-                       coarse.beta_hops, B, stretch)
+    return _scale_step(HopLabeling, G, build_coarse_labeling(G, h, k), h, k,
+                       epsilon, "labels", 0)
 
 
 def labeling_query(L: HopLabeling, lu: HopVertexLabel,
@@ -327,20 +317,8 @@ def labeling_query(L: HopLabeling, lu: HopVertexLabel,
 # -- routing ---------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RoutingScheme:
+class RoutingScheme(_HopRecord):
     G: WeightedGraph
-    h: int
-    k: int
-    epsilon: float
-    coarse: CoarseLabeling
-    inner: Dict[int, tz.TZRouting] = field(hash=False, default_factory=dict)
-    omegas: Dict[int, float] = field(hash=False, default_factory=dict)
-    hop_budget: int = 1
-    stretch: float = 1.0
-
-    def size_words(self) -> int:
-        return self.coarse.size_words() + sum(r.size_words()
-                                              for r in self.inner.values())
 
 
 @dataclass(frozen=True)
@@ -356,9 +334,8 @@ class RouteResult:
 def build_routing_scheme(G: WeightedGraph, h: int, k: int, epsilon: float,
                          seed: int = 0) -> RoutingScheme:
     HopParams(h, k, epsilon)
-    coarse = build_coarse_labeling(G, h, k)
-    return RoutingScheme(G, h, k, epsilon, coarse,
-                         *_scale_step(G, coarse, h, k, epsilon, "routing", seed))
+    return _scale_step(RoutingScheme, G, build_coarse_labeling(G, h, k), h, k,
+                       epsilon, "routing", seed, G)
 
 
 def route(S: RoutingScheme, u: int, v: int) -> RouteResult:

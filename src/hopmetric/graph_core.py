@@ -18,6 +18,13 @@ INFINITY = math.inf
 is_inf = math.isinf
 
 
+def as_integer(val, name: str) -> int:
+    """val as an int; a fractional value is an error that names it."""
+    if isinstance(val, int) or float(val).is_integer():
+        return int(val)
+    raise ValueError(f"{name} must be an integer, got {val!r}")
+
+
 @dataclass(frozen=True)
 class HopParams:
     """Common parameter bundle: hop budget h, distortion parameter k, epsilon."""
@@ -28,9 +35,7 @@ class HopParams:
 
     def __post_init__(self):
         for name, val in (("h", self.h), ("k", self.k)):
-            if not float(val).is_integer():
-                raise ValueError(f"{name} must be an integer, got {val!r}")
-            if val < 1:
+            if as_integer(val, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must be in (0,1)")
@@ -48,11 +53,14 @@ class WeightedGraph:
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int, float]],
                  normalize: bool = True):
+        n = as_integer(n, "n")
         if n < 1:
             raise ValueError("graph must have at least one vertex")
         seen: Set[Tuple[int, int]] = set()
         clean: List[Tuple[int, int, float]] = []
         for u, v, w in edges:
+            if not type(u) is type(v) is int:   # ints skip the call
+                u, v = as_integer(u, "vertex id"), as_integer(v, "vertex id")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
@@ -87,7 +95,7 @@ class WeightedGraph:
     @classmethod
     def from_json(cls, text: str) -> "WeightedGraph":
         data = json.loads(text)
-        return cls(int(data["n"]), [(int(u), int(v), float(w)) for u, v, w in data["edges"]])
+        return cls(data["n"], [(u, v, float(w)) for u, v, w in data["edges"]])
 
     @classmethod
     def load(cls, path: str) -> "WeightedGraph":

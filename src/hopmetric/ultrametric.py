@@ -242,43 +242,19 @@ def steiner_point_removal(T: WeightedTree, K: Iterable[int]) -> Tuple[WeightedTr
             assign[x] = best[x][1]
         else:
             assign[x] = assign[T.parent[x]]
-    # Quotient edges: classes are connected subtrees, so any two classes are
-    # joined by at most one T edge; the quotient edge gets the distance
-    # between the class representatives, keeping distances non-contracting.
-    edge_w: Dict[Tuple[int, int], float] = {}
-    for c in range(n):
-        p = T.parent[c]
-        if p is None:
-            continue
-        a, b = assign[p], assign[c]
-        if a == b:
-            continue
-        key = (min(a, b), max(a, b))
-        w = best[p][0] + T.weight[c] + best[c][0]
-        if key not in edge_w or w < edge_w[key]:
-            edge_w[key] = w
+    # Classes are connected subtrees, so each class but the root's meets its
+    # parent class in one T edge, from its top node c to T.parent[c]; that
+    # edge gets the distance between the class representatives, keeping
+    # distances non-contracting.
     members = sorted(Kset)
     new_id = {x: i for i, x in enumerate(members)}
-    adj: List[List[Tuple[int, float]]] = [[] for _ in members]
-    for (a, b), w in edge_w.items():
-        adj[new_id[a]].append((new_id[b], w))
-        adj[new_id[b]].append((new_id[a], w))
-    root_new = new_id[assign[T.root]]
     parent: List[Optional[int]] = [None] * len(members)
     weight = [0.0] * len(members)
-    seen = [False] * len(members)
-    seen[root_new] = True
-    stack = [root_new]
-    while stack:
-        x = stack.pop()
-        for y, w in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                parent[y] = x
-                weight[y] = w
-                stack.append(y)
-    if not all(seen):
-        raise AssertionError("steiner quotient is not connected")
+    for c in range(n):
+        p = T.parent[c]
+        if p is not None and assign[p] != assign[c]:
+            parent[new_id[assign[c]]] = new_id[assign[p]]
+            weight[new_id[assign[c]]] = best[p][0] + T.weight[c] + best[c][0]
     payload = [T.payload[x] for x in members]
     return WeightedTree(parent, weight, payload), new_id
 

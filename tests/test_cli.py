@@ -23,6 +23,13 @@ class TestGenGraph:
         G = gen_graph("grid", {"rows": 4, "cols": 4})
         assert G.n == 16 and len(G.edges) == 24
 
+    @pytest.mark.parametrize("family, params", [
+        ("path", {"n": 4.5}), ("cycle", {"n": 4.5}), ("grid", {"rows": 2.9, "cols": 3}),
+        ("gnp", {"n": 6.5, "p": 0.5})])
+    def test_fractional_sizes_rejected(self, family, params):
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            gen_graph(family, params)
+
     def test_random_families_deterministic(self):
         a = gen_graph("gnp", {"n": 12, "p": 0.3}, seed=9)
         b = gen_graph("gnp", {"n": 12, "p": 0.3}, seed=9)
@@ -145,7 +152,9 @@ class TestBadInput:
         assert "Error:" in res.output
 
     @pytest.mark.parametrize("text", ["{not json", '{"n": 3}', "[1, 2]",
-                                      '{"n": 3, "edges": [[0, 5, 1.0]]}'])
+                                      '{"n": 3, "edges": [[0, 5, 1.0]]}',
+                                      '{"n": 2.7, "edges": [[0, 1, 1.0]]}',
+                                      '{"n": 3, "edges": [[0, 1.5, 2.0]]}'])
     def test_malformed_graph_file(self, tmp_path, text):
         gpath = tmp_path / "bad.json"
         gpath.write_text(text)
@@ -157,6 +166,8 @@ class TestBadInput:
         ("{not json", "malformed subgraph file"),
         ('{"vertices": []}', "malformed subgraph file"),
         ('{"edges": [[0]]}', "malformed subgraph file"),
+        ('{"edges": [[0, 1.5]]}', "malformed subgraph file"),
+        ('{"edges": [[0.5, 1]]}', "malformed subgraph file"),
         ('{"edges": [[0, 9]]}', "not an edge of the graph"),
         ('{"edges": [[0, 2]]}', "not an edge of the graph")])
     def test_malformed_subgraph_file(self, tmp_path, text, message):

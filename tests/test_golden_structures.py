@@ -7,7 +7,10 @@ these digests pin every stored label and table and every answer:
 - ``build_hop_oracle``: coarse homes and labels, and all-pairs answers;
 - ``build_hop_labeling``: every vertex label;
 - ``build_routing_scheme``: the per-scale TZ tables and routing labels, and
-  the result of ``route`` for every ordered pair.
+  the result of ``route`` for every ordered pair;
+- the record fields of all three: ``size_words()``, ``hop_budget``,
+  ``stretch``, the sorted ``omegas`` and the number of scale structures,
+  plus the labeling's coarse homes and labels.
 
 Each output is flattened into nested lists (dicts as key-sorted pairs) and
 hashed through ``repr``, so floats are compared bit for bit.
@@ -50,6 +53,10 @@ def _digest(obj) -> str:
     return hashlib.sha256(repr(_flat(obj)).encode()).hexdigest()
 
 
+def _record(R):
+    return [R.size_words(), R.hop_budget, R.stretch, sorted(R.omegas.items()), len(R.inner)]
+
+
 def outputs(name: str):
     family, params, seed, h = GRAPHS[name]
     G = gen_graph(family, params, seed)
@@ -63,6 +70,8 @@ def outputs(name: str):
         "labeling": _digest(L.labels),
         "routing-tables": _digest({i: (R.tables, R.rlabels) for i, R in S.inner.items()}),
         "routing-paths": _digest([route(S, u, v) for u, v in pairs]),
+        "records": _digest([_record(O), _record(L), _record(S),
+                            L.coarse.home, L.coarse.labels]),
     }
 
 
@@ -73,6 +82,7 @@ GOLDEN = {
         "labeling": "727cf1efbe9631a4bf06c5190628c4b78e228b94afa351697a13a41b5bbbbc1a",
         "routing-tables": "c6c10faa9e455c1a2fe0cdc4db77d92fbf9e3fb390cebdf036ac9e67cd51e202",
         "routing-paths": "b719665be10dd191c042a407fd846e16cce68e1242c2cf0c2d0135b74ff7f746",
+        "records": "5444e075c92e81688ac03f02973822962754932a9e241799920fe11159a50e83",
     },
     "rw24-sparse-h2": {
         "oracle-coarse": "abe991b73b2fbe945eee07475636fbe398c6df207317a08a9c8ec34b12a66563",
@@ -80,6 +90,7 @@ GOLDEN = {
         "labeling": "ceb01dc4790d24907d71a6b54a610604f5a937fd8c8f3be4de2ca070649cee8b",
         "routing-tables": "7193f64f62bae3c4a5f386d64a048a382b63b7cd2d11db3fe02d41293f74408d",
         "routing-paths": "55c73abdaa8ea98d1143634b6328e9788ccfb5a28c849b6ca7b8d3af5eb60db0",
+        "records": "32f186e94b2c5490a7077e4adf95b47bfd0739c19382ae86aa5b04fd28c62ff8",
     },
     "grid5x6-h2": {
         "oracle-coarse": "ba823fface0f1570dadef995d332e21039772d5c7e23fa13caa50a506749ae03",
@@ -87,6 +98,7 @@ GOLDEN = {
         "labeling": "17081f6e49182e000c618b26b3e9d4e18a7396cfeb3e7d34958fd3874484ad0d",
         "routing-tables": "63a1527ffda5a3d2593c54db19449440b9fd1e479317f50291949defcd540dcf",
         "routing-paths": "9c9c57ceb5e2b0339419d3c31b8344ceb42afdbe34175bcd92705df707fd3355",
+        "records": "7b68319c2e3f5b995eb1462b30135267b6a01396cd0cc4cf2ecc8a59a2c8966f",
     },
     "gnp28-h4": {
         "oracle-coarse": "62c8e750c1eec58559a2f41e509e807f2a090bbc2865b0958ff3d3e032fefee2",
@@ -94,6 +106,7 @@ GOLDEN = {
         "labeling": "efd31af2c813e87f7bf0243bbf048f834a52a5ce435b14dd64d1041f25cca791",
         "routing-tables": "f5f9acf06172c2e9734708849150876b3ee182f848f0f9fea4a8773135393aaa",
         "routing-paths": "1a6c078fdcc4bd50c2102f5b5b68387fece0d7f769dda89206433a57f31f70a4",
+        "records": "06de41f1c6344a85e6ba95ca164a6cde208a29cb5c7d3c900c29175e1e361e21",
     },
     "rw40-h8": {
         "oracle-coarse": "2ffeb6ee1bfacdb80eeb54dbd35534f7597f2e297d7f746a43f12a02eeacabd7",
@@ -101,6 +114,7 @@ GOLDEN = {
         "labeling": "e847c7f5e1591822d4db10a5c4da5803aec99b3127e2030b3735a9dbafe1d2d4",
         "routing-tables": "a225fdb5f388f73aec2e72bd8274465a0aeaf38718ed4c667558f8adaa4069fd",
         "routing-paths": "912a3fc11f2d4a0d6b091621497f64d5269a7575848048a8765c2aa743430f89",
+        "records": "5ca5d2ce8cf653aa147ee8b9207181cf30706092a6e47e21ab71e45bd680b41d",
     },
 }
 

@@ -116,6 +116,25 @@ class TestNormalization:
         with pytest.raises(ValueError):
             WeightedGraph(2, [(0, 1, 1.0), (1, 0, 2.0)])
 
+    @pytest.mark.parametrize("n, edges, value", [
+        (3, [(0, 1.5, 1.0)], "1.5"), (3, [(0.5, 1, 1.0)], "0.5"),
+        (2.7, [(0, 1, 1.0)], "2.7"), (float("nan"), [], "nan")])
+    def test_rejects_fractional_ids_and_sizes(self, n, edges, value):
+        with pytest.raises(ValueError, match=f"must be an integer, got {value}"):
+            WeightedGraph(n, edges)
+
+    @pytest.mark.parametrize("text, value", [
+        ('{"n": 2.7, "edges": [[0, 1, 1.0]]}', "2.7"),
+        ('{"n": 3, "edges": [[0, 1.5, 2.0]]}', "1.5")])
+    def test_from_json_rejects_fractional_ids_and_sizes(self, text, value):
+        with pytest.raises(ValueError, match=f"must be an integer, got {value}"):
+            WeightedGraph.from_json(text)
+
+    def test_integral_floats_are_ids(self):
+        G = WeightedGraph.from_json('{"n": 3.0, "edges": [[0.0, 2, 1.0]]}')
+        assert G.n == 3 and G.edges == ((0, 2, 1.0),)
+        assert all(type(x) is int for x in (G.n, *G.edges[0][:2]))
+
     def test_json_roundtrip(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 3.5)])
         G2 = WeightedGraph.from_json(G.to_json())

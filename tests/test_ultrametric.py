@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +167,85 @@ class TestSteinerPointRemoval:
         leaves = [x for x in range(T.n_nodes()) if not T.children(x)]
         T2, _ = steiner_point_removal(T, leaves[:2])
         assert T2.n_nodes() == 2
+
+
+def _quotient_spr(T: WeightedTree, K):
+    """Reference Steiner point removal: the same classes, joined through a
+    quotient graph that keeps the lightest parallel edge and is re-rooted
+    by DFS from the root's class."""
+    Kset = set(K)
+    n = T.n_nodes()
+    order: List[int] = [T.root]
+    for x in order:
+        order.extend(T.children(x))
+    best: List[Optional[Tuple[float, int]]] = [None] * n
+    for x in reversed(order):
+        if x in Kset:
+            best[x] = (0.0, x)
+        for c in T.children(x):
+            if best[c] is not None:
+                cand = (best[c][0] + T.weight[c], best[c][1])
+                if best[x] is None or cand < best[x]:
+                    best[x] = cand
+    assign: List[int] = [-1] * n
+    for x in order:
+        assign[x] = best[x][1] if best[x] is not None else assign[T.parent[x]]
+    edge_w: Dict[Tuple[int, int], float] = {}
+    for c in range(n):
+        p = T.parent[c]
+        if p is None or assign[p] == assign[c]:
+            continue
+        key = (min(assign[p], assign[c]), max(assign[p], assign[c]))
+        w = best[p][0] + T.weight[c] + best[c][0]
+        if key not in edge_w or w < edge_w[key]:
+            edge_w[key] = w
+    members = sorted(Kset)
+    new_id = {x: i for i, x in enumerate(members)}
+    adj: List[List[Tuple[int, float]]] = [[] for _ in members]
+    for (a, b), w in edge_w.items():
+        adj[new_id[a]].append((new_id[b], w))
+        adj[new_id[b]].append((new_id[a], w))
+    root_new = new_id[assign[T.root]]
+    parent: List[Optional[int]] = [None] * len(members)
+    weight = [0.0] * len(members)
+    seen = [False] * len(members)
+    seen[root_new] = True
+    stack = [root_new]
+    while stack:
+        x = stack.pop()
+        for y, w in adj[x]:
+            if not seen[y]:
+                seen[y] = True
+                parent[y] = x
+                weight[y] = w
+                stack.append(y)
+    assert all(seen)
+    return parent, weight, [T.payload[x] for x in members], new_id
+
+
+@st.composite
+def weighted_trees_and_terminals(draw):
+    """A weighted tree on shuffled node ids (small integer weights, so ties
+    in the nearest terminal occur) and a nonempty terminal set drawn from
+    all nodes, internal ones included."""
+    n = draw(st.integers(min_value=1, max_value=14))
+    ids = draw(st.permutations(range(n)))
+    parent: List[Optional[int]] = [None] * n
+    weight = [0.0] * n
+    for i in range(1, n):
+        parent[ids[i]] = ids[draw(st.integers(min_value=0, max_value=i - 1))]
+        weight[ids[i]] = float(draw(st.integers(min_value=1, max_value=4)))
+    T = WeightedTree(parent, weight, [f"v{x}" for x in range(n)])
+    K = draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1))
+    return T, K
+
+
+@given(weighted_trees_and_terminals())
+@settings(max_examples=150, deadline=None)
+def test_steiner_point_removal_matches_quotient_graph(tree_and_terminals):
+    T, K = tree_and_terminals
+    T2, new_id = steiner_point_removal(T, K)
+    assert (T2.parent, T2.weight, T2.payload, new_id) == _quotient_spr(T, K)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6),
