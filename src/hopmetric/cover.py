@@ -18,7 +18,6 @@ from .rng import substream
 @dataclass(frozen=True)
 class SparseCover:
     clusters: Tuple[Tuple[FrozenSet[int], int, int], ...]  # (vertices, center, radius)
-    event_psi: bool
     attempts: int
     delta: float
 
@@ -73,4 +72,4 @@ def sparse_cover(G: WeightedGraph, delta: float, seed: int = 0) -> SparseCover:
             clusters.append((C, x, r))
             Y -= interior
         if psi:
-            return SparseCover(tuple(clusters), True, attempt, delta)
+            return SparseCover(tuple(clusters), attempt, delta)

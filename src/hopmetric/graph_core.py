@@ -19,8 +19,10 @@ is_inf = math.isinf
 
 
 def as_integer(val, name: str) -> int:
-    """val as an int; a fractional value is an error that names it."""
-    if isinstance(val, int) or float(val).is_integer():
+    """val as an int; a fractional value, a bool or a string is an error
+    that names it."""
+    if not isinstance(val, (bool, str)) and (isinstance(val, int)
+                                             or float(val).is_integer()):
         return int(val)
     raise ValueError(f"{name} must be an integer, got {val!r}")
 
@@ -65,6 +67,9 @@ class WeightedGraph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at {u}")
+            if type(w) is not float and (isinstance(w, bool)
+                                         or not isinstance(w, (int, float))):
+                raise ValueError(f"edge ({u},{v}) has non-numeric weight {w!r}")
             if not (w > 0 and w != float("inf")):
                 raise ValueError(f"edge ({u},{v}) has non-positive or infinite weight {w}")
             key = (min(u, v), max(u, v))
@@ -95,7 +100,7 @@ class WeightedGraph:
     @classmethod
     def from_json(cls, text: str) -> "WeightedGraph":
         data = json.loads(text)
-        return cls(data["n"], [(u, v, float(w)) for u, v, w in data["edges"]])
+        return cls(data["n"], data["edges"])
 
     @classmethod
     def load(cls, path: str) -> "WeightedGraph":
@@ -114,13 +119,17 @@ class WeightedGraph:
         return max((w for _, _, w in self.edges), default=1.0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        a, b = min(u, v), max(u, v)
-        return any(x == b for x, _ in self.adj[a])
+        self._check_vertex(u)
+        self._check_vertex(v)
+        return any(x == v for x, _ in self.adj[u])
 
     def edge_weight(self, u: int, v: int) -> float:
+        if not 0 <= u < self.n:
+            raise ValueError(f"invalid vertex id {u}")
         for x, w in self.adj[u]:
             if x == v:
                 return w
+        self._check_vertex(v)
         raise KeyError((u, v))
 
     def _check_vertex(self, v: int) -> None:

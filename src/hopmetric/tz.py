@@ -197,7 +197,6 @@ def build_labeling(adj: Adjacency, k: int, seed: int = 0) -> TZLabeling:
 
 # -- routing ---------------------------------------------------------------
 
-TreeKey = Tuple[str, int]          # ("c0", w) cluster tree / ("lm", w) landmark tree
 Interval = Tuple[int, int]
 
 
@@ -211,7 +210,7 @@ class TreeEntry:
 @dataclass(frozen=True)
 class NodeTable:
     label: TZLabel
-    trees: Dict[TreeKey, TreeEntry] = field(hash=False, default_factory=dict)
+    trees: Dict[int, TreeEntry] = field(hash=False, default_factory=dict)  # by root
 
     def size_words(self) -> int:
         return (self.label.size_words()
@@ -221,7 +220,7 @@ class NodeTable:
 @dataclass(frozen=True)
 class RoutingLabel:
     label: TZLabel
-    intervals: Dict[TreeKey, Interval] = field(hash=False, default_factory=dict)
+    intervals: Dict[int, Interval] = field(hash=False, default_factory=dict)  # by root
 
 
 @dataclass(frozen=True)
@@ -261,67 +260,56 @@ def _tree_entries(parent: Dict[int, Optional[int]], root: int,
 
 
 def build_routing(adj: Adjacency, k: int, seed: int = 0) -> TZRouting:
-    # landmarks (A_1) need full trees over their component; every other w
-    # gets the tree of its cluster search over C_0(w)
+    # every vertex w roots one tree: a landmark (A_1) the shortest-path tree
+    # of its component, any other w the tree of its cluster search over C_0(w)
     c, rows = _core(adj, k, seed, min(1, k - 1))
-    n = c.n
-    top = c.levels[1] if k > 1 else frozenset()
-    node_trees: List[Dict[TreeKey, TreeEntry]] = [dict() for _ in range(n)]
-    intervals: List[Dict[TreeKey, Interval]] = [dict() for _ in range(n)]
-    for w in range(n):
-        key: TreeKey = ("lm", w) if w in top else ("c0", w)
+    trees: List[Dict[int, TreeEntry]] = [dict() for _ in range(c.n)]
+    for w in range(c.n):
         for v, e in _tree_entries(shortest_path_tree(adj, w, rows[w]), w).items():
-            node_trees[v][key] = e
-            intervals[v][key] = e.interval
+            trees[v][w] = e
     labels = _labels(c)
-    tables = tuple(NodeTable(labels[v], node_trees[v]) for v in range(n))
-    rlabels = tuple(RoutingLabel(labels[v], intervals[v]) for v in range(n))
+    tables = tuple(NodeTable(l, t) for l, t in zip(labels, trees))
+    rlabels = tuple(RoutingLabel(l, {w: e.interval for w, e in t.items()})
+                    for l, t in zip(labels, trees))
     return TZRouting(k, tables, rlabels)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Header:
-    """Mutable packet header: destination label plus chosen tree and phase."""
+    """Packet header, written once at the source: the destination's label
+    and the root of the tree the packet travels in."""
     dest: RoutingLabel
-    tree: TreeKey
-    phase: str                      # "up" or "down"
+    tree: int
 
 
 def prepare_header(scheme: TZRouting, table_u: NodeTable,
                    dest: RoutingLabel) -> Optional[Header]:
-    """Source-side decision from the local table and destination label only."""
+    """Source-side decision from the local table and destination label only:
+    route in the witness's tree if it holds both endpoints."""
     got = _witness(scheme.k, table_u.label, dest.label)
     if got is None:
         return None
-    i, w, _swapped = got
-    # level >= 1 witnesses are landmarks (full trees); level 0 witnesses are
-    # one of the endpoints, which may itself be a landmark
-    key: TreeKey = ("lm", w) if ("lm", w) in table_u.trees else ("c0", w)
-    if key not in dest.intervals or key not in table_u.trees:
+    w = got[1]
+    if w not in dest.intervals or w not in table_u.trees:
         return None
-    phase = "down" if table_u.trees[key].parent is None else "up"
-    return Header(dest, key, phase)
+    return Header(dest, w)
 
 
 def forward(table_x: NodeTable, header: Header) -> int:
-    """One forwarding step using only the current node's table + header."""
+    """One forwarding step using only the current node's table + header:
+    down to the child whose subtree holds the destination if this node's
+    subtree holds it, else up to the parent."""
     entry = table_x.trees[header.tree]
-    if header.phase == "up":
-        if entry.parent is None:
-            header.phase = "down"
-        else:
-            target = header.dest.intervals[header.tree]
-            lo, hi = entry.interval
-            if lo <= target[0] and target[1] <= hi:
-                # destination already below us; no need to reach the root
-                header.phase = "down"
-            else:
-                return entry.parent
-    target = header.dest.intervals[header.tree]
-    for (lo, hi), nxt in entry.children:
-        if lo <= target[0] and target[1] <= hi:
-            return nxt
-    raise AssertionError("no child subtree contains the destination")
+    dlo, dhi = header.dest.intervals[header.tree]
+    lo, hi = entry.interval
+    if lo <= dlo and dhi <= hi:
+        for (lo, hi), nxt in entry.children:
+            if lo <= dlo and dhi <= hi:
+                return nxt
+        raise AssertionError("no child subtree contains the destination")
+    if entry.parent is None:
+        raise AssertionError("the tree does not contain the destination")
+    return entry.parent
 
 
 def route(scheme: TZRouting, u: int, v: int,

@@ -190,7 +190,6 @@ def test_criterion_5_sparse_cover():
     for G in _suite(1005, 20, 64, 20.0):
         delta = rng.choice([1.0, 2.0, 5.0])
         sc = sparse_cover(G, delta, seed=rng.randrange(10 ** 6))
-        assert sc.event_psi
         rmax = math.log2(2 * G.n)
         assert all(r <= rmax for _, _, r in sc.clusters)
         apsp = [dijkstra(G.adj, u) for u in range(G.n)]

@@ -154,7 +154,12 @@ class TestBadInput:
     @pytest.mark.parametrize("text", ["{not json", '{"n": 3}', "[1, 2]",
                                       '{"n": 3, "edges": [[0, 5, 1.0]]}',
                                       '{"n": 2.7, "edges": [[0, 1, 1.0]]}',
-                                      '{"n": 3, "edges": [[0, 1.5, 2.0]]}'])
+                                      '{"n": 3, "edges": [[0, 1.5, 2.0]]}',
+                                      '{"n": 3, "edges": [[0, true, 1.0]]}',
+                                      '{"n": "3", "edges": [[0, 1, 2.5]]}',
+                                      '{"n": 3, "edges": [["0", "1", "2.5"]]}',
+                                      '{"n": 3, "edges": [[0, 1, "2.5"]]}',
+                                      '{"n": 3, "edges": [[0, 1, false]]}'])
     def test_malformed_graph_file(self, tmp_path, text):
         gpath = tmp_path / "bad.json"
         gpath.write_text(text)
@@ -168,6 +173,8 @@ class TestBadInput:
         ('{"edges": [[0]]}', "malformed subgraph file"),
         ('{"edges": [[0, 1.5]]}', "malformed subgraph file"),
         ('{"edges": [[0.5, 1]]}', "malformed subgraph file"),
+        ('{"edges": [[0, true]]}', "malformed subgraph file"),
+        ('{"edges": [["0", "1"]]}', "malformed subgraph file"),
         ('{"edges": [[0, 9]]}', "not an edge of the graph"),
         ('{"edges": [[0, 2]]}', "not an edge of the graph")])
     def test_malformed_subgraph_file(self, tmp_path, text, message):

@@ -1,6 +1,7 @@
 """Bounded-hop distance core: exact values, oracle agreement, properties."""
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -118,17 +119,50 @@ class TestNormalization:
 
     @pytest.mark.parametrize("n, edges, value", [
         (3, [(0, 1.5, 1.0)], "1.5"), (3, [(0.5, 1, 1.0)], "0.5"),
-        (2.7, [(0, 1, 1.0)], "2.7"), (float("nan"), [], "nan")])
+        (2.7, [(0, 1, 1.0)], "2.7"), (float("nan"), [], "nan"),
+        (3, [(0, True, 1.0)], "True"), ("3", [], "'3'")])
     def test_rejects_fractional_ids_and_sizes(self, n, edges, value):
         with pytest.raises(ValueError, match=f"must be an integer, got {value}"):
             WeightedGraph(n, edges)
 
     @pytest.mark.parametrize("text, value", [
         ('{"n": 2.7, "edges": [[0, 1, 1.0]]}', "2.7"),
-        ('{"n": 3, "edges": [[0, 1.5, 2.0]]}', "1.5")])
+        ('{"n": 3, "edges": [[0, 1.5, 2.0]]}', "1.5"),
+        ('{"n": 3, "edges": [[0, true, 1.0]]}', "True"),
+        ('{"n": true, "edges": []}', "True"),
+        ('{"n": "3", "edges": [[0, 1, 2.5]]}', "'3'"),
+        ('{"n": 3, "edges": [["0", 1, 2.5]]}', "'0'")])
     def test_from_json_rejects_fractional_ids_and_sizes(self, text, value):
         with pytest.raises(ValueError, match=f"must be an integer, got {value}"):
             WeightedGraph.from_json(text)
+
+    @pytest.mark.parametrize("w", ["2.5", True, None, [1.0]])
+    def test_rejects_non_numeric_weights(self, w):
+        with pytest.raises(ValueError, match="non-numeric weight"):
+            WeightedGraph(3, [(0, 1, 1.0), (1, 2, w)])
+        text = json.dumps({"n": 3, "edges": [[0, 1, w]]})
+        with pytest.raises(ValueError, match="non-numeric weight"):
+            WeightedGraph.from_json(text)
+
+    def test_int_weights_are_floats(self):
+        G = WeightedGraph.from_json('{"n": 3, "edges": [[0, 1, 2], [1, 2, 3.0]]}')
+        assert G.edges == ((0, 1, 1.0), (1, 2, 1.5)) and G.scale == 2.0
+
+    @pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+    def test_edge_queries_reject_bad_vertex_ids(self, u, v):
+        G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+        bad = u if not 0 <= u < 3 else v
+        with pytest.raises(ValueError, match=f"invalid vertex id {bad}"):
+            G.has_edge(u, v)
+        with pytest.raises(ValueError, match=f"invalid vertex id {bad}"):
+            G.edge_weight(u, v)
+
+    def test_edge_queries_on_valid_ids(self):
+        G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 2.0)])
+        assert G.has_edge(0, 1) and G.has_edge(2, 1) and not G.has_edge(0, 2)
+        assert G.edge_weight(2, 1) == 2.0
+        with pytest.raises(KeyError):
+            G.edge_weight(0, 2)
 
     def test_integral_floats_are_ids(self):
         G = WeightedGraph.from_json('{"n": 3.0, "edges": [[0.0, 2, 1.0]]}')
@@ -200,6 +234,9 @@ class TestHopParams:
             HopParams(h=1, k=0, epsilon=0.5)
         with pytest.raises(ValueError):
             HopParams(h=1, k=1, epsilon=1.5)
+        for h, k in ((True, 1), (1, True), ("2", 1)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                HopParams(h, k)
 
 
 @st.composite

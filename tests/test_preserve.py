@@ -218,11 +218,11 @@ class TestGeneralImage:
 # The n = 12 graph's digest changes if tied parents go to the largest id.
 GENERAL_IMAGE_GOLDEN = {
     ("random-weighted", (("n", 12), ("p", 0.3), ("wmax", 5.0)), 2, 1, 1):
-        "3c94839e5a13339938d36a3acc115c6ca5bcf894fed4e73dabf17682fc36bcae",
+        "10bce360a07a9cb07d6bc5cbefdb31722bd9e870abdf6e56f239515c795264b4",
     ("grid", (("cols", 4), ("rows", 3)), 1, 1, 2):
-        "8261c78bf032432c46d9f386bca9b6c5785ee385afbded75153db65583d3653a",
+        "d4b636f52a0f492788a0ac42884fdcb032824e3751e1fa801efd565051b554d0",
     ("random-weighted", (("n", 10), ("p", 0.4), ("wmax", 5.0)), 3, 2, 2):
-        "b8b958c0e72673918818ea3918cd3f641154a627b0213ad8f3eda765651a137a",
+        "6765c53b4c0a69c207ef064bcd0be0be4c46b427687bd96a7451e1e6762fec7c",
 }
 
 

@@ -10,6 +10,7 @@ it bit for bit.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -112,9 +113,9 @@ def test_pinned_top_level(monkeypatch, k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_cluster_trees_match_restricted_search(name, k):
-    """Each c0 routing tree is the restricted shortest-path tree over
-    C_0(w) = {x : d(w,x) < d(A_1,x)} plus w, with ties to the smallest
-    neighbour id."""
+    """The routing tree rooted at each non-landmark w is the restricted
+    shortest-path tree over C_0(w) = {x : d(w,x) < d(A_1,x)} plus w, with
+    ties to the smallest neighbour id."""
     adj = GRAPHS[name]
     n = len(adj)
     R = tz.build_routing(adj, k, 2)
@@ -130,7 +131,101 @@ def test_cluster_trees_match_restricted_search(name, k):
         spt = {w: None}
         for v in sorted(C - {w}):
             spt[v] = min(u for u, wt in adj[v] if abs(dist[u] + wt - dist[v]) <= 1e-9)
-        assert _routing_parents(R, ("c0", w)) == spt
+        assert _routing_parents(R, w) == spt
+
+
+# SHA-256 of ``repr`` of the all-pairs ``route`` results (path and table
+# reads, or None when declined) for k = 1, 2, 3
+ROUTE_GOLDEN = {
+    "connected-0": (
+        "5ba3dd5860d89afa16509b336fa911771295e794d94107aec6269e21da4f6d68",
+        "5f13229a25503c02faaebebf8f88fa52f1eaf691ca0cb0fa331e17dcd7a6522f",
+        "945b189fe0d3bbc4d67f95784a8e143103e0f8241d12e4e57bbe526a19ae2bfb",
+    ),
+    "connected-1": (
+        "09701f2f159ed3a6c3960308c3e0d4b06e3426cefd8e6c793a01d6aa4de8344e",
+        "85a34d73a220146adad8f012ec81c83309fb09d69baf653f2717caa61ce4e79d",
+        "d2f21dbb54307338544e1d783770a5b4504e875b5cae0da239b3fd11484917eb",
+    ),
+    "connected-2": (
+        "5235d155562700422f3dc8ce193ac7d555b6ec32c1eeacb5de3b2611017c80c9",
+        "88d392b175a5f51203e148dfb68a43905cff57d838586018fad0ffb5e5f198b7",
+        "3ecd30730cff43f76524722ab573d53b00a2137d4aae8cbac0ad32d330c631f0",
+    ),
+    "connected-3": (
+        "3358f8d46366467e2a14b9d0b3d4fc8d17f9ac37ec589b75c950b51159957408",
+        "06037feb9ef2220e53961d8667bfafad3788a001d56f3e3a5ee8a8dbcd85ee70",
+        "2555f1fc51cb00ff69378647b572b4c32ced02108ae7f38457561024b3ad2a81",
+    ),
+    "disconnected-0": (
+        "7e1959da36bbe96be6f6fae26d2be354e9efd2e3a610b417ca5da46a62ae6fc7",
+        "9c9281b58fa60bde8d995331e67466aeb6d583955c689f9ac3ab0d9ae438528b",
+        "52d0f8e6d291a59dd47f8f721c71afb699b07523f91d7cb8ee7113b9af13ee9c",
+    ),
+    "disconnected-1": (
+        "c7cfbbf877903531f7d8882fd662fe17f22fa8e8c2361af5eabd6e2f3a273dc8",
+        "c7cfbbf877903531f7d8882fd662fe17f22fa8e8c2361af5eabd6e2f3a273dc8",
+        "c7cfbbf877903531f7d8882fd662fe17f22fa8e8c2361af5eabd6e2f3a273dc8",
+    ),
+    "disconnected-2": (
+        "b059fab0142fc70cffa0080cc8b71c86d6d00a9f8e04e343d9bf456a560afb2e",
+        "7bad7989b4a93cee84c1c8b67715051804d6f7ed443083e083dbd3bfbb8494e0",
+        "7bad7989b4a93cee84c1c8b67715051804d6f7ed443083e083dbd3bfbb8494e0",
+    ),
+    "grid": (
+        "1fe1953dfcfb6a31df17850316f608d4ba2f3d05c3297fc23872dabc7d7e25d7",
+        "177f3d6d6161a919e28898c8fd59ff7c5d0151bd48e22954ded5504d6ae0fb1c",
+        "9cb762f7347f316cc449682f23a5204010c47ec5f17d2903db56e8057d37b669",
+    ),
+    "grid-aux": (
+        "1fe1953dfcfb6a31df17850316f608d4ba2f3d05c3297fc23872dabc7d7e25d7",
+        "177f3d6d6161a919e28898c8fd59ff7c5d0151bd48e22954ded5504d6ae0fb1c",
+        "9cb762f7347f316cc449682f23a5204010c47ec5f17d2903db56e8057d37b669",
+    ),
+    "random-aux": (
+        "3c34c11d91be1b6ab502dfa47c2ce52cae1844141c3d6a867e48c6f44382a78a",
+        "1320f765f9b240fe2327460bb21370fdd975c09ed47da0c6f3b9a96b33cad684",
+        "98d89d94f8c9253746929f9f29d39d34bfe4bfba999ce7dd222fc0ec9ffa2189",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_all_pairs_routes_pinned(name):
+    adj = GRAPHS[name]
+    n = len(adj)
+    got = []
+    for k in (1, 2, 3):
+        R = tz.build_routing(adj, k, 2)
+        routes = [tz.route(R, u, v) for u in range(n) for v in range(n)]
+        got.append(hashlib.sha256(repr(routes).encode()).hexdigest())
+    assert tuple(got) == ROUTE_GOLDEN[name]
+
+
+def test_forward_is_one_interval_test():
+    """Down to the child holding the destination's interval, up otherwise;
+    a node holding it with no child holding it, or a root not holding it,
+    is a broken table."""
+    adj = GRAPHS["grid"]
+    R = tz.build_routing(adj, 1, 2)
+    w = 0
+    T = {v: t.trees[w] for v, t in enumerate(R.tables)}
+    for u in range(len(adj)):
+        for v in range(len(adj)):
+            if u == v:
+                continue
+            nxt = tz.forward(R.tables[u], tz.Header(R.rlabels[v], w))
+            lo, hi = T[u].interval
+            if lo <= T[v].interval[0] < hi:
+                assert T[nxt].parent == u
+                assert T[nxt].interval[0] <= T[v].interval[0] < T[nxt].interval[1]
+            else:
+                assert nxt == T[u].parent
+    with pytest.raises(AssertionError, match="no child"):
+        tz.forward(R.tables[5], tz.Header(R.rlabels[5], w))
+    outside = tz.RoutingLabel(R.rlabels[5].label, {w: (len(adj), len(adj) + 1)})
+    with pytest.raises(AssertionError, match="does not contain"):
+        tz.forward(R.tables[w], tz.Header(outside, w))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
