@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -52,8 +53,14 @@ def run(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict
 
 
 def seeds_of(text: str) -> list:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+    """The seeds LO..HI of "LO-HI", or the one seed of "S"."""
+    m = re.fullmatch(r"(\d+)(?:-(\d+))?", text, re.ASCII)
+    if m is None:
+        raise ValueError(f"expected LO-HI or one seed, got {text!r}")
+    lo, hi = int(m[1]), int(m[2] or m[1])
+    if lo > hi:
+        raise ValueError(f"range {text!r} is reversed")
+    return list(range(lo, hi + 1))
 
 
 def quartiles(values: list) -> list:
@@ -94,9 +101,12 @@ def main(argv=None) -> int:
     ap.add_argument("--trace-seed", type=int)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
+    try:
+        seeds = seeds_of(args.seeds)
+    except ValueError as exc:
+        ap.error(f"--seeds: {exc}")
     with open("BENCHMARK.json", encoding="utf-8") as fh:
         spec = json.load(fh)["end_to_end"]
-    seeds = seeds_of(args.seeds)
     with tempfile.TemporaryDirectory() as tmp:
         roots = {side: os.path.join(tmp, side) for side in SIDES}
         revs = {side: export(getattr(args, side), roots[side]) for side in SIDES}

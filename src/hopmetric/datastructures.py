@@ -8,6 +8,7 @@ stretch-(2k-1) landmark structure that answers the query.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -200,13 +201,61 @@ def _scale_of(est: float) -> int:
     return max(0, math.floor(math.log2(est)))
 
 
-def _realized_scales(coarse, n: int) -> List[int]:
-    scales: Set[int] = set()
-    for u in range(n):
-        for v in range(u + 1, n):
-            est = coarse.query(u, v)
-            if not is_inf(est) and est > 0:
-                scales.add(_scale_of(est))
+def _split_labels(labels: Sequence[Sequence[TreeLabel]], r: int,
+                  H: Set[int], S: Set[int]) -> Set[float]:
+    """Labels of the nodes of round r's ultrametric at which some vertex of
+    H and some vertex of S pass through different children; H is a subset
+    of S, and every vertex of S stores round r."""
+    kids: Dict[int, Set[int]] = {}    # node -> children an S-vertex passes
+    hit: Dict[int, float] = {}        # internal node an H-vertex passes -> label
+    for v in S:
+        path = labels[v][r]
+        for (x, _), (c, _) in zip(path, path[1:]):
+            kids.setdefault(x, set()).add(c)
+        if v in H:
+            hit.update(path[:-1])
+    return {lab for x, lab in hit.items() if len(kids[x]) >= 2}
+
+
+def _realized_scales(coarse: _CoarseRecord) -> List[int]:
+    """The scales _scale_of(coarse.query(u, v)) over all pairs u != v with
+    a finite estimate, read off the stored tree labels.
+
+    Round r's tree is built by ``ramsey._scale_tree``: each internal node
+    has at least two child subtrees and a label 2^i with i >= 0, or infinity
+    once saturated, so every finite internal label is a power of two >= 1
+    and _scale_of maps it to its exponent exactly.  A pair answered in round
+    r gets the label of its LCA there, so the labels realized in round r are
+    those of the nodes x where one vertex of H, the vertices homed at r,
+    and one of S, the other vertices answered in round r, pass through
+    different children.  With A_x the children H-vertices pass and B_x those
+    S-vertices pass, A_x lies within B_x, so that holds iff A_x is nonempty
+    and B_x has two children: pick a in A_x and b != a in B_x.
+
+    The oracle answers (u, v) in round min(home u, home v), so S is the
+    vertices homed at r or later, and the walk is the whole answer.  The
+    labeling takes the least of the LCA labels in both home rounds: a pair
+    with one home r gets round r's label (S = H), but a cross-home pair may
+    get either round's, so only those pairs are swept, until every scale of
+    a finite internal label has been seen."""
+    home = coarse.home
+    oracle = isinstance(coarse, CoarseOracle)
+    labels: Set[float] = set()
+    for r in set(home):
+        H = {v for v, hv in enumerate(home) if hv == r}
+        S = {v for v, hv in enumerate(home) if hv >= r} if oracle else H
+        labels |= _split_labels(coarse.labels, r, H, S)
+    scales = {_scale_of(lab) for lab in labels if not is_inf(lab)}
+    if not oracle:
+        candidates = {_scale_of(lab) for row in coarse.labels for path in row
+                      for _, lab in path[:-1] if not is_inf(lab)}
+        for u, v in itertools.combinations(range(len(home)), 2):
+            if scales >= candidates:
+                break
+            if home[u] != home[v]:
+                est = coarse.query(u, v)
+                if not is_inf(est):
+                    scales.add(_scale_of(est))
     return sorted(scales)
 
 
@@ -238,7 +287,7 @@ def _scale_step(cls, G: WeightedGraph, coarse: _CoarseRecord, h: int, k: int,
     then the lower-side hop budget B and the upper-side stretch."""
     inner: Dict[int, object] = {}
     omegas: Dict[int, float] = {}
-    for i in _realized_scales(coarse, G.n):
+    for i in _realized_scales(coarse):
         Gi = auxiliary_graph(G, i, h, coarse.t_coarse, epsilon)
         inner[i] = inner_metric_structure(Gi, k, mode, seed)
         omegas[i] = Gi.omega

@@ -8,21 +8,24 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hopmetric
 from hopmetric import datastructures, tz
-from hopmetric.datastructures import (CoarseBudgetExceeded,
+from hopmetric.datastructures import (CoarseBudgetExceeded, CoarseOracle,
                                       auxiliary_graph,
                                       build_coarse_labeling,
                                       build_coarse_oracle, build_hop_labeling,
                                       build_hop_oracle, build_routing_scheme,
                                       build_tree_labels, hop_oracle_query,
                                       labeling_query, route, tree_label_query,
-                                      _scale_of)
+                                      _realized_scales, _scale_of)
 from hopmetric.graph_core import WeightedGraph, hop_distance_all, is_inf
 from hopmetric.ramsey import ramsey_embed
 from hopmetric.ultrametric import ultra_distance
-from oracles import connected_random_graph
+from oracles import (connected_random_graph, edge_count_bellman_ford,
+                     random_graph, walk_enum_distance)
 from test_ultrametric import random_ultrametric
 
 
@@ -114,6 +117,83 @@ class TestCoarseOracle:
         with pytest.raises(CoarseBudgetExceeded, match="all 2 attempts"):
             build_coarse_oracle(G, 2, 2, max_attempts=2)
         assert issubclass(hopmetric.CoarseBudgetExceeded, RuntimeError)
+
+
+def _swept_scales(coarse) -> list:
+    """Reference: the scale of every pair's finite coarse estimate."""
+    n = len(coarse.home)
+    return sorted({_scale_of(est) for u in range(n) for v in range(u + 1, n)
+                   for est in [coarse.query(u, v)] if not is_inf(est)})
+
+
+def _saturated(coarse) -> bool:
+    return any(is_inf(lab) for row in coarse.labels for path in row for _, lab in path)
+
+
+class TestRealizedScales:
+    """The walk over the stored tree labels finds exactly the scales of the
+    all-pairs sweep.  Sparse graphs at small h force several home rounds and
+    saturated labels; each test asserts it met both."""
+
+    def test_labelings_match_sweep(self):
+        seen = []
+
+        @given(st.integers(min_value=16, max_value=30),
+               st.integers(min_value=0, max_value=2 ** 32 - 1),
+               st.integers(min_value=1, max_value=2),
+               st.integers(min_value=1, max_value=3))
+        @example(1, 0, 1, 1)
+        @example(2, 0, 1, 1)
+        @settings(max_examples=30, deadline=None, derandomize=True)
+        def check(n, seed, h, k):
+            cl = build_coarse_labeling(random_graph(random.Random(seed), n, 0.2, 1.0, 6.0),
+                                       h, k)
+            assert _realized_scales(cl) == _swept_scales(cl)
+            seen.append((len(set(cl.home)), _saturated(cl)))
+
+        check()
+        assert max(r for r, _ in seen) > 1
+        assert any(s for _, s in seen)
+
+    def test_oracles_match_sweep(self):
+        # sampled oracles home almost every vertex in round 0, so the homes
+        # are drawn over rounds of real alt embeddings instead
+        seen = []
+
+        @given(st.integers(min_value=1, max_value=16),
+               st.integers(min_value=0, max_value=2 ** 32 - 1))
+        @example(1, 0)
+        @example(2, 0)
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        def check(n, seed):
+            rng = random.Random(seed)
+            G = random_graph(rng, n, 0.2, 1.0, 6.0)
+            h, k = rng.randint(1, 2), rng.randint(1, 3)
+            seq = [ramsey_embed(G, [1.0] * n, set(rng.sample(range(n), rng.randint(1, n))),
+                                h, k, "alt") for _ in range(rng.randint(1, 4))]
+            home = [rng.randrange(len(seq)) for _ in range(n)]
+            co = CoarseOracle._from_rounds(seq, home, [r + 1 for r in home], 1)
+            assert _realized_scales(co) == _swept_scales(co)
+            seen.append((len(set(home)), _saturated(co)))
+
+        check()
+        assert max(r for r, _ in seen) > 1
+        assert any(s for _, s in seen)
+
+    def test_one_home_round_makes_no_label_queries(self, monkeypatch):
+        G = connected_random_graph(random.Random(271), 12, 0.3, 1.0, 5.0)
+        assert set(build_coarse_labeling(G, 2, 2).home) == {0}
+        assert set(build_coarse_oracle(G, 2, 2).home) == {0}
+        calls = []
+        real = datastructures.tree_label_query
+        monkeypatch.setattr(datastructures, "tree_label_query",
+                            lambda a, b: calls.append(1) or real(a, b))
+        build_hop_labeling(G, 2, 2, 0.5)
+        build_routing_scheme(G, 2, 2, 0.5)
+        O = build_hop_oracle(G, 2, 2, 0.5)
+        assert calls == []
+        hop_oracle_query(O, 0, 1)
+        assert calls == [1]
 
 
 class TestAuxiliaryGraph:
@@ -255,6 +335,31 @@ class TestHopLabeling:
                 G, h, L.hop_budget, L.stretch,
                 lambda u, v: labeling_query(L, L.label(u), L.label(v)))
             assert L.size_words() > 0
+
+    def test_lasso_sandwich_binds(self):
+        # at h = 1, k = 1, eps = 0.9 the hop budget B*h is 178, so pairs the
+        # path joins only in more hops must be answered at least d^(B h)
+        G = lasso(300)
+        L = build_hop_labeling(G, 1, 1, 0.9)
+        binding = 0
+        for u in (0, 75, 150):
+            d = edge_count_bellman_ford(G, u)
+            dh = walk_enum_distance(G, u, 1)
+            dB = walk_enum_distance(G, u, L.hop_budget)
+            for v in range(G.n):
+                if v == u:
+                    continue
+                got = labeling_query(L, L.label(u), L.label(v))
+                assert got >= dB[v] * (1 - 1e-9)
+                if not is_inf(dh[v]):
+                    assert got <= L.stretch * dh[v] * (1 + 1e-9)
+                binding += dB[v] > d[v] * (1 + 1e-9)
+        assert binding > 0
+
+
+def lasso(n: int) -> WeightedGraph:
+    """Unit path 0..n-1 closed by one edge of weight 1,000."""
+    return WeightedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)] + [(n - 1, 0, 1000.0)])
 
 
 class TestRouting:
