@@ -9,16 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graph_core import INFINITY, HopParams, WeightedGraph, is_inf
 from .ramsey import (ClusterTriple, Measure, _Balls, _check_variant,
                      _constants, _embed_setup, _mwu_rounds, _scale_tree,
                      _shared_rows, alt_rule, measure_of, standard_rule)
 from .ultrametric import Ultrametric, ultra_distance
-
-if TYPE_CHECKING:
-    from .ramsey import CarveGraph
 
 
 @dataclass
@@ -58,7 +55,7 @@ class ClanEmbedding:
         return best
 
 
-def clan_create_cluster(G: CarveGraph, Y: Set[int], mu: Measure,
+def clan_create_cluster(G: WeightedGraph, Y: Set[int], mu: Measure,
                         h: int, k: int, scale_i: int,
                         balls: Optional[_Balls] = None) -> ClusterTriple:
     """Carve a cluster triple from G[Y]; the measure condition guarantees the
@@ -69,13 +66,12 @@ def clan_create_cluster(G: CarveGraph, Y: Set[int], mu: Measure,
     """
     if not Y:
         raise ValueError("Y must be nonempty")
-    # every vertex is marked; Y itself, not a copy, keeps the order in which
-    # mu(Y) is summed, and that float sum feeds tolerance comparisons
+    # every vertex is marked
     return standard_rule(G, Y, Y, mu, h, k, k + 1, scale_i, True,
                          balls or _Balls())
 
 
-def clan_create_cluster_alt(G: CarveGraph, Y: Set[int], mu: Measure,
+def clan_create_cluster_alt(G: WeightedGraph, Y: Set[int], mu: Measure,
                             h: int, k: int, scale_i: int,
                             balls: Optional[_Balls] = None) -> ClusterTriple:
     """Alternative rule; non-trivial outer clusters hold at most half of mu(Y)."""
@@ -86,7 +82,7 @@ def clan_create_cluster_alt(G: CarveGraph, Y: Set[int], mu: Measure,
                     lambda: clan_create_cluster(G, Y, mu, h, k, scale_i, balls))
 
 
-def clan_cover(G: CarveGraph, X: Set[int], mu: Measure, h: int, k: int,
+def clan_cover(G: WeightedGraph, X: Set[int], mu: Measure, h: int, k: int,
                scale_i: int, variant: str = "standard") -> List[ClusterTriple]:
     """Iteratively carve triples; only inner clusters are removed, so outer
     clusters cover X (with overlaps) while inner clusters partition it.

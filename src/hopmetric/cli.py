@@ -386,7 +386,8 @@ def _sandwich(G: WeightedGraph, h: int, budget: int, stretch: float,
               ) -> Tuple[int, int]:
     """(violations, pairs checked) of d^(budget*h) <= lower and
     upper <= stretch*d^(h) over ordered pairs u != v, where answer(u, v)
-    gives (lower, upper); an upper of None is not checked."""
+    gives (lower, upper); a finite lower where d^(budget*h) is infinite is
+    a violation, and an upper of None is not checked."""
     bad = checked = 0
     for u in range(G.n):
         dh = hop_distance_all(G, u, h)
@@ -396,7 +397,7 @@ def _sandwich(G: WeightedGraph, h: int, budget: int, stretch: float,
                 continue
             lo, up = answer(u, v)
             checked += 1
-            if not is_inf(lo) and not is_inf(dB[v]) and lo < dB[v] * (1 - 1e-9):
+            if lo < dB[v] * (1 - 1e-9):
                 bad += 1
             if up is not None and not is_inf(dh[v]) and (
                     is_inf(up) or up > stretch * dh[v] * (1 + 1e-9)):

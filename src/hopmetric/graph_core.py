@@ -271,10 +271,10 @@ def finite_completion(G: WeightedGraph, h: int, k: int) -> Tuple[WeightedGraph, 
     path through an added edge weighs at least omega, and the added pairs
     are at distance exactly omega.
 
-    This is the reference builder.  The carvers never build it up front:
-    ``ramsey.finite_graph`` hands them a ``ramsey.Completion``, which
-    relaxes G itself below omega and calls this function only for a
-    relaxation whose radius reaches omega.
+    This is the reference builder, and the edge-case builder: the carvers
+    relax G itself, since no carving radius reaches omega, and
+    ``ramsey.finite_graph`` calls this function only when omega lies
+    within 1e-12 above a power of two, where one does.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -12,8 +12,8 @@ from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, Iterator, List,
-                    Optional, Sequence, Set, Tuple, Union)
+from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 from .graph_core import (HopParams, WeightedGraph, _finite_scan,
                          completion_weight, finite_completion, hop_profile)
@@ -25,7 +25,8 @@ Measure = Sequence[float]
 
 
 def measure_of(mu: Measure, S) -> float:
-    return sum(mu[v] for v in S)
+    """mu(S), correctly rounded: the same float in any iteration order."""
+    return math.fsum(mu[v] for v in S)
 
 
 @dataclass(frozen=True)
@@ -56,51 +57,6 @@ class RamseyEmbedding:
 
     def leaf_of(self) -> Dict[int, int]:
         return self.U.leaf_index()
-
-
-class Completion:
-    """The finite completion of ``base`` at (h, k) (see
-    ``graph_core.finite_completion``), relaxed on ``base`` below omega.
-
-    A relaxation pruned at maxr accepts a candidate nd only when
-    nd <= maxr + 1e-12.  Every distance du is >= 0, so a step over an added
-    edge offers du + omega >= omega; when maxr + 1e-12 < omega no such step
-    is ever accepted, and the row on the completion is the row on ``base``,
-    entry for entry: each round takes the least of its candidates, whatever
-    the order of the adjacency lists.  The carving stays below omega: the
-    largest radius at scale i is the alt rule's diameter check at 2^(i-1),
-    and with phi = ceil(log2 omega), 2^(phi-1) < omega.  Only a float edge
-    case, omega within 1e-12 above a power of two, reaches it.  The
-    completion's O(n^2) edge list is built for such a relaxation alone, on
-    first use, and lives as long as this object: the build scope of
-    ``_shared_rows`` or the one embedding call.
-    """
-    __slots__ = ("base", "h", "k", "omega", "_graph")
-
-    def __init__(self, base: WeightedGraph, h: int, k: int, omega: float) -> None:
-        self.base, self.h, self.k, self.omega = base, h, k, omega
-        self._graph: Optional[WeightedGraph] = None
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    def reaches_omega(self, maxr: float) -> bool:
-        """Whether a relaxation pruned at maxr can take an added edge."""
-        return not maxr + _REL_TOL < self.omega
-
-    def completed(self) -> WeightedGraph:
-        """The completion itself, built on first use."""
-        if self._graph is None:
-            self._graph = finite_completion(self.base, self.h, self.k)[0]
-        return self._graph
-
-
-if TYPE_CHECKING:
-    # the graph a carving relaxes: G itself, or its finite completion.  Not
-    # built at run time: typing caches a Union with its classes, which would
-    # keep every re-imported copy of this module alive.
-    CarveGraph = Union[WeightedGraph, Completion]
 
 
 def _check_measure(mu: Measure, n: int) -> None:
@@ -152,28 +108,21 @@ def _shared_rows() -> Iterator[None]:
     The rounds of a distribution embed the same graph again and again, and
     only the choice of centers depends on the measure, so most carvings ask
     for rows and balls an earlier round already computed.  Both are kept per
-    (base graph G, vertex set Y) in one ``_Shared`` record.
+    (carved graph G, vertex set Y) in one ``_Shared`` record.
 
     Rows.  A row is keyed by (budget b, source s) and kept with the radius R
-    it was pruned at; a request with maxr = r <= R is served from it.  Only
-    rows of G are kept: below omega a finite completion's rows are G's rows,
-    whatever (h, k) it was made for, and a relaxation that reaches omega runs
-    on the completion and is never stored (see ``Completion``).  This is
-    exact: weights are positive and float addition is monotone, so no prefix
-    of a walk weighs more than the walk, and pruning at R only turns the
-    entries above R + 1e-12 into infinity.  Hence the row pruned at R equals
-    the row pruned at r on every entry <= r + 1e-12.  Every reader compares
-    entries only against a radius no larger than the maxr it asked for
-    (``_ball`` in both rules, ``_bounded_diam_at_most``), so it cannot tell
-    a served row from a fresh one.
+    it was pruned at; a request with maxr = r <= R is served from it.  This
+    is exact: weights are positive and float addition is monotone, so no
+    prefix of a walk weighs more than the walk, and pruning at R only turns
+    the entries above R + 1e-12 into infinity.  Hence the row pruned at R
+    equals the row pruned at r on every entry <= r + 1e-12.  Every reader
+    compares entries only against a radius no larger than the maxr it asked
+    for (``_ball`` in both rules, ``_bounded_diam_at_most``), so it cannot
+    tell a served row from a fresh one.
 
     Balls.  The ball B(v) of G[Y] at (b, r) is a function of the row alone,
     not of the measure, so it is keyed by (b, r, v) and built once per
-    scope; the rounds then only sum its marked measure again.  The stored
-    frozenset itself is served, so its iteration order, which fixes the
-    float order of ``_marked_measure``, is that of the first build; a fresh
-    build would have the same order anyway (same members, inserted in
-    ascending order).  As for rows, only balls below omega are kept.
+    scope; the rounds then only sum its marked measure again.
 
     ``_Balls`` keeps the marked sums, which depend on the measure, for the
     carvings of one partition call, and asks this table on a miss.  Single
@@ -191,14 +140,11 @@ def _shared_rows() -> Iterator[None]:
         _MEMO.reset(token)
 
 
-def _rows_of(G: CarveGraph, Y: Set[int]) -> Optional[_Shared]:
-    """The shared rows and balls of G[Y] (of its base graph for a
-    completion), or None outside a build scope."""
+def _rows_of(G: WeightedGraph, Y: Set[int]) -> Optional[_Shared]:
+    """The shared rows and balls of G[Y], or None outside a build scope."""
     memo = _MEMO.get()
     if memo is None:
         return None
-    if isinstance(G, Completion):
-        G = G.base
     key = (G, frozenset(Y))
     shared = memo.shared.get(key)
     if shared is None:
@@ -206,17 +152,12 @@ def _rows_of(G: CarveGraph, Y: Set[int]) -> Optional[_Shared]:
     return shared
 
 
-def _profile(shared: Optional[_Shared], G: CarveGraph, s: int,
+def _profile(shared: Optional[_Shared], G: WeightedGraph, s: int,
              budgets: Sequence[int], maxr: float,
              allowed: List[int]) -> Dict[int, Sequence[float]]:
     """hop_profile(G, s, budgets, maxr, allowed), served from the shared
     rows where a stored row was pruned at a radius >= maxr (see
-    ``_shared_rows``).  A completion is relaxed on its base graph below
-    omega (see ``Completion``)."""
-    if isinstance(G, Completion):
-        if G.reaches_omega(maxr):
-            return hop_profile(G.completed(), s, budgets, maxr=maxr, allowed=allowed)
-        G = G.base
+    ``_shared_rows``)."""
     if shared is None:
         return hop_profile(G, s, budgets, maxr=maxr, allowed=allowed)
     rows = shared.rows
@@ -240,14 +181,14 @@ def _ball(dist: Sequence[float], allowed: List[int], r: float) -> FrozenSet[int]
 
 
 def _marked_measure(mu: Measure, B: FrozenSet[int], MY: Set[int]) -> float:
-    return sum(mu[u] for u in B if u in MY)
+    return math.fsum(mu[u] for u in B if u in MY)
 
 
-def _center_ball(shared: Optional[_Shared], G: CarveGraph, v: int, budget: int,
-                 r: float, allowed: List[int]) -> FrozenSet[int]:
+def _center_ball(shared: Optional[_Shared], G: WeightedGraph, v: int,
+                 budget: int, r: float, allowed: List[int]) -> FrozenSet[int]:
     """B(v) of G[allowed] at (budget, r), kept in the shared table of a build
-    scope below omega (see ``_shared_rows``)."""
-    if shared is None or (isinstance(G, Completion) and G.reaches_omega(r)):
+    scope (see ``_shared_rows``)."""
+    if shared is None:
         return _ball(_profile(shared, G, v, [budget], r, allowed)[budget], allowed, r)
     key = (budget, r, v)
     ball = shared.balls.get(key)
@@ -276,15 +217,13 @@ class _Balls:
       than the walk, and every vertex of a walk reaching u within the
       radius is itself in B(v).  Those walks avoid C and survive in
       G[Y minus C], where other distances can only grow; so the ball and
-      its distances are unchanged.  A fresh sweep would also build the same
-      frozenset in the same insertion order (ascending ids), hence with the
-      same iteration order.
+      its distances are unchanged.
     - B(v) meets C: dropped, and computed again when next asked for.
-    - B(v) meets U but not C: its marked measure is summed again over the
-      same frozenset, so the terms and their order are those of a fresh
-      sum.  A ball meeting neither keeps its sum, which has the same terms.
+    - B(v) meets U but not C: its marked measure is summed again.  A ball
+      meeting neither keeps its sum, which has the same terms.
 
-    So every rule compares the same floats and picks the same center.  A
+    The sums are correctly rounded (``_marked_measure``), so equal terms
+    give equal floats and every rule picks the same center.  A
     ball missing here is taken from the build scope's shared table when
     there is one (see ``_shared_rows``), and built from a row otherwise; the
     marked sums stay here, since they depend on the measure.
@@ -295,7 +234,7 @@ class _Balls:
         # (budget, radius) -> candidate -> [ball, marked measure or None]
         self._tables: Dict[Tuple[int, float], Dict[int, list]] = {}
 
-    def measure(self, shared: Optional[_Shared], G: CarveGraph, v: int,
+    def measure(self, shared: Optional[_Shared], G: WeightedGraph, v: int,
                 budget: int, r: float, allowed: List[int], mu: Measure,
                 MY: Set[int]) -> float:
         """mu(B(v) & MY) in G[allowed], for ball budget and radius r."""
@@ -329,7 +268,7 @@ def _live_marks(Y: Set[int], M: Set[int]) -> Set[int]:
     return MY
 
 
-def standard_rule(G: CarveGraph, Y: Set[int], MY: Set[int], mu: Measure,
+def standard_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
                   h: int, k: int, k_geom: int, scale_i: int,
                   split: bool, balls: _Balls) -> ClusterTriple:
     """Carve a cluster triple from G[Y] around a max-marked-ball center.
@@ -368,7 +307,7 @@ def standard_rule(G: CarveGraph, Y: Set[int], MY: Set[int], mu: Measure,
     raise AssertionError(f"no admissible cluster index j <= {nb - 2}")
 
 
-def alt_rule(G: CarveGraph, Y: Set[int], MY: Set[int], mu: Measure,
+def alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
              h: int, k: int, scale_i: int, balls: _Balls,
              fallback: Callable[[], ClusterTriple]) -> ClusterTriple:
     """Alternative cluster rule: hop budget independent of the scale count.
@@ -451,7 +390,7 @@ def alt_rule(G: CarveGraph, Y: Set[int], MY: Set[int], mu: Measure,
     raise AssertionError("no admissible cluster index j <= 2(k-1)")
 
 
-def create_cluster(G: CarveGraph, Y: Set[int], M: Set[int], mu: Measure,
+def create_cluster(G: WeightedGraph, Y: Set[int], M: Set[int], mu: Measure,
                    h: int, k: int, scale_i: int,
                    balls: Optional[_Balls] = None) -> ClusterTriple:
     """Carve a cluster triple from G[Y] around a max-marked-ball center.
@@ -463,7 +402,7 @@ def create_cluster(G: CarveGraph, Y: Set[int], M: Set[int], mu: Measure,
                          balls or _Balls())
 
 
-def create_cluster_alt(G: CarveGraph, Y: Set[int], M: Set[int], mu: Measure,
+def create_cluster_alt(G: WeightedGraph, Y: Set[int], M: Set[int], mu: Measure,
                        h: int, k: int, scale_i: int,
                        balls: Optional[_Balls] = None) -> ClusterTriple:
     """Alternative cluster rule: hop budget independent of the scale count."""
@@ -472,7 +411,7 @@ def create_cluster_alt(G: CarveGraph, Y: Set[int], M: Set[int], mu: Measure,
                     lambda: create_cluster(G, Y, M, mu, h, k, scale_i, balls))
 
 
-def _row_certifies(shared: Optional[_Shared], G: CarveGraph, balls: _Balls,
+def _row_certifies(shared: Optional[_Shared], G: WeightedGraph, balls: _Balls,
                    candidates: List[int], allowed: List[int], budget: int,
                    r: float) -> bool:
     """Whether the first candidate whose ball at (budget, r) is all of
@@ -487,7 +426,7 @@ def _row_certifies(shared: Optional[_Shared], G: CarveGraph, balls: _Balls,
     return False
 
 
-def _bounded_diam_at_most(shared: Optional[_Shared], G: CarveGraph,
+def _bounded_diam_at_most(shared: Optional[_Shared], G: WeightedGraph,
                           allowed: List[int], budget: int, bound: float) -> bool:
     for s in allowed:
         prof = _profile(shared, G, s, [budget], bound, allowed)
@@ -498,16 +437,26 @@ def _bounded_diam_at_most(shared: Optional[_Shared], G: CarveGraph,
 
 
 def finite_graph(G: WeightedGraph, h: int,
-                 k: int) -> Tuple[CarveGraph, Optional[float], float]:
-    """(graph, omega, h-hop diameter) from one all-pairs h-hop scan.
+                 k: int) -> Tuple[WeightedGraph, Optional[float], float]:
+    """(graph to carve, omega, h-hop diameter) from one all-pairs h-hop scan.
 
     When every pair has an h-hop path this is (G, None, D'), where D', the
-    largest h-hop distance, is the h-hop diameter.  Otherwise it is
-    (Completion(G, h, k), omega, omega): omega = 17k*D' is the completion's
-    h-hop diameter (see ``graph_core.finite_completion``).  The completion's
-    edges are not built here: the carvers relax G below omega, which is
-    exact, and a relaxation that reaches omega builds them on first use (see
-    ``Completion``).  Memoized inside a build scope, so every round of a
+    largest h-hop distance, is the h-hop diameter.  Otherwise omega = 17k*D'
+    is the h-hop diameter of the finite completion (see
+    ``graph_core.finite_completion``), and this is (graph, omega, omega),
+    where the graph is G itself unless a carving could reach omega.
+
+    Carving G in place of the completion is exact.  A relaxation pruned at
+    maxr accepts a candidate nd only when nd <= maxr + 1e-12.  Every
+    distance du is >= 0, so a step over an added edge offers du + omega >=
+    omega; when maxr + 1e-12 < omega no such step is ever accepted, and the
+    row on the completion is the row on G, entry for entry: each round takes
+    the least of its candidates, whatever the order of the adjacency lists.
+    The largest radius any carving relaxes at is the alt rule's diameter
+    check at 2^(phi-1), with phi = ceil(log2 omega) the top scale, and
+    2^(phi-1) < omega.  Only a float edge case, omega within 1e-12 above a
+    power of two, reaches it; then the completion, with its O(n^2) edges,
+    is built here.  Memoized inside a build scope, so every round of a
     distribution carves the same object."""
     memo = _MEMO.get()
     if memo is not None and (G, h, k) in memo.graphs:
@@ -517,7 +466,10 @@ def finite_graph(G: WeightedGraph, h: int,
         out = G, None, dprime
     else:
         omega = completion_weight(G, k, dprime)
-        out = Completion(G, h, k, omega), omega, omega
+        if 2.0 ** (math.ceil(math.log2(omega)) - 1) + _REL_TOL < omega:
+            out = G, omega, omega
+        else:
+            out = finite_completion(G, h, k)[0], omega, omega
     if memo is not None:
         memo.graphs[(G, h, k)] = out
     return out
@@ -530,7 +482,7 @@ def alt_levels(mu_total: float) -> int:
     return max(1, math.ceil(1.0 + math.log2(math.log2(mu_total))))
 
 
-def padded_partition(G: CarveGraph, X: Set[int], mu: Measure, M: Set[int],
+def padded_partition(G: WeightedGraph, X: Set[int], mu: Measure, M: Set[int],
                      h: int, k: int, scale_i: int,
                      variant: str = "standard",
                      stats: Optional[dict] = None) -> List[Tuple[FrozenSet[int], FrozenSet[int]]]:
@@ -567,7 +519,7 @@ def padded_partition(G: CarveGraph, X: Set[int], mu: Measure, M: Set[int],
 
 
 def _embed_setup(G: WeightedGraph, mu: Measure, h: int, k: int,
-                 variant: str) -> Tuple[CarveGraph, Optional[float], int]:
+                 variant: str) -> Tuple[WeightedGraph, Optional[float], int]:
     """Check an embedding's arguments; (graph to carve, omega, top scale phi)."""
     HopParams(h, k)
     _check_variant(variant)

@@ -181,3 +181,23 @@ def connected_random_graph(rng: random.Random, n: int, p: float,
                 w = wmin if wmin == wmax else rng.uniform(wmin, wmax)
                 edges[(u, v)] = w
     return WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
+
+
+def lasso(n: int) -> WeightedGraph:
+    """Unit path 0..n-1 closed by one edge of weight 1,000."""
+    return WeightedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)] + [(n - 1, 0, 1000.0)])
+
+
+def domination_counts(G: WeightedGraph, budget: int, answer) -> Tuple[int, int]:
+    """(binding, violations) over pairs u < v.  A pair binds when its
+    budget-hop distance exceeds its distance; answer(u, v) violates when it
+    lies below the budget-hop distance, a finite answer against an infinite
+    one included."""
+    binding = bad = 0
+    for u in range(G.n):
+        d = edge_count_bellman_ford(G, u)
+        dB = walk_enum_distance(G, u, budget)
+        for v in range(u + 1, G.n):
+            binding += dB[v] > d[v] * (1 + 1e-9)
+            bad += answer(u, v) < dB[v] * (1 - 1e-9)
+    return binding, bad

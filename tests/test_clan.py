@@ -10,10 +10,12 @@ import pytest
 from hopmetric.clan import (clan_cover, clan_create_cluster,
                             clan_create_cluster_alt, clan_distribution,
                             clan_embed, clan_mwu_measure, optimal_path_copies)
+from hopmetric.cli import gen_graph
 from hopmetric.graph_core import WeightedGraph, hop_distance_all, is_inf
 from hopmetric.ultrametric import ultra_distance, validate_ultrametric
 from oracles import (brute_force_path_copies, connected_random_graph,
-                     random_graph, simulate_clan_create_cluster)
+                     domination_counts, lasso, random_graph,
+                     simulate_clan_create_cluster)
 
 
 def _instances(seed: int, count: int):
@@ -108,10 +110,9 @@ def _check_clan(G, emb, mu):
             if v == u:
                 continue
             dmin = emb.min_copy_distance(u, v)
-            if not is_inf(dB[v]):
-                assert is_inf(dmin) or dmin >= dB[v] * (1 - 1e-9)
-                if emb.omega is None:
-                    assert not is_inf(dmin)
+            assert dmin >= dB[v] * (1 - 1e-9)
+            if emb.omega is None:
+                assert not is_inf(dmin)
             if not is_inf(dh[v]):
                 dc = emb.chief_distance(u, v)
                 assert not is_inf(dc) and dc <= emb.t * dh[v] * (1 + 1e-9)
@@ -159,6 +160,16 @@ class TestClanEmbed:
         G = WeightedGraph(2, [(0, 1, 1.0)])
         with pytest.raises(ValueError, match="measure has"):
             clan_embed(G, mu, 1, 2)
+
+    @pytest.mark.parametrize("family, binding", [
+        ("cycle", 600), ("path", 1128), ("lasso", 1128)])
+    def test_alt_domination_binds(self, family, binding):
+        """Min-over-copies domination at beta*h = 32 hops on 80 vertices at
+        h = 1, k = 2, where many shortest paths take more hops."""
+        G = lasso(80) if family == "lasso" else gen_graph(family, {"n": 80})
+        emb = clan_embed(G, [1.0] * G.n, 1, 2, "alt")
+        assert emb.beta == 32
+        assert domination_counts(G, emb.beta, emb.min_copy_distance) == (binding, 0)
 
 
 class TestOptimalPathCopies:

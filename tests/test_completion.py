@@ -1,22 +1,20 @@
-"""Carving below omega: a finite completion (``ramsey.Completion``) is
-relaxed on its base graph unless the radius reaches omega, and the
-embeddings equal those carved on the eagerly built completion.  Also the
-boundary checks of the embedding entry points."""
+"""Carving G in place of its finite completion: ``ramsey.finite_graph``
+hands the carvers G itself unless omega lies within 1e-12 above a power of
+two, and the embeddings equal those carved on the eagerly built
+completion.  Also the boundary checks of the embedding entry points."""
 from __future__ import annotations
 
-import gc
 import math
 import random
 import tracemalloc
 
 import pytest
 
-from hopmetric import clan, ramsey
+from hopmetric import ramsey
 from hopmetric.clan import clan_distribution, clan_embed
 from hopmetric.cli import gen_graph
 from hopmetric.graph_core import WeightedGraph, finite_completion, hop_profile
-from hopmetric.ramsey import (Completion, finite_graph, ramsey_distribution,
-                              ramsey_embed)
+from hopmetric.ramsey import finite_graph, ramsey_distribution, ramsey_embed
 from oracles import connected_random_graph, random_graph
 from test_ramsey import _below
 
@@ -56,32 +54,41 @@ def _builds(G, h, k):
 
 def test_served_rows_equal_completion_rows(monkeypatch):
     """Every row a carver is served equals the row on the completion at the
-    same radius, at or below that radius."""
+    same radius, at or below that radius; outside the omega edge case it is
+    a row of G itself, at a radius below omega."""
     served = []
-    real = ramsey._profile
+    completion = []   # (completed graph, omega) of the embedding being built
+    real_profile, real_graph = ramsey._profile, ramsey.finite_graph
 
-    def spy(rows, G, s, budgets, maxr, allowed):
-        out = real(rows, G, s, budgets, maxr, allowed)
-        served.append((G, s, list(budgets), maxr, list(allowed),
+    def graph_spy(G, h, k):
+        completion[:] = [finite_completion(G, h, k)]
+        return real_graph(G, h, k)
+
+    def profile_spy(rows, G, s, budgets, maxr, allowed):
+        out = real_profile(rows, G, s, budgets, maxr, allowed)
+        served.append((completion[0], G, s, list(budgets), maxr, list(allowed),
                        {b: list(out[b]) for b in budgets}))
         return out
 
-    monkeypatch.setattr(ramsey, "_profile", spy)
-    checked = reached = 0
+    monkeypatch.setattr(ramsey, "finite_graph", graph_spy)
+    monkeypatch.setattr(ramsey, "_profile", profile_spy)
+    checked = on_completion = 0
     for G, h, k in _completion_cases():
-        Gw, omega = finite_completion(G, h, k)
-        assert Gw is not G
         for build in _builds(G, h, k):
             del served[:]
             build()
-            for Gf, s, budgets, maxr, allowed, rows in served:
-                assert isinstance(Gf, Completion) and Gf.base is G
+            for (Gw, omega), Gf, s, budgets, maxr, allowed, rows in served:
+                assert Gw is not G
+                if Gf is G:
+                    assert maxr + 1e-12 < omega
+                else:
+                    assert G is EDGE and Gf.edges == Gw.edges
+                    on_completion += 1
                 want = hop_profile(Gw, s, budgets, maxr=maxr, allowed=allowed)
                 for b in budgets:
                     assert _below(rows[b], maxr) == _below(want[b], maxr)
                 checked += 1
-                reached += Gf.reaches_omega(maxr)
-    assert reached > 0 and checked > 100 * reached
+    assert on_completion > 0 and checked - on_completion > 1000
 
 
 def test_embeddings_equal_eager_completion(monkeypatch):
@@ -99,15 +106,15 @@ def test_embeddings_equal_eager_completion(monkeypatch):
         assert [build() for build in _builds(G, h, k)] == want
 
 
-def test_radius_reaching_omega_uses_the_completion(monkeypatch):
+def test_omega_edge_case_carves_the_completion(monkeypatch):
     Gf, omega, diam = finite_graph(EDGE, 1, 2)
-    assert isinstance(Gf, Completion) and omega == diam == 64.00000000000003
+    assert omega == diam == 64.00000000000003
+    assert Gf.edges == finite_completion(EDGE, 1, 2)[0].edges
     allowed = [0, 1, 2, 3]
     # the added edge (0, 2) of weight omega is within 64 + 1e-12 on the
     # completion; on the base graph 0 and 2 are not connected at all
     assert ramsey._bounded_diam_at_most(None, Gf, allowed, 32, 64.0)
     assert not ramsey._bounded_diam_at_most(None, EDGE, allowed, 32, 64.0)
-    assert Gf.reaches_omega(64.0) and not Gf.reaches_omega(63.99)
 
     decisions = []
     real = ramsey._bounded_diam_at_most
@@ -123,34 +130,19 @@ def test_radius_reaching_omega_uses_the_completion(monkeypatch):
     assert (4, 64.0, True) in decisions
 
 
-def _live_completions() -> int:
-    gc.collect()
-    return sum(isinstance(obj, Completion) for obj in gc.get_objects())
-
-
-def test_single_embeddings_retain_no_completion():
+def test_grid_builds_no_completion(monkeypatch):
+    """The 10x10 grid lacks 2-hop paths, and omega = 17 * 2 * 2 = 68 is well
+    above 2^6: the grid is carved as it is."""
     G = gen_graph("grid", {"rows": 10, "cols": 10})
-    ones = [1.0] * G.n
-    assert isinstance(finite_graph(G, 2, 2)[0], Completion)
 
-    def embed():
-        ramsey_embed(G, ones, set(range(G.n)), 2, 2)
+    def refuse(*args):
+        raise AssertionError("finite completion built")
 
-    embed()
-    tracemalloc.start()
-    try:
-        embed()
-        gc.collect()
-        before = tracemalloc.get_traced_memory()[0]
-        for _ in range(10):
-            embed()
-        gc.collect()
-        after = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert _live_completions() == 0
-    # one completion of this grid holds 4,628 edges, well over 100 kB
-    assert after - before < 32 * 1024
+    monkeypatch.setattr(ramsey, "finite_completion", refuse)
+    Gf, omega, diam = finite_graph(G, 2, 2)
+    assert Gf is G and omega == diam == 68.0
+    emb = ramsey_embed(G, [1.0] * G.n, set(range(G.n)), 2, 2, "alt")
+    assert emb.omega == omega
 
 
 def test_finite_graph_does_not_collect_missing_pairs():
@@ -163,7 +155,7 @@ def test_finite_graph_does_not_collect_missing_pairs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert isinstance(Gw, Completion) and diam == omega
+    assert Gw is G and diam == omega
     # a list of the missing pairs alone takes several MB
     assert peak < 256 * 1024
 
