@@ -11,8 +11,10 @@ alternates from pair to pair.  Run from the repository root:
 
 ``--workload`` may be given more than once.  The file holds the raw last
 line of every run, the per-side medians and quartiles of each end-to-end
-metric, the pairs the head wins (ties count for neither side) and whether
-the head's median is within the metric's bound in ``BENCHMARK.json``.
+metric, the pairs the head wins (ties count for neither side), whether the
+head's median is within the metric's bound in ``BENCHMARK.json``, whether
+the head shows a gain and whether the base's spread resolves the bound
+(see ``summary``).
 With ``--trace-seed`` one ``--trace 1`` run per side records the per-layer
 metrics of that seed.
 """
@@ -72,19 +74,32 @@ def quartiles(values: list) -> list:
 
 
 def summary(pairs: list, spec: list) -> dict:
-    """Medians, quartiles, head wins and bound verdicts per end-to-end metric."""
+    """Medians, quartiles, head wins and the verdicts per end-to-end metric.
+
+    ``gain``: the head wins at least 9 of every 10 pairs and its median is
+    better than the base's by more than the base's quartile spread Q3 - Q1.
+    ``resolved``: the base's spread is within the metric's bound of its
+    median, or every head run is better than every base run.
+    """
     out = {}
     for m in spec:
         name, sign = m["name"], 1.0 if m["better"] == "lower" else -1.0
         vals = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
         med = {side: statistics.median(vals[side]) for side in SIDES}
+        quarts = {side: quartiles(vals[side]) for side in SIDES}
+        spread = quarts["base"][1] - quarts["base"][0]
+        head_wins = sum(sign * (h - b) < 0 for b, h in zip(vals["base"], vals["head"]))
+        apart = max(sign * h for h in vals["head"]) < min(sign * b for b in vals["base"])
         out[name] = {
             "median": med,
-            "quartiles": {side: quartiles(vals[side]) for side in SIDES},
+            "quartiles": quarts,
             "ratio": med["head"] / med["base"] if med["base"] else None,
-            "head_wins": sum(sign * (h - b) < 0 for b, h in zip(vals["base"], vals["head"])),
+            "head_wins": head_wins,
             "base_wins": sum(sign * (h - b) > 0 for b, h in zip(vals["base"], vals["head"])),
             "within_bound": sign * (med["head"] - med["base"]) <= m["bound"] * abs(med["base"]),
+            "gain": (10 * head_wins >= 9 * len(pairs)
+                     and sign * (med["base"] - med["head"]) > spread),
+            "resolved": spread <= m["bound"] * abs(med["base"]) or apart,
         }
     for side in SIDES:
         out[f"{side}_failed"] = sum(p[side]["failed"] for p in pairs)

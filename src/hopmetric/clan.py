@@ -18,7 +18,7 @@ from .ramsey import (ClusterTriple, Measure, _Balls, _check_variant,
 from .ultrametric import Ultrametric, ultra_distance
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClanEmbedding:
     U: Ultrametric
     f: Dict[int, Tuple[int, ...]]    # vertex -> leaf node ids (the clan)
@@ -201,7 +201,10 @@ def clan_distribution(G: WeightedGraph, h: int, mode: str, rounds: int,
 
     mode "fixed_k": expected clan size O(n^{1/k}) per vertex;
     mode "expected": expected clan size <= 1+epsilon per vertex.
-    The rounds share bounded-hop rows (see ``ramsey._shared_rows``).
+    The rounds share bounded-hop rows (see ``ramsey._shared_rows``).  Once a
+    round gives every vertex a single copy the weights cannot move, so that
+    embedding fills the remaining rounds as one repeated object (see
+    ``ramsey._mwu_rounds``).
     """
     HopParams(h, k, epsilon)
     n = G.n

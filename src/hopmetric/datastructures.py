@@ -35,11 +35,19 @@ def build_tree_labels(U: Ultrametric) -> Dict[int, TreeLabel]:
 
 
 def tree_label_query(lx: TreeLabel, ly: TreeLabel) -> float:
-    """Distance between the two leaves: label of the deepest common ancestor."""
+    """Distance between the two leaves: label of the deepest common ancestor.
+
+    Both labels must come from one ultrametric.  Pairing them is the
+    caller's job, and every caller in this module reads both from the same
+    round of one coarse record.  The check here rejects only labels whose
+    root ids differ: every round is built with root 0, so labels from two
+    rounds of one record pass it.
+    """
     if lx[-1][0] == ly[-1][0]:
         return 0.0
     if lx[0][0] != ly[0][0]:
-        raise ValueError("labels come from different ultrametrics")
+        raise ValueError(f"labels have different root ids ({lx[0][0]} and "
+                         f"{ly[0][0]}), so they come from different ultrametrics")
     p = 0
     for (a, _), (b, _) in zip(lx, ly):
         if a != b:

@@ -42,7 +42,7 @@ class ClusterTriple:
             raise ValueError("cluster triple must be nested")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RamseyEmbedding:
     U: Ultrametric
     M: FrozenSet[int]
@@ -625,17 +625,29 @@ def mwu_measures(weights: Sequence[float], k: int) -> List[float]:
 def _mwu_rounds(n: int, rounds: int, embed: Callable[[List[float]], object],
                 penalty: Callable[[object, int], int]) -> list:
     """[(embed(weights), 1/rounds)] per round; after each round w[v] is
-    multiplied by (1 + eta)^penalty(embedding, v)."""
+    multiplied by (1 + eta)^penalty(embedding, v).
+
+    A round that penalizes no vertex is a fixed point: it fills every
+    remaining round.  This is exact.  Penalties are nonnegative integers
+    (an unpadded vertex for Ramsey, |f(v)| - 1 for clan), so with all of
+    them 0 every weight is multiplied by (1 + eta)**0 == 1.0 and stays the
+    same float.  ``ramsey_embed`` and ``clan_embed`` are deterministic in
+    (G, measure, h, k, variant), and a row or ball served by the build
+    scope cannot be told from a fresh one (``_shared_rows``), so every
+    later round would return an equal embedding; the one object is
+    repeated instead."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     eta = 0.5 / math.sqrt(rounds)
     weights = [1.0] * n
     out = []
-    for _ in range(rounds):
+    while len(out) < rounds:
         emb = embed(weights)
+        pen = [penalty(emb, v) for v in range(n)]
+        if not any(pen):
+            return out + [(emb, 1.0 / rounds)] * (rounds - len(out))
         out.append((emb, 1.0 / rounds))
-        for v in range(n):
-            weights[v] *= (1.0 + eta) ** penalty(emb, v)
+        weights = [w * (1.0 + eta) ** p for w, p in zip(weights, pen)]
     return out
 
 
@@ -647,7 +659,9 @@ def ramsey_distribution(G: WeightedGraph, h: int, mode: str, rounds: int,
 
     mode "fixed_k": per-vertex inclusion probability Omega(n^{-1/k});
     mode "inclusion": k is derived from epsilon and inclusion >= 1-epsilon.
-    The rounds share bounded-hop rows (see ``_shared_rows``).
+    The rounds share bounded-hop rows (see ``_shared_rows``).  Once a round
+    pads every vertex the weights cannot move, so that embedding fills the
+    remaining rounds as one repeated object (see ``_mwu_rounds``).
     """
     HopParams(h, k, epsilon)
     n = G.n

@@ -99,3 +99,44 @@ class TestSummary:
         pairs = _pairs("build_s", [1.0, 1.0], [1.0, 1.0], failed=(1, 3))
         s = bp.summary(pairs, [{"name": "build_s", "better": "lower", "bound": 0.2}])
         assert (s["base_failed"], s["head_failed"]) == (2, 6)
+
+
+BUILD = [{"name": "build_s", "better": "lower", "bound": 0.2}]
+
+
+class TestGainAndResolved:
+    @pytest.mark.parametrize("head, gain", [
+        ([5.0] * 10, True),
+        ([5.0] * 9 + [20.0], True),          # 9 of 10 pairs won
+        ([5.0] * 9 + [12.0], True),          # 9 won and a tie
+        ([5.0] * 8 + [20.0] * 2, False),     # 8 of 10
+        ([5.0] * 8 + [12.0] * 2, False),     # 8 won, ties count for neither
+    ])
+    def test_nine_tenths_of_pairs(self, bp, head, gain):
+        s = bp.summary(_pairs("build_s", [12.0] * 10, head), BUILD)["build_s"]
+        assert s["gain"] is gain
+
+    def test_median_must_move_beyond_base_spread(self, bp):
+        base = [10.0, 20.0] * 5                    # Q1 = 10, Q3 = 20, median 15
+        for head, gain in [([9.0, 19.0] * 5, False),    # wins all, moves 1
+                           ([4.0, 6.0] * 5, False),     # moves 10: not more than 10
+                           ([3.0, 5.0] * 5, True)]:     # moves 11
+            s = bp.summary(_pairs("build_s", base, head), BUILD)["build_s"]
+            assert s["head_wins"] == 10
+            assert s["gain"] is gain
+
+    def test_higher_is_better(self, bp):
+        spec = [{"name": "ops", "better": "higher", "bound": 0.25}]
+        assert bp.summary(_pairs("ops", [10.0] * 10, [12.0] * 10), spec)["ops"]["gain"]
+        assert not bp.summary(_pairs("ops", [10.0] * 10, [8.0] * 10), spec)["ops"]["gain"]
+
+    @pytest.mark.parametrize("base, head, resolved", [
+        ([11.0, 13.0] * 5, [30.0] * 10, True),    # spread 2 is 1/6 of 12, bound 1/5
+        ([10.0, 14.0] * 5, [11.0] * 10, False),   # spread 4 is 1/3 of 12
+        ([10.0, 14.0] * 5, [9.0] * 10, True),     # every head run beats every base run
+        ([10.0, 14.0] * 5, [9.0] * 9 + [10.0], False),   # one head run ties
+        ([0.0] * 4, [1.0] * 4, True),             # no spread at a zero median
+    ])
+    def test_resolved(self, bp, base, head, resolved):
+        s = bp.summary(_pairs("build_s", base, head), BUILD)["build_s"]
+        assert s["resolved"] is resolved

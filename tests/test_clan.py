@@ -13,9 +13,12 @@ from hopmetric.clan import (clan_cover, clan_create_cluster,
 from hopmetric.cli import gen_graph
 from hopmetric.graph_core import WeightedGraph, hop_distance_all, is_inf
 from hopmetric.ultrametric import ultra_distance, validate_ultrametric
+from hopmetric import ramsey
 from oracles import (brute_force_path_copies, connected_random_graph,
                      domination_counts, lasso, random_graph,
                      simulate_clan_create_cluster)
+from test_golden_embeddings import _clan_record
+from test_ramsey import _fixed_point_graph
 
 
 def _instances(seed: int, count: int):
@@ -249,3 +252,27 @@ class TestClanDistribution:
             assert emb.f == alone.f and emb.chi == alone.chi
             for v in range(n):
                 weights[v] *= (1.0 + eta) ** (len(alone.f[v]) - 1)
+
+    @pytest.mark.parametrize("graph, variant, converges", [
+        ("random48", "standard", True),
+        ("random48", "alt", True),
+        ("grid10", "standard", False),
+    ])
+    def test_distribution_matches_reference_loop(self, graph, variant, converges):
+        G = _fixed_point_graph(graph)
+        n, rounds = G.n, 6
+        dist = clan_distribution(G, 2, "fixed_k", rounds, k=2, variant=variant)
+        # the reference embeds every round, penalties of 0 included
+        eta = 0.5 / math.sqrt(rounds)
+        weights = [1.0] * n
+        ref = []
+        with ramsey._shared_rows():
+            for _ in range(rounds):
+                emb = clan_embed(G, clan_mwu_measure(weights), 2, 2, variant)
+                ref.append(emb)
+                weights = [w * (1.0 + eta) ** (len(emb.f[v]) - 1)
+                           for v, w in enumerate(weights)]
+        assert [p for _, p in dist] == [1.0 / rounds] * rounds
+        assert [_clan_record(emb) for emb, _ in dist] == [_clan_record(e) for e in ref]
+        # the cases cover both sides: one object repeated, or one per round
+        assert len({id(emb) for emb, _ in dist}) == (1 if converges else rounds)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hopmetric import ramsey
 from hopmetric.cli import gen_graph
+from hopmetric.datastructures import build_coarse_oracle
 from hopmetric.graph_core import (WeightedGraph, finite_completion, hop_diameter,
                                   hop_distance_all, hop_profile, is_inf)
 from hopmetric.ramsey import (alt_levels, create_cluster, create_cluster_alt,
@@ -19,6 +20,16 @@ from hopmetric.ramsey import (alt_levels, create_cluster, create_cluster_alt,
 from hopmetric.ultrametric import ultra_distance, validate_ultrametric
 from oracles import (connected_random_graph, domination_counts, lasso,
                      random_graph, simulate_create_cluster)
+from test_golden_embeddings import _ramsey_record
+
+
+def _fixed_point_graph(name: str) -> WeightedGraph:
+    """random48 reaches the MWU fixed point in round 1 at h = 2, k = 2, for both
+    kinds and variants; grid10 at the standard variant never does."""
+    if name == "random48":
+        return connected_random_graph(random.Random(3), 48, 6 / 48)
+    assert name == "grid10"
+    return gen_graph("grid", {"rows": 10, "cols": 10})
 
 
 def _instances(seed: int, count: int):
@@ -286,6 +297,62 @@ class TestMWU:
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         with pytest.raises(ValueError, match="epsilon"):
             ramsey_distribution(G, 2, mode, 1, epsilon=epsilon)
+
+    def test_fixed_point_repeats_the_converged_round(self):
+        embs = []
+
+        def embed(weights):
+            embs.append((len(embs), list(weights)))
+            return embs[-1]
+
+        # round 1 penalizes vertex 1 twice, round 2 penalizes no vertex
+        dist = ramsey._mwu_rounds(3, 5, embed,
+                                  lambda emb, v: 2 if emb[0] == 0 and v == 1 else 0)
+        eta = 0.5 / math.sqrt(5)
+        assert [w for _, w in embs] == [[1.0, 1.0, 1.0], [1.0, (1.0 + eta) ** 2, 1.0]]
+        assert [p for _, p in dist] == [1.0 / 5] * 5
+        assert dist[0][0] is embs[0]
+        assert all(emb is embs[1] for emb, _ in dist[1:])
+
+    def test_penalizing_every_round_embeds_every_round(self):
+        seen = []
+        dist = ramsey._mwu_rounds(4, 6, lambda w: seen.append(list(w)) or len(seen),
+                                  lambda emb, v: v == 0)
+        assert [emb for emb, _ in dist] == [1, 2, 3, 4, 5, 6]
+        w0 = [1.0]
+        for _ in range(5):
+            w0.append(w0[-1] * (1.0 + 0.5 / math.sqrt(6)))
+        assert [w[:2] for w in seen] == [[x, 1.0] for x in w0]
+
+    @pytest.mark.parametrize("graph, variant, converges", [
+        ("random48", "standard", True),
+        ("random48", "alt", True),
+        ("grid10", "standard", False),
+    ])
+    def test_distribution_matches_reference_loop(self, graph, variant, converges):
+        G = _fixed_point_graph(graph)
+        n, rounds = G.n, 6
+        dist = ramsey_distribution(G, 2, "fixed_k", rounds, k=2, variant=variant)
+        # the reference embeds every round, penalties of 0 included
+        eta = 0.5 / math.sqrt(rounds)
+        weights = [1.0] * n
+        ref = []
+        with ramsey._shared_rows():
+            for _ in range(rounds):
+                emb = ramsey_embed(G, mwu_measures(weights, 2), set(range(n)), 2, 3, variant)
+                ref.append(emb)
+                weights = [w * (1.0 + eta) ** (v not in emb.M) for v, w in enumerate(weights)]
+        assert [p for _, p in dist] == [1.0 / rounds] * rounds
+        assert [_ramsey_record(emb) for emb, _ in dist] == [_ramsey_record(e) for e in ref]
+        # the cases cover both sides: one object repeated, or one per round
+        assert len({id(emb) for emb, _ in dist}) == (1 if converges else rounds)
+
+    def test_coarse_oracle_embeds_a_converged_distribution_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ramsey, "ramsey_embed",
+                            lambda *a: calls.append(a[4]) or ramsey_embed(*a))
+        build_coarse_oracle(_fixed_point_graph("random48"), 2, 2)
+        assert calls == [3]   # one round of the 8-round distribution, at k + 1
 
 
 def _counting_profiles(monkeypatch) -> list:
