@@ -7,13 +7,13 @@ import random
 
 import pytest
 
+from hopmetric import ramsey
 from hopmetric.clan import (clan_cover, clan_create_cluster,
                             clan_create_cluster_alt, clan_distribution,
                             clan_embed, clan_mwu_measure, optimal_path_copies)
 from hopmetric.cli import gen_graph
 from hopmetric.graph_core import WeightedGraph, hop_distance_all, is_inf
 from hopmetric.ultrametric import ultra_distance, validate_ultrametric
-from hopmetric import ramsey
 from oracles import (brute_force_path_copies, connected_random_graph,
                      domination_counts, lasso, random_graph,
                      simulate_clan_create_cluster)
