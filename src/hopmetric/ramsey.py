@@ -75,92 +75,64 @@ def _check_variant(variant: str) -> None:
 
 _Rows = Dict[Tuple[int, int], Tuple[float, array]]   # (budget, source) -> (R, row)
 
-
-class _Shared:
-    """What a build scope keeps of one G[Y]: its rows and its center balls."""
-    __slots__ = ("rows", "balls")
-
-    def __init__(self) -> None:
-        self.rows: _Rows = {}
-        # (budget, radius, center) -> ball
-        self.balls: Dict[Tuple[int, float, int], FrozenSet[int]] = {}
-
-
-class _BuildMemo:
-    """Finite graphs by (G, h, k) and the shared rows and balls by (G, Y)."""
-    __slots__ = ("graphs", "shared")
-
-    def __init__(self) -> None:
-        self.graphs: Dict[Tuple[WeightedGraph, int, int], tuple] = {}
-        self.shared: Dict[Tuple[WeightedGraph, FrozenSet[int]], _Shared] = {}
-
-
-_MEMO: ContextVar[Optional[_BuildMemo]] = ContextVar("hopmetric_build_memo",
-                                                     default=None)
+# (G, Y) -> the rows of G[Y], inside a build scope
+_MEMO: ContextVar[Optional[Dict[Tuple[WeightedGraph, FrozenSet[int]], _Rows]]] = ContextVar(
+    "hopmetric_build_memo", default=None)
 
 
 @contextmanager
 def _shared_rows() -> Iterator[None]:
-    """Share finite graphs, bounded-hop rows and center balls across the
-    embeddings of one multi-embedding build; re-entrant, released when the
-    outermost scope exits.
+    """Share bounded-hop rows across the embeddings of one multi-embedding
+    build; re-entrant, released when the outermost scope exits.
 
-    The rounds of a distribution embed the same graph again and again, and
-    only the choice of centers depends on the measure, so most carvings ask
-    for rows and balls an earlier round already computed.  Both are kept per
-    (carved graph G, vertex set Y) in one ``_Shared`` record.
+    Rows are kept per (carved graph G, vertex set Y).  A carving asks again
+    for a row an earlier one computed in two places: the later rounds of a
+    distribution, which embed the same graph and differ only in the measure
+    and so in the choice of centers; and, within one alt embedding, the
+    scale below one that left Y whole, which carves the same Y with the
+    same ball budget bball = 2kLh at half the radius.
 
-    Rows.  A row is keyed by (budget b, source s) and kept with the radius R
-    it was pruned at; a request with maxr = r <= R is served from it.  This
-    is exact: weights are positive and float addition is monotone, so no
-    prefix of a walk weighs more than the walk, and pruning at R only turns
-    the entries above R + 1e-12 into infinity.  Hence the row pruned at R
-    equals the row pruned at r on every entry <= r + 1e-12.  Every reader
-    compares entries only against a radius no larger than the maxr it asked
-    for (``_ball`` in both rules, ``_bounded_diam_at_most``), so it cannot
-    tell a served row from a fresh one.
+    A row is keyed by (budget b, source s) and kept with the radius R it was
+    pruned at; a request with maxr = r <= R is served from it.  This is
+    exact: weights are positive and float addition is monotone, so no prefix
+    of a walk weighs more than the walk, and pruning at R only turns the
+    entries above R + 1e-12 into infinity.  Hence the row pruned at R equals
+    the row pruned at r on every entry <= r + 1e-12.  Every reader compares
+    entries only against a radius no larger than the maxr it asked for
+    (``_ball`` in both rules, ``_bounded_diam_at_most``), so it cannot tell a
+    served row from a fresh one.
 
-    Balls.  The ball B(v) of G[Y] at (b, r) is a function of the row alone,
-    not of the measure, so it is keyed by (b, r, v) and built once per
-    scope; the rounds then only sum its marked measure again.
-
-    ``_Balls`` keeps the marked sums, which depend on the measure, for the
-    carvings of one partition call, and asks this table on a miss.  Single
-    ``ramsey_embed`` and ``clan_embed`` calls open no scope: their partition
-    calls carve other sets, mostly at other budgets, so there the table
-    would mostly cost memory.
+    Single ``ramsey_embed`` and ``clan_embed`` calls open no scope.  Inside
+    one, a single alt Ramsey embedding of the n = 48 random graph at h = 2,
+    k = 3 makes 387 ``hop_profile`` calls instead of 605; a standard one
+    makes 398 either way, since its ball budget changes with the scale.
     """
     if _MEMO.get() is not None:
         yield
         return
-    token = _MEMO.set(_BuildMemo())
+    token = _MEMO.set({})
     try:
         yield
     finally:
         _MEMO.reset(token)
 
 
-def _rows_of(G: WeightedGraph, Y: Set[int]) -> Optional[_Shared]:
-    """The shared rows and balls of G[Y], or None outside a build scope."""
+def _rows_of(G: WeightedGraph, Y: Set[int]) -> Optional[_Rows]:
+    """The shared rows of G[Y], or None outside a build scope."""
     memo = _MEMO.get()
     if memo is None:
         return None
-    key = (G, frozenset(Y))
-    shared = memo.shared.get(key)
-    if shared is None:
-        shared = memo.shared[key] = _Shared()
-    return shared
+    return memo.setdefault((G, frozenset(Y)), {})
 
 
-def _profile(shared: Optional[_Shared], G: WeightedGraph, s: int,
+def _profile(rows: Optional[_Rows], G: WeightedGraph, s: int,
              budgets: Sequence[int], maxr: float,
              allowed: List[int]) -> Dict[int, Sequence[float]]:
     """hop_profile(G, s, budgets, maxr, allowed), served from the shared
     rows where a stored row was pruned at a radius >= maxr (see
     ``_shared_rows``)."""
-    if shared is None:
+    if rows is None:
         return hop_profile(G, s, budgets, maxr=maxr, allowed=allowed)
-    rows = shared.rows
     out: Dict[int, Sequence[float]] = {}
     missing = []
     for b in budgets:
@@ -182,20 +154,6 @@ def _ball(dist: Sequence[float], allowed: List[int], r: float) -> FrozenSet[int]
 
 def _marked_measure(mu: Measure, B: FrozenSet[int], MY: Set[int]) -> float:
     return math.fsum(mu[u] for u in B if u in MY)
-
-
-def _center_ball(shared: Optional[_Shared], G: WeightedGraph, v: int,
-                 budget: int, r: float, allowed: List[int]) -> FrozenSet[int]:
-    """B(v) of G[allowed] at (budget, r), kept in the shared table of a build
-    scope (see ``_shared_rows``)."""
-    if shared is None:
-        return _ball(_profile(shared, G, v, [budget], r, allowed)[budget], allowed, r)
-    key = (budget, r, v)
-    ball = shared.balls.get(key)
-    if ball is None:
-        prof = _profile(shared, G, v, [budget], r, allowed)
-        ball = shared.balls[key] = _ball(prof[budget], allowed, r)
-    return ball
 
 
 class _Balls:
@@ -223,10 +181,9 @@ class _Balls:
       meeting neither keeps its sum, which has the same terms.
 
     The sums are correctly rounded (``_marked_measure``), so equal terms
-    give equal floats and every rule picks the same center.  A
-    ball missing here is taken from the build scope's shared table when
-    there is one (see ``_shared_rows``), and built from a row otherwise; the
-    marked sums stay here, since they depend on the measure.
+    give equal floats and every rule picks the same center.  A ball missing
+    here is built from its row, which the build scope serves when there is
+    one (see ``_shared_rows``).
     """
     __slots__ = ("_tables",)
 
@@ -234,14 +191,15 @@ class _Balls:
         # (budget, radius) -> candidate -> [ball, marked measure or None]
         self._tables: Dict[Tuple[int, float], Dict[int, list]] = {}
 
-    def measure(self, shared: Optional[_Shared], G: WeightedGraph, v: int,
+    def measure(self, rows: Optional[_Rows], G: WeightedGraph, v: int,
                 budget: int, r: float, allowed: List[int], mu: Measure,
                 MY: Set[int]) -> float:
         """mu(B(v) & MY) in G[allowed], for ball budget and radius r."""
         table = self._tables.setdefault((budget, r), {})
         entry = table.get(v)
         if entry is None:
-            entry = table[v] = [_center_ball(shared, G, v, budget, r, allowed), None]
+            prof = _profile(rows, G, v, [budget], r, allowed)
+            entry = table[v] = [_ball(prof[budget], allowed, r), None]
         if entry[1] is None:
             entry[1] = _marked_measure(mu, entry[0], MY)
         return entry[1]
@@ -284,15 +242,15 @@ def standard_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
     rho = 2.0 ** scale_i / (16.0 * k_geom)
     b0 = scale_i * 2 * k_geom * h if scale_i > 0 else 0
     allowed = sorted(Y)
-    shared = _rows_of(G, Y)
+    rows = _rows_of(G, Y)
     best_v, best_m = -1, -1.0
     for v in allowed:
-        m = balls.measure(shared, G, v, b0, r0, allowed, mu, MY)
+        m = balls.measure(rows, G, v, b0, r0, allowed, mu, MY)
         if m > best_m + _REL_TOL:
             best_v, best_m = v, m
     v = best_v
     nb = 2 * k_geom
-    prof = _profile(shared, G, v, [b0 + j * h for j in range(nb + 1)],
+    prof = _profile(rows, G, v, [b0 + j * h for j in range(nb + 1)],
                     r0 + nb * rho, allowed)
     A = [_ball(prof[b0 + j * h], allowed, r0 + j * rho) for j in range(nb + 1)]
     muA = [_marked_measure(mu, A[j], MY) for j in range(nb + 1)]
@@ -335,12 +293,12 @@ def alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
     L = alt_levels(muM)
     delta = 2.0 ** scale_i
     allowed = sorted(Y)
-    shared = _rows_of(G, Y)
+    rows = _rows_of(G, Y)
     bball = 2 * k * L * h
     candidates = sorted(MY)
     best_v, best_m = -1, math.inf
     for v in candidates:
-        m = balls.measure(shared, G, v, bball, delta / 4.0, allowed, mu, MY)
+        m = balls.measure(rows, G, v, bball, delta / 4.0, allowed, mu, MY)
         if m < best_m - _REL_TOL:
             best_v, best_m = v, m
     v = best_v
@@ -348,8 +306,8 @@ def alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
         # trivial return claims diam^{(4kLh)}(G[Y]) <= delta/2; certify it,
         # since far-away unmarked vertices can break the claim, in which
         # case the scale-bounded rule still guarantees progress
-        if (_row_certifies(shared, G, balls, candidates, allowed, bball, delta / 4.0)
-                or _bounded_diam_at_most(shared, G, allowed, 2 * bball, delta / 2.0)):
+        if (_row_certifies(rows, G, balls, candidates, allowed, bball, delta / 4.0)
+                or _bounded_diam_at_most(rows, G, allowed, 2 * bball, delta / 2.0)):
             X = frozenset(Y)
             return ClusterTriple(X, X, X, v, 0)
         return fallback()
@@ -358,7 +316,7 @@ def alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
         return (2 * k * a + j) * h
 
     budgets = sorted({budget(a, j) for a in range(L + 1) for j in range(2 * k + 1)})
-    prof = _profile(shared, G, v, budgets, delta / 4.0 + _REL_TOL, allowed)
+    prof = _profile(rows, G, v, budgets, delta / 4.0 + _REL_TOL, allowed)
 
     nested: Dict[Tuple[int, int], Tuple[FrozenSet[int], float]] = {}
 
@@ -411,7 +369,7 @@ def create_cluster_alt(G: WeightedGraph, Y: Set[int], M: Set[int], mu: Measure,
                     lambda: create_cluster(G, Y, M, mu, h, k, scale_i, balls))
 
 
-def _row_certifies(shared: Optional[_Shared], G: WeightedGraph, balls: _Balls,
+def _row_certifies(rows: Optional[_Rows], G: WeightedGraph, balls: _Balls,
                    candidates: List[int], allowed: List[int], budget: int,
                    r: float) -> bool:
     """Whether the first candidate whose ball at (budget, r) is all of
@@ -421,15 +379,15 @@ def _row_certifies(shared: Optional[_Shared], G: WeightedGraph, balls: _Balls,
         return False
     for c in candidates:
         if len(balls.ball(budget, r, c)) == len(allowed):
-            d = _profile(shared, G, c, [budget], r, allowed)[budget]
+            d = _profile(rows, G, c, [budget], r, allowed)[budget]
             return max(d[u] for u in allowed) <= r * (1.0 - 1e-9)
     return False
 
 
-def _bounded_diam_at_most(shared: Optional[_Shared], G: WeightedGraph,
+def _bounded_diam_at_most(rows: Optional[_Rows], G: WeightedGraph,
                           allowed: List[int], budget: int, bound: float) -> bool:
     for s in allowed:
-        prof = _profile(shared, G, s, [budget], bound, allowed)
+        prof = _profile(rows, G, s, [budget], bound, allowed)
         d = prof[budget]
         if any(d[u] > bound + _REL_TOL for u in allowed):
             return False
@@ -456,23 +414,14 @@ def finite_graph(G: WeightedGraph, h: int,
     check at 2^(phi-1), with phi = ceil(log2 omega) the top scale, and
     2^(phi-1) < omega.  Only a float edge case, omega within 1e-12 above a
     power of two, reaches it; then the completion, with its O(n^2) edges,
-    is built here.  Memoized inside a build scope, so every round of a
-    distribution carves the same object."""
-    memo = _MEMO.get()
-    if memo is not None and (G, h, k) in memo.graphs:
-        return memo.graphs[(G, h, k)]
+    is built here."""
     dprime, lacking = _finite_scan(G, h)
     if not lacking:
-        out = G, None, dprime
-    else:
-        omega = completion_weight(G, k, dprime)
-        if 2.0 ** (math.ceil(math.log2(omega)) - 1) + _REL_TOL < omega:
-            out = G, omega, omega
-        else:
-            out = finite_completion(G, h, k)[0], omega, omega
-    if memo is not None:
-        memo.graphs[(G, h, k)] = out
-    return out
+        return G, None, dprime
+    omega = completion_weight(G, k, dprime)
+    if 2.0 ** (math.ceil(math.log2(omega)) - 1) + _REL_TOL < omega:
+        return G, omega, omega
+    return finite_completion(G, h, k)[0], omega, omega
 
 
 def alt_levels(mu_total: float) -> int:
@@ -632,10 +581,9 @@ def _mwu_rounds(n: int, rounds: int, embed: Callable[[List[float]], object],
     (an unpadded vertex for Ramsey, |f(v)| - 1 for clan), so with all of
     them 0 every weight is multiplied by (1 + eta)**0 == 1.0 and stays the
     same float.  ``ramsey_embed`` and ``clan_embed`` are deterministic in
-    (G, measure, h, k, variant), and a row or ball served by the build
-    scope cannot be told from a fresh one (``_shared_rows``), so every
-    later round would return an equal embedding; the one object is
-    repeated instead."""
+    (G, measure, h, k, variant), and a row served by the build scope cannot
+    be told from a fresh one (``_shared_rows``), so every later round would
+    return an equal embedding; the one object is repeated instead."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     eta = 0.5 / math.sqrt(rounds)

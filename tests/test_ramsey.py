@@ -394,38 +394,6 @@ class TestSharedRows:
                         assert _below(prof[b], r) == _below(fresh[b], r)
         assert requests - len(calls) > requests / 4   # served from stored rows
 
-    def test_served_balls_match_fresh_balls(self, monkeypatch):
-        calls = _counting_profiles(monkeypatch)
-        rng = random.Random(66)
-        requests = 0
-        for _ in range(12):
-            n = rng.randint(3, 14)
-            G = connected_random_graph(rng, n, 0.3, 1.0, 6.0)
-            Ys = [set(range(n))]
-            while len(Ys[-1]) > 1 and len(Ys) < 4:
-                Ys.append(set(rng.sample(sorted(Ys[-1]), rng.randint(1, len(Ys[-1])))))
-            radii = {}
-            with ramsey._shared_rows():
-                for _ in range(80):
-                    Y = rng.choice(Ys)
-                    allowed = sorted(Y)
-                    v = rng.choice(allowed)
-                    budget = rng.randint(0, 5)
-                    # half of the radii sit exactly on a distance; a radius
-                    # is drawn once per (Y, budget) so that balls repeat
-                    exact = [d for d in hop_distance_all(G, v, budget, allowed)
-                             if not is_inf(d)]
-                    r = radii.setdefault((frozenset(Y), budget), rng.choice(
-                        exact if rng.random() < 0.5 else [rng.uniform(0.0, 12.0)]))
-                    shared = ramsey._rows_of(G, Y)
-                    ball = ramsey._center_ball(shared, G, v, budget, r, allowed)
-                    fresh = hop_profile(G, v, [budget], maxr=r, allowed=allowed)[budget]
-                    requests += 1
-                    # same members in the same iteration order
-                    assert list(ball) == list(ramsey._ball(fresh, allowed, r))
-                    assert shared.balls[(budget, r, v)] is ball
-        assert requests - len(calls) > requests / 4   # served from stored balls
-
     def test_scope_is_reentrant_and_released(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         assert ramsey._rows_of(G, {0, 1, 2}) is None
@@ -433,7 +401,6 @@ class TestSharedRows:
             rows = ramsey._rows_of(G, {0, 1, 2})
             with ramsey._shared_rows():
                 assert ramsey._rows_of(G, {0, 1, 2}) is rows
-                assert finite_graph(G, 1, 2) is finite_graph(G, 1, 2)
             assert ramsey._rows_of(G, {0, 1, 2}) is rows
         assert ramsey._rows_of(G, {0, 1, 2}) is None
 
@@ -442,42 +409,53 @@ class TestSharedRows:
         for _ in range(10):
             G = random_graph(rng, rng.randint(3, 10), 0.2, 1.0, 5.0)
             params = [(h, k) for h in (1, 2, 3) for k in (1, 2, 3)]
-            alone = [finite_graph(G, h, k) for h, k in params]
-            with ramsey._shared_rows():
-                for (h, k), (Gf, omega, diam) in zip(params, alone):
-                    Gw = finite_completion(G, h, k)[0]
-                    assert diam == hop_diameter(Gw, h)
-                    assert omega is None or omega == hop_diameter(Gw, h)
-                    assert (omega is None) == (Gw is G)
-                    # no omega here lies within 1e-12 above a power of two,
-                    # so G is carved in place of its completion
-                    assert Gf is G
-                    assert finite_graph(G, h, k) == (G, omega, diam)
+            for h, k in params:
+                Gf, omega, diam = finite_graph(G, h, k)
+                Gw = finite_completion(G, h, k)[0]
+                assert diam == hop_diameter(Gw, h)
+                assert omega is None or omega == hop_diameter(Gw, h)
+                assert (omega is None) == (Gw is G)
+                # no omega here lies within 1e-12 above a power of two,
+                # so G is carved in place of its completion
+                assert Gf is G
 
-    @pytest.mark.parametrize("seed", [63, 64, 65])
-    def test_distribution_matches_standalone_embeddings(self, seed, monkeypatch):
+    @pytest.mark.parametrize("graph", ["grid10", "random16", "random14"])
+    def test_distribution_matches_standalone_embeddings(self, graph, monkeypatch):
+        # no distribution here converges at the standard variant
         calls = _counting_profiles(monkeypatch)
-        balls = []
-        real_ball = ramsey._ball
-        monkeypatch.setattr(ramsey, "_ball",
-                            lambda *a: balls.append(a[2]) or real_ball(*a))
-        rng = random.Random(seed)
-        G = (connected_random_graph(rng, 16, 0.15, 1.0, 8.0) if seed != 65
-             else random_graph(rng, 14, 0.15, 1.0, 8.0))
-        n, rounds = G.n, 4
-        dist = ramsey_distribution(G, 2, "fixed_k", rounds, variant="alt")
-        shared, shared_balls = len(calls), len(balls)
+        if graph == "grid10":
+            G = _fixed_point_graph(graph)
+        elif graph == "random16":
+            G = connected_random_graph(random.Random(63), 16, 0.15, 1.0, 8.0)
+        else:
+            G = random_graph(random.Random(65), 14, 0.15, 1.0, 8.0)
+        n, rounds = G.n, 3
+        dist = ramsey_distribution(G, 2, "fixed_k", rounds, variant="standard")
+        shared = len(calls)
+        assert len({id(emb) for emb, _ in dist}) == rounds   # every round embeds
         eta = 0.5 / math.sqrt(rounds)
         weights = [1.0] * n
         for emb, _ in dist:
-            alone = ramsey_embed(G, mwu_measures(weights, 2), set(range(n)), 2, 3, "alt")
+            alone = ramsey_embed(G, mwu_measures(weights, 2), set(range(n)), 2, 3, "standard")
             assert emb.U.to_json() == alone.U.to_json()
             assert emb.M == alone.M
             for v in range(n):
                 if v not in alone.M:
                     weights[v] *= 1.0 + eta
         assert shared < len(calls) - shared
-        assert shared_balls < len(balls) - shared_balls
+
+    def test_single_alt_embedding_reuses_rows(self, monkeypatch):
+        # the scale below one that leaves Y whole asks for the same rows at
+        # half the radius
+        calls = _counting_profiles(monkeypatch)
+        G = _fixed_point_graph("random48")
+        mu, V = mwu_measures([1.0] * 48, 2), set(range(48))
+        alone = ramsey_embed(G, mu, V, 2, 3, "alt")
+        unscoped = len(calls)
+        with ramsey._shared_rows():
+            scoped = ramsey_embed(G, mu, V, 2, 3, "alt")
+        assert len(calls) - unscoped < unscoped
+        assert scoped.U.to_json() == alone.U.to_json()
 
 
 def _certificate(G, Y, h, k, scale_i):
