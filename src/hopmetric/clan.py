@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .graph_core import INFINITY, HopParams, WeightedGraph, is_inf
 from .ramsey import (ClusterTriple, Measure, _Balls, _check_variant,
                      _constants, _embed_setup, _mwu_rounds, _scale_tree,
-                     _shared_rows, alt_rule, measure_of, standard_rule)
+                     alt_rule, measure_of, standard_rule)
 from .ultrametric import Ultrametric, ultra_distance
 
 
@@ -83,16 +83,18 @@ def clan_create_cluster_alt(G: WeightedGraph, Y: Set[int], mu: Measure,
 
 
 def clan_cover(G: WeightedGraph, X: Set[int], mu: Measure, h: int, k: int,
-               scale_i: int, variant: str = "standard") -> List[ClusterTriple]:
+               scale_i: int, variant: str = "standard",
+               balls: Optional[_Balls] = None) -> List[ClusterTriple]:
     """Iteratively carve triples; only inner clusters are removed, so outer
     clusters cover X (with overlaps) while inner clusters partition it.
-    The carvings share one ball table (see ``ramsey._Balls``)."""
+    The carvings share one ball table (see ``ramsey._Balls``): ``balls``,
+    which may hold rows of G[X], or a fresh one."""
     if not X:
         raise ValueError("X must be nonempty")
     _check_variant(variant)
     carve = clan_create_cluster if variant == "standard" else clan_create_cluster_alt
     Y = set(X)
-    balls = _Balls()
+    balls = balls or _Balls()
     out: List[ClusterTriple] = []
     while Y:
         trip = carve(G, Y, mu, h, k, scale_i, balls)
@@ -100,8 +102,10 @@ def clan_cover(G: WeightedGraph, X: Set[int], mu: Measure, h: int, k: int,
         if not trip.inner:
             raise AssertionError("empty inner cluster would not make progress")
         Y -= trip.inner
-        # every vertex of Y is marked, so only removed vertices lose a mark
-        balls.carved(trip.inner, frozenset())
+        # every vertex of Y is marked, so only removed vertices lose a mark;
+        # an inner cluster of all of Y makes outer = Y the last cluster, and
+        # the rows of G[Y] carry to its next scale
+        balls.carved(trip.inner, frozenset(), not Y)
     return out
 
 
@@ -112,9 +116,9 @@ def clan_embed(G: WeightedGraph, mu: Measure, h: int, k: int,
     copies: Dict[int, List[int]] = {v: [] for v in range(G.n)}
     chi: Dict[int, int] = {}
 
-    def split(X, chiefs, i):
+    def split(X, chiefs, i, balls):
         """Outer clusters; each chief goes to the first mid cluster holding it."""
-        cover = clan_cover(Gw, X, mu, h, k, i, variant)
+        cover = clan_cover(Gw, X, mu, h, k, i, variant, balls)
         if len(cover) == 1:
             return [(set(cover[0].outer), chiefs)]
         owned: List[Set[int]] = [set() for _ in cover]
@@ -193,7 +197,6 @@ def clan_mwu_measure(weights: Sequence[float]) -> List[float]:
     return [1.0 + n * (w / total) for w in weights]
 
 
-@_shared_rows()
 def clan_distribution(G: WeightedGraph, h: int, mode: str, rounds: int,
                       k: int = 2, epsilon: float = 0.5,
                       variant: str = "standard") -> List[Tuple[ClanEmbedding, float]]:
@@ -201,10 +204,9 @@ def clan_distribution(G: WeightedGraph, h: int, mode: str, rounds: int,
 
     mode "fixed_k": expected clan size O(n^{1/k}) per vertex;
     mode "expected": expected clan size <= 1+epsilon per vertex.
-    The rounds share bounded-hop rows (see ``ramsey._shared_rows``).  Once a
-    round gives every vertex a single copy the weights cannot move, so that
-    embedding fills the remaining rounds as one repeated object (see
-    ``ramsey._mwu_rounds``).
+    Once a round gives every vertex a single copy the weights cannot move,
+    so that embedding fills the remaining rounds as one repeated object
+    (see ``ramsey._mwu_rounds``).
     """
     HopParams(h, k, epsilon)
     n = G.n

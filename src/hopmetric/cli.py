@@ -170,11 +170,12 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 # -- click wiring ----------------------------------------------------------
 
 class _Float(click.FloatRange):
-    """A FloatRange that also rejects NaN, which no bound comparison catches."""
+    """A FloatRange of finite values: it also rejects NaN, which no bound
+    comparison catches, and infinity, which an open range admits."""
 
     def convert(self, value, param, ctx):
         rv = super().convert(value, param, ctx)
-        if math.isnan(rv):
+        if not math.isfinite(rv):
             self.fail(f"{rv} is not in the range {self._describe_range()}.",
                       param, ctx)
         return rv

@@ -50,8 +50,8 @@ def sparse_cover(G: WeightedGraph, delta: float, seed: int = 0) -> SparseCover:
     cluster, and every cluster has radius <= delta * log2(2n) from its center
     in its own induced subgraph.  Restarts with a fresh stream until all drawn
     radii are at most log2(2n)."""
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     n = G.n
     rmax = math.log2(2 * n)
     attempt = 0

@@ -15,8 +15,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import tz
 from .graph_core import INFINITY, HopParams, WeightedGraph, is_inf
-from .ramsey import (RamseyEmbedding, _shared_rows, ramsey_distribution,
-                     ramsey_embed)
+from .ramsey import RamseyEmbedding, ramsey_distribution, ramsey_embed
 from .rng import substream
 from .ultrametric import Ultrametric
 
@@ -139,11 +138,10 @@ class CoarseBudgetExceeded(RuntimeError):
 _COARSE_ROUNDS = 8   # embeddings in the distribution the coarse oracle samples
 
 
-@_shared_rows()
 def build_coarse_oracle(G: WeightedGraph, h: int, k: int, seed: int = 0,
                         max_attempts: int = 30) -> CoarseOracle:
     """Sample rounds of an alt-Ramsey distribution until every vertex is
-    padded; the distribution and the straggler embeddings share rows.
+    padded.
 
     Raises CoarseBudgetExceeded when all ``max_attempts`` exceed the size
     budget.

@@ -221,8 +221,8 @@ def hop_distance(G: WeightedGraph, u: int, v: int, h: int) -> float:
 def hop_ball(G: WeightedGraph, v: int, r: float, h: int,
              allowed: Sequence[int] | None = None) -> Set[int]:
     """{ u : d^{(h)}(v,u) <= r }; always contains v."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    if not 0 <= r < math.inf:
+        raise ValueError("r must be finite and >= 0")
     dist = hop_distance_all(G, v, h, allowed=allowed)
     return {u for u, d in enumerate(dist) if not is_inf(d) and d <= r}
 

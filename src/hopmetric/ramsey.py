@@ -8,14 +8,11 @@ guarantees.  The clan embedding carves with the same two rules.
 from __future__ import annotations
 
 import math
-from array import array
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
+                    Tuple)
 
-from .graph_core import (HopParams, WeightedGraph, _finite_scan,
+from .graph_core import (HopParams, WeightedGraph, _finite_scan, as_integer,
                          completion_weight, finite_completion, hop_profile)
 from .ultrametric import Ultrametric, saturate_labels
 
@@ -71,83 +68,6 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"unknown variant {variant!r}")
 
 
-# -- rows shared by the embeddings of one build -----------------------------
-
-_Rows = Dict[Tuple[int, int], Tuple[float, array]]   # (budget, source) -> (R, row)
-
-# (G, Y) -> the rows of G[Y], inside a build scope
-_MEMO: ContextVar[Optional[Dict[Tuple[WeightedGraph, FrozenSet[int]], _Rows]]] = ContextVar(
-    "hopmetric_build_memo", default=None)
-
-
-@contextmanager
-def _shared_rows() -> Iterator[None]:
-    """Share bounded-hop rows across the embeddings of one multi-embedding
-    build; re-entrant, released when the outermost scope exits.
-
-    Rows are kept per (carved graph G, vertex set Y).  A carving asks again
-    for a row an earlier one computed in two places: the later rounds of a
-    distribution, which embed the same graph and differ only in the measure
-    and so in the choice of centers; and, within one alt embedding, the
-    scale below one that left Y whole, which carves the same Y with the
-    same ball budget bball = 2kLh at half the radius.
-
-    A row is keyed by (budget b, source s) and kept with the radius R it was
-    pruned at; a request with maxr = r <= R is served from it.  This is
-    exact: weights are positive and float addition is monotone, so no prefix
-    of a walk weighs more than the walk, and pruning at R only turns the
-    entries above R + 1e-12 into infinity.  Hence the row pruned at R equals
-    the row pruned at r on every entry <= r + 1e-12.  Every reader compares
-    entries only against a radius no larger than the maxr it asked for
-    (``_ball`` in both rules, ``_bounded_diam_at_most``), so it cannot tell a
-    served row from a fresh one.
-
-    Single ``ramsey_embed`` and ``clan_embed`` calls open no scope.  Inside
-    one, a single alt Ramsey embedding of the n = 48 random graph at h = 2,
-    k = 3 makes 387 ``hop_profile`` calls instead of 605; a standard one
-    makes 398 either way, since its ball budget changes with the scale.
-    """
-    if _MEMO.get() is not None:
-        yield
-        return
-    token = _MEMO.set({})
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
-
-
-def _rows_of(G: WeightedGraph, Y: Set[int]) -> Optional[_Rows]:
-    """The shared rows of G[Y], or None outside a build scope."""
-    memo = _MEMO.get()
-    if memo is None:
-        return None
-    return memo.setdefault((G, frozenset(Y)), {})
-
-
-def _profile(rows: Optional[_Rows], G: WeightedGraph, s: int,
-             budgets: Sequence[int], maxr: float,
-             allowed: List[int]) -> Dict[int, Sequence[float]]:
-    """hop_profile(G, s, budgets, maxr, allowed), served from the shared
-    rows where a stored row was pruned at a radius >= maxr (see
-    ``_shared_rows``)."""
-    if rows is None:
-        return hop_profile(G, s, budgets, maxr=maxr, allowed=allowed)
-    out: Dict[int, Sequence[float]] = {}
-    missing = []
-    for b in budgets:
-        hit = rows.get((b, s))
-        if hit is not None and maxr <= hit[0]:
-            out[b] = hit[1]
-        else:
-            missing.append(b)
-    if missing:
-        for b, row in hop_profile(G, s, missing, maxr=maxr, allowed=allowed).items():
-            rows[(b, s)] = (maxr, array("d", row))
-            out[b] = row
-    return out
-
-
 def _ball(dist: Sequence[float], allowed: List[int], r: float) -> FrozenSet[int]:
     return frozenset(u for u in allowed if dist[u] <= r + _REL_TOL)
 
@@ -157,9 +77,9 @@ def _marked_measure(mu: Measure, B: FrozenSet[int], MY: Set[int]) -> float:
 
 
 class _Balls:
-    """The center-choice balls and their marked measures of one
-    ``padded_partition`` or ``clan_cover`` call, kept across its carvings
-    and released when the call returns.
+    """The center-choice balls, their marked measures and their rows for
+    the current Y of one ``padded_partition`` or ``clan_cover`` call, kept
+    across its carvings.
 
     A carving of G[Y] picks its center by the marked measure of the ball
     B(v) = {u in Y : d^{(b)}_{G[Y]}(v, u) <= r} of every candidate v.  A ball
@@ -181,25 +101,51 @@ class _Balls:
       meeting neither keeps its sum, which has the same terms.
 
     The sums are correctly rounded (``_marked_measure``), so equal terms
-    give equal floats and every rule picks the same center.  A ball missing
-    here is built from its row, which the build scope serves when there is
-    one (see ``_shared_rows``).
+    give equal floats and every rule picks the same center.
+
+    A ball missing here is built from its row in G[Y], keyed by (budget b,
+    source v) and kept with the radius R it was pruned at; ``row`` serves it
+    at any radius r <= R.  This is exact: by the prefix argument above,
+    pruning at R only turns the entries above R + 1e-12 into infinity, so
+    the row pruned at R equals the row pruned at r on every entry <=
+    r + 1e-12.  Every reader compares entries only against a radius no
+    larger than the one it asked for (``_ball``, ``_row_certifies``), so it
+    cannot tell a served row from a fresh one.  A carve drops the rows,
+    which belong to G[Y].  A carve that takes all of Y keeps them, and the
+    table goes with that cluster to the next scale (``_scale_tree``), whose
+    partition carves the same set: below a scale where the alt rule returned
+    Y whole, the same ball budget 2kLh is asked for at half the radius.  A
+    single alt Ramsey embedding of the n = 48 random graph at h = 2, k = 3
+    makes 387 ``hop_profile`` calls with the carried rows and 601 without.
     """
-    __slots__ = ("_tables",)
+    __slots__ = ("_tables", "_rows")
 
     def __init__(self) -> None:
         # (budget, radius) -> candidate -> [ball, marked measure or None]
         self._tables: Dict[Tuple[int, float], Dict[int, list]] = {}
+        # (budget, source) -> (radius R, row pruned at R)
+        self._rows: Dict[Tuple[int, int], Tuple[float, List[float]]] = {}
 
-    def measure(self, rows: Optional[_Rows], G: WeightedGraph, v: int,
-                budget: int, r: float, allowed: List[int], mu: Measure,
-                MY: Set[int]) -> float:
+    def row(self, G: WeightedGraph, v: int, budget: int, r: float,
+            allowed: List[int]) -> List[float]:
+        """hop_profile(G, v, [budget], r, allowed)[budget] on every entry
+        <= r + 1e-12, served from the stored row when it was pruned at a
+        radius >= r."""
+        hit = self._rows.get((budget, v))
+        if hit is not None and r <= hit[0]:
+            return hit[1]
+        row = hop_profile(G, v, [budget], maxr=r, allowed=allowed)[budget]
+        self._rows[(budget, v)] = (r, row)
+        return row
+
+    def measure(self, G: WeightedGraph, v: int, budget: int, r: float,
+                allowed: List[int], mu: Measure, MY: Set[int]) -> float:
         """mu(B(v) & MY) in G[allowed], for ball budget and radius r."""
         table = self._tables.setdefault((budget, r), {})
         entry = table.get(v)
         if entry is None:
-            prof = _profile(rows, G, v, [budget], r, allowed)
-            entry = table[v] = [_ball(prof[budget], allowed, r), None]
+            ball = _ball(self.row(G, v, budget, r, allowed), allowed, r)
+            entry = table[v] = [ball, None]
         if entry[1] is None:
             entry[1] = _marked_measure(mu, entry[0], MY)
         return entry[1]
@@ -208,9 +154,12 @@ class _Balls:
         """The ball of v at (budget, r), which ``measure`` has read."""
         return self._tables[(budget, r)][v][0]
 
-    def carved(self, removed: Set[int], unmarked: Set[int]) -> None:
+    def carved(self, removed: Set[int], unmarked: Set[int], whole: bool) -> None:
         """Refresh the tables after a carve took ``removed`` out of Y and
-        ``unmarked`` out of the marked set."""
+        ``unmarked`` out of the marked set; the rows stay only when the
+        carve took all of Y (``whole``)."""
+        if not whole:
+            self._rows.clear()
         for table in self._tables.values():
             for v, entry in list(table.items()):
                 if not entry[0].isdisjoint(removed):
@@ -242,16 +191,15 @@ def standard_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
     rho = 2.0 ** scale_i / (16.0 * k_geom)
     b0 = scale_i * 2 * k_geom * h if scale_i > 0 else 0
     allowed = sorted(Y)
-    rows = _rows_of(G, Y)
     best_v, best_m = -1, -1.0
     for v in allowed:
-        m = balls.measure(rows, G, v, b0, r0, allowed, mu, MY)
+        m = balls.measure(G, v, b0, r0, allowed, mu, MY)
         if m > best_m + _REL_TOL:
             best_v, best_m = v, m
     v = best_v
     nb = 2 * k_geom
-    prof = _profile(rows, G, v, [b0 + j * h for j in range(nb + 1)],
-                    r0 + nb * rho, allowed)
+    prof = hop_profile(G, v, [b0 + j * h for j in range(nb + 1)],
+                       maxr=r0 + nb * rho, allowed=allowed)
     A = [_ball(prof[b0 + j * h], allowed, r0 + j * rho) for j in range(nb + 1)]
     muA = [_marked_measure(mu, A[j], MY) for j in range(nb + 1)]
     muM = measure_of(mu, MY)
@@ -293,12 +241,11 @@ def alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
     L = alt_levels(muM)
     delta = 2.0 ** scale_i
     allowed = sorted(Y)
-    rows = _rows_of(G, Y)
     bball = 2 * k * L * h
     candidates = sorted(MY)
     best_v, best_m = -1, math.inf
     for v in candidates:
-        m = balls.measure(rows, G, v, bball, delta / 4.0, allowed, mu, MY)
+        m = balls.measure(G, v, bball, delta / 4.0, allowed, mu, MY)
         if m < best_m - _REL_TOL:
             best_v, best_m = v, m
     v = best_v
@@ -306,8 +253,8 @@ def alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
         # trivial return claims diam^{(4kLh)}(G[Y]) <= delta/2; certify it,
         # since far-away unmarked vertices can break the claim, in which
         # case the scale-bounded rule still guarantees progress
-        if (_row_certifies(rows, G, balls, candidates, allowed, bball, delta / 4.0)
-                or _bounded_diam_at_most(rows, G, allowed, 2 * bball, delta / 2.0)):
+        if (_row_certifies(G, balls, candidates, allowed, bball, delta / 4.0)
+                or _bounded_diam_at_most(G, allowed, 2 * bball, delta / 2.0)):
             X = frozenset(Y)
             return ClusterTriple(X, X, X, v, 0)
         return fallback()
@@ -316,7 +263,7 @@ def alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
         return (2 * k * a + j) * h
 
     budgets = sorted({budget(a, j) for a in range(L + 1) for j in range(2 * k + 1)})
-    prof = _profile(rows, G, v, budgets, delta / 4.0 + _REL_TOL, allowed)
+    prof = hop_profile(G, v, budgets, maxr=delta / 4.0 + _REL_TOL, allowed=allowed)
 
     nested: Dict[Tuple[int, int], Tuple[FrozenSet[int], float]] = {}
 
@@ -369,9 +316,8 @@ def create_cluster_alt(G: WeightedGraph, Y: Set[int], M: Set[int], mu: Measure,
                     lambda: create_cluster(G, Y, M, mu, h, k, scale_i, balls))
 
 
-def _row_certifies(rows: Optional[_Rows], G: WeightedGraph, balls: _Balls,
-                   candidates: List[int], allowed: List[int], budget: int,
-                   r: float) -> bool:
+def _row_certifies(G: WeightedGraph, balls: _Balls, candidates: List[int],
+                   allowed: List[int], budget: int, r: float) -> bool:
     """Whether the first candidate whose ball at (budget, r) is all of
     ``allowed`` has a row within r * (1 - 1e-9); if so, every pair of
     ``allowed`` is within 2r at budget 2 * budget (see ``alt_rule``)."""
@@ -379,16 +325,15 @@ def _row_certifies(rows: Optional[_Rows], G: WeightedGraph, balls: _Balls,
         return False
     for c in candidates:
         if len(balls.ball(budget, r, c)) == len(allowed):
-            d = _profile(rows, G, c, [budget], r, allowed)[budget]
+            d = balls.row(G, c, budget, r, allowed)
             return max(d[u] for u in allowed) <= r * (1.0 - 1e-9)
     return False
 
 
-def _bounded_diam_at_most(rows: Optional[_Rows], G: WeightedGraph,
-                          allowed: List[int], budget: int, bound: float) -> bool:
+def _bounded_diam_at_most(G: WeightedGraph, allowed: List[int], budget: int,
+                          bound: float) -> bool:
     for s in allowed:
-        prof = _profile(rows, G, s, [budget], bound, allowed)
-        d = prof[budget]
+        d = hop_profile(G, s, [budget], maxr=bound, allowed=allowed)[budget]
         if any(d[u] > bound + _REL_TOL for u in allowed):
             return False
     return True
@@ -434,12 +379,14 @@ def alt_levels(mu_total: float) -> int:
 def padded_partition(G: WeightedGraph, X: Set[int], mu: Measure, M: Set[int],
                      h: int, k: int, scale_i: int,
                      variant: str = "standard",
-                     stats: Optional[dict] = None) -> List[Tuple[FrozenSet[int], FrozenSet[int]]]:
+                     stats: Optional[dict] = None,
+                     balls: Optional[_Balls] = None) -> List[Tuple[FrozenSet[int], FrozenSet[int]]]:
     """Partition X into clusters with nested marked subsets.
 
     Returns [(cluster, marked-subset)] in creation order; once the live
     marked set empties, the remaining vertices become singleton clusters.
-    The carvings share one ball table (see ``_Balls``).
+    The carvings share one ball table (see ``_Balls``): ``balls``, which
+    may hold rows of G[X], or a fresh one.
     """
     if not X:
         raise ValueError("X must be nonempty")
@@ -447,7 +394,7 @@ def padded_partition(G: WeightedGraph, X: Set[int], mu: Measure, M: Set[int],
     carve = create_cluster if variant == "standard" else create_cluster_alt
     Y = set(X)
     MY = set(M) & Y
-    balls = _Balls()
+    balls = balls or _Balls()
     out: List[Tuple[FrozenSet[int], FrozenSet[int]]] = []
     while Y:
         if not MY:
@@ -463,7 +410,7 @@ def padded_partition(G: WeightedGraph, X: Set[int], mu: Measure, M: Set[int],
         Y -= cluster
         MY -= trip.outer
         MY &= Y
-        balls.carved(cluster, unmarked)
+        balls.carved(cluster, unmarked, not Y)
     return out
 
 
@@ -478,25 +425,29 @@ def _embed_setup(G: WeightedGraph, mu: Measure, h: int, k: int,
 
 
 def _scale_tree(n: int, phi: int, omega: Optional[float], state: object,
-                split: Callable[[Set[int], object, int], List[Tuple[Set[int], object]]],
+                split: Callable[[Set[int], object, int, _Balls], List[Tuple[Set[int], object]]],
                 at_leaf: Callable[[int, int, object], None]) -> Ultrametric:
     """The ultrametric of the scale recursion, built top-down in pre-order.
 
-    ``split(X, state, i)`` carves X at scale 2^i into [(cluster, state)];
-    a split into several clusters gets a node labeled 2^i, and a singleton
-    {v} becomes a leaf, reported as ``at_leaf(leaf id, v, state)``.  Labels
-    at least omega, when given, saturate to infinity.
+    ``split(X, state, i, balls)`` carves X at scale 2^i with the ball table
+    ``balls`` into [(cluster, state)]; a split into several clusters gets a
+    node labeled 2^i, and a singleton {v} becomes a leaf, reported as
+    ``at_leaf(leaf id, v, state)``.  The last cluster inherits the table,
+    which holds that cluster's rows when its carve took all that was left
+    (see ``_Balls``); the others start a fresh one.  Labels at least omega,
+    when given, saturate to infinity.
     """
     parent: List[Optional[int]] = []
     label: List[float] = []
     payload: List[Optional[int]] = []
 
-    def grow(X: Set[int], state: object, i: int, up: Optional[int]) -> None:
+    def grow(X: Set[int], state: object, i: int, up: Optional[int],
+             balls: _Balls) -> None:
         if len(X) > 1 and i < 0:
             raise AssertionError("scale exhausted with a non-singleton cluster")
-        parts = split(X, state, i) if len(X) > 1 else ()
+        parts = split(X, state, i, balls) if len(X) > 1 else ()
         if len(parts) == 1:
-            return grow(*parts[0], i - 1, up)
+            return grow(*parts[0], i - 1, up, balls)
         lab = 2.0 ** i if parts else 0.0
         if up is not None and lab > label[up]:
             raise ValueError("root label smaller than a child root label")
@@ -506,10 +457,10 @@ def _scale_tree(n: int, phi: int, omega: Optional[float], state: object,
         payload.append(None if parts else next(iter(X)))
         if not parts:
             at_leaf(node, payload[node], state)
-        for Y, sub in parts:
-            grow(Y, sub, i - 1, node)
+        for j, (Y, sub) in enumerate(parts):
+            grow(Y, sub, i - 1, node, balls if j == len(parts) - 1 else _Balls())
 
-    grow(set(range(n)), state, phi, None)
+    grow(set(range(n)), state, phi, None, _Balls())
     U = Ultrametric(parent, label, payload)
     return U if omega is None else saturate_labels(U, omega)
 
@@ -541,9 +492,9 @@ def ramsey_embed(G: WeightedGraph, mu: Measure, M0: Set[int], h: int, k: int,
     stats: dict = {}
     survivors: Set[int] = set()
 
-    def split(X, M, i):
+    def split(X, M, i, balls):
         return [(set(cluster), set(marked)) for cluster, marked in
-                padded_partition(Gw, X, mu, M, h, k, i, variant, stats=stats)]
+                padded_partition(Gw, X, mu, M, h, k, i, variant, stats, balls)]
 
     def at_leaf(leaf, v, M):
         if v in M:
@@ -581,9 +532,9 @@ def _mwu_rounds(n: int, rounds: int, embed: Callable[[List[float]], object],
     (an unpadded vertex for Ramsey, |f(v)| - 1 for clan), so with all of
     them 0 every weight is multiplied by (1 + eta)**0 == 1.0 and stays the
     same float.  ``ramsey_embed`` and ``clan_embed`` are deterministic in
-    (G, measure, h, k, variant), and a row served by the build scope cannot
-    be told from a fresh one (``_shared_rows``), so every later round would
-    return an equal embedding; the one object is repeated instead."""
+    (G, measure, h, k, variant), so every later round would return an
+    equal embedding; the one object is repeated instead."""
+    rounds = as_integer(rounds, "rounds")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     eta = 0.5 / math.sqrt(rounds)
@@ -599,7 +550,6 @@ def _mwu_rounds(n: int, rounds: int, embed: Callable[[List[float]], object],
     return out
 
 
-@_shared_rows()
 def ramsey_distribution(G: WeightedGraph, h: int, mode: str, rounds: int,
                         k: int = 2, epsilon: float = 0.25,
                         variant: str = "standard") -> List[Tuple[RamseyEmbedding, float]]:
@@ -607,9 +557,9 @@ def ramsey_distribution(G: WeightedGraph, h: int, mode: str, rounds: int,
 
     mode "fixed_k": per-vertex inclusion probability Omega(n^{-1/k});
     mode "inclusion": k is derived from epsilon and inclusion >= 1-epsilon.
-    The rounds share bounded-hop rows (see ``_shared_rows``).  Once a round
-    pads every vertex the weights cannot move, so that embedding fills the
-    remaining rounds as one repeated object (see ``_mwu_rounds``).
+    Once a round pads every vertex the weights cannot move, so that
+    embedding fills the remaining rounds as one repeated object (see
+    ``_mwu_rounds``).
     """
     HopParams(h, k, epsilon)
     n = G.n

@@ -7,7 +7,6 @@ import random
 
 import pytest
 
-from hopmetric import ramsey
 from hopmetric.clan import (clan_cover, clan_create_cluster,
                             clan_create_cluster_alt, clan_distribution,
                             clan_embed, clan_mwu_measure, optimal_path_copies)
@@ -266,12 +265,11 @@ class TestClanDistribution:
         eta = 0.5 / math.sqrt(rounds)
         weights = [1.0] * n
         ref = []
-        with ramsey._shared_rows():
-            for _ in range(rounds):
-                emb = clan_embed(G, clan_mwu_measure(weights), 2, 2, variant)
-                ref.append(emb)
-                weights = [w * (1.0 + eta) ** (len(emb.f[v]) - 1)
-                           for v, w in enumerate(weights)]
+        for _ in range(rounds):
+            emb = clan_embed(G, clan_mwu_measure(weights), 2, 2, variant)
+            ref.append(emb)
+            weights = [w * (1.0 + eta) ** (len(emb.f[v]) - 1)
+                       for v, w in enumerate(weights)]
         assert [p for _, p in dist] == [1.0 / rounds] * rounds
         assert [_clan_record(emb) for emb, _ in dist] == [_clan_record(e) for e in ref]
         # the cases cover both sides: one object repeated, or one per round

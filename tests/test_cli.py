@@ -197,7 +197,8 @@ class TestBadInput:
         ["preserve", "--h", "0"], ["oracle", "--epsilon", "1.5"],
         ["labels", "--epsilon", "0"], ["route", "--pairs", "-1"],
         ["route", "--k", "0"], ["cover", "--delta", "-1"], ["cover", "--delta", "0"],
-        ["cover", "--delta", "nan"], ["oracle", "--epsilon", "nan"]])
+        ["cover", "--delta", "nan"], ["cover", "--delta", "inf"],
+        ["oracle", "--epsilon", "nan"]])
     def test_parameter_out_of_range(self, tmp_path, args):
         res = CliRunner().invoke(main, args + ["--graph", self._graph(tmp_path)])
         self._usage_error(res)
@@ -209,6 +210,7 @@ class TestBadInput:
         (["grid", "--cols", "-3"], "is not in the range"),
         (["random-weighted", "--wmin", "-1"], "is not in the range"),
         (["random-weighted", "--wmax", "nan"], "is not in the range"),
+        (["random-weighted", "--wmax", "inf"], "is not in the range"),
         (["gnp", "--p", "-1"], "is not in the range"),
         (["gnp", "--p", "nan"], "is not in the range"),
         (["random-weighted", "--wmin", "5", "--wmax", "2"], "larger than --wmax"),

@@ -16,7 +16,7 @@ from hopmetric.cli import gen_graph
 from hopmetric.graph_core import WeightedGraph, finite_completion, hop_profile
 from hopmetric.ramsey import finite_graph, ramsey_distribution, ramsey_embed
 from oracles import connected_random_graph, random_graph
-from test_ramsey import _below
+from test_ramsey import _below, _fixed_point_graph
 
 # omega = 34 * 1.8823529411764712 = 64.00000000000003 sits 3e-14 above
 # 2^6, so at phi = 7 the alt rule's diameter check at bound 2^6 reaches it
@@ -53,25 +53,33 @@ def _builds(G, h, k):
 
 
 def test_served_rows_equal_completion_rows(monkeypatch):
-    """Every row a carver is served equals the row on the completion at the
-    same radius, at or below that radius; outside the omega edge case it is
-    a row of G itself, at a radius below omega."""
+    """Every row a carver is served, fresh or stored, equals the row on the
+    completion at the same radius, at or below that radius; outside the
+    omega edge case it is a row of G itself, at a radius below omega."""
     served = []
     completion = []   # (completed graph, omega) of the embedding being built
-    real_profile, real_graph = ramsey._profile, ramsey.finite_graph
+    real_profile, real_row = ramsey.hop_profile, ramsey._Balls.row
+    real_graph = ramsey.finite_graph
 
     def graph_spy(G, h, k):
         completion[:] = [finite_completion(G, h, k)]
         return real_graph(G, h, k)
 
-    def profile_spy(rows, G, s, budgets, maxr, allowed):
-        out = real_profile(rows, G, s, budgets, maxr, allowed)
+    def profile_spy(G, s, budgets, maxr, allowed):
+        out = real_profile(G, s, budgets, maxr=maxr, allowed=allowed)
         served.append((completion[0], G, s, list(budgets), maxr, list(allowed),
                        {b: list(out[b]) for b in budgets}))
         return out
 
+    def row_spy(balls, G, s, budget, r, allowed):
+        row = real_row(balls, G, s, budget, r, allowed)
+        served.append((completion[0], G, s, [budget], r, list(allowed),
+                       {budget: list(row)}))
+        return row
+
     monkeypatch.setattr(ramsey, "finite_graph", graph_spy)
-    monkeypatch.setattr(ramsey, "_profile", profile_spy)
+    monkeypatch.setattr(ramsey, "hop_profile", profile_spy)
+    monkeypatch.setattr(ramsey._Balls, "row", row_spy)
     checked = on_completion = 0
     for G, h, k in _completion_cases():
         for build in _builds(G, h, k):
@@ -113,14 +121,14 @@ def test_omega_edge_case_carves_the_completion(monkeypatch):
     allowed = [0, 1, 2, 3]
     # the added edge (0, 2) of weight omega is within 64 + 1e-12 on the
     # completion; on the base graph 0 and 2 are not connected at all
-    assert ramsey._bounded_diam_at_most(None, Gf, allowed, 32, 64.0)
-    assert not ramsey._bounded_diam_at_most(None, EDGE, allowed, 32, 64.0)
+    assert ramsey._bounded_diam_at_most(Gf, allowed, 32, 64.0)
+    assert not ramsey._bounded_diam_at_most(EDGE, allowed, 32, 64.0)
 
     decisions = []
     real = ramsey._bounded_diam_at_most
 
-    def spy(rows, G, allowed, budget, bound):
-        ok = real(rows, G, allowed, budget, bound)
+    def spy(G, allowed, budget, bound):
+        ok = real(G, allowed, budget, bound)
         decisions.append((len(allowed), bound, ok))
         return ok
 
@@ -192,6 +200,19 @@ class TestBoundary:
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     def test_integral_float_accepted(self, entry):
         ENTRY_POINTS[entry](2.0, 2)
+
+    @pytest.mark.parametrize("distribution", [ramsey_distribution, clan_distribution])
+    @pytest.mark.parametrize("rounds, message", [
+        (2.5, "rounds must be an integer, got 2.5"),
+        (True, "rounds must be an integer, got True"),
+        (0, "rounds must be >= 1")])
+    def test_rejects_bad_rounds(self, distribution, rounds, message):
+        # the grid's standard distributions never converge, and random48's
+        # converge in round 1
+        for G in (gen_graph("grid", {"rows": 10, "cols": 10}),
+                  _fixed_point_graph("random48")):
+            with pytest.raises(ValueError, match=message):
+                distribution(G, 2, "fixed_k", rounds)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("embed", [

@@ -71,6 +71,8 @@ class TestGuarantees:
             sparse_cover(P8(), 0.0)
         with pytest.raises(ValueError):
             sparse_cover(P8(), float("nan"))
+        with pytest.raises(ValueError, match="finite"):
+            sparse_cover(P8(), math.inf)
 
 
 class TestSparsity:

@@ -52,6 +52,11 @@ class TestHopDistance:
         assert hop_ball(P4(), 0, 1.5, 2) == {0, 1}
         assert hop_ball(P4(), 1, 1.0, 1) == {0, 1, 2}
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -1.0])
+    def test_hop_ball_rejects_bad_radius(self, r):
+        with pytest.raises(ValueError, match="r must be finite and >= 0"):
+            hop_ball(P4(), 0, r, 2)
+
     def test_allowed_mask(self):
         d = hop_distance_all(P4(), 0, 3, allowed=[0, 1, 3])
         assert d[1] == 1.0 and is_inf(d[2]) and is_inf(d[3])

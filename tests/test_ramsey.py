@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopmetric import ramsey
+from hopmetric.clan import clan_embed
 from hopmetric.cli import gen_graph
 from hopmetric.datastructures import build_coarse_oracle
 from hopmetric.graph_core import (WeightedGraph, finite_completion, hop_diameter,
@@ -337,11 +338,10 @@ class TestMWU:
         eta = 0.5 / math.sqrt(rounds)
         weights = [1.0] * n
         ref = []
-        with ramsey._shared_rows():
-            for _ in range(rounds):
-                emb = ramsey_embed(G, mwu_measures(weights, 2), set(range(n)), 2, 3, variant)
-                ref.append(emb)
-                weights = [w * (1.0 + eta) ** (v not in emb.M) for v, w in enumerate(weights)]
+        for _ in range(rounds):
+            emb = ramsey_embed(G, mwu_measures(weights, 2), set(range(n)), 2, 3, variant)
+            ref.append(emb)
+            weights = [w * (1.0 + eta) ** (v not in emb.M) for v, w in enumerate(weights)]
         assert [p for _, p in dist] == [1.0 / rounds] * rounds
         assert [_ramsey_record(emb) for emb, _ in dist] == [_ramsey_record(e) for e in ref]
         # the cases cover both sides: one object repeated, or one per round
@@ -367,7 +367,7 @@ def _below(row, r: float) -> list:
     return [d if d <= r + 1e-12 else math.inf for d in row]
 
 
-class TestSharedRows:
+class TestCarriedRows:
     def test_served_rows_match_fresh_rows(self, monkeypatch):
         calls = _counting_profiles(monkeypatch)
         rng = random.Random(61)
@@ -378,51 +378,49 @@ class TestSharedRows:
             Ys = [set(range(n))]
             while len(Ys[-1]) > 1 and len(Ys) < 4:
                 Ys.append(set(rng.sample(sorted(Ys[-1]), rng.randint(1, len(Ys[-1])))))
-            with ramsey._shared_rows():
-                for _ in range(80):
-                    Y = rng.choice(Ys)
-                    allowed = sorted(Y)
-                    s = rng.choice(allowed)
-                    budgets = sorted(rng.sample(range(6), rng.randint(1, 3)))
-                    # radii rise and fall; half of them sit exactly on a distance
-                    exact = [d for d in hop_distance_all(G, s, 5, allowed) if not is_inf(d)]
-                    r = rng.choice(exact) if rng.random() < 0.5 else rng.uniform(0.0, 12.0)
-                    prof = ramsey._profile(ramsey._rows_of(G, Y), G, s, budgets, r, allowed)
-                    fresh = hop_profile(G, s, budgets, maxr=r, allowed=allowed)
-                    requests += 1
-                    for b in budgets:
-                        assert _below(prof[b], r) == _below(fresh[b], r)
+            tables = [ramsey._Balls() for _ in Ys]   # the rows of each G[Y]
+            for _ in range(80):
+                i = rng.randrange(len(Ys))
+                allowed = sorted(Ys[i])
+                s = rng.choice(allowed)
+                b = rng.randint(1, 3)
+                # radii rise and fall; half of them sit exactly on a distance
+                exact = [d for d in hop_distance_all(G, s, 5, allowed) if not is_inf(d)]
+                r = rng.choice(exact) if rng.random() < 0.5 else rng.uniform(0.0, 12.0)
+                row = tables[i].row(G, s, b, r, allowed)
+                fresh = hop_profile(G, s, [b], maxr=r, allowed=allowed)[b]
+                requests += 1
+                assert _below(row, r) == _below(fresh, r)
         assert requests - len(calls) > requests / 4   # served from stored rows
 
-    def test_scope_is_reentrant_and_released(self):
-        G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        assert ramsey._rows_of(G, {0, 1, 2}) is None
-        with ramsey._shared_rows():
-            rows = ramsey._rows_of(G, {0, 1, 2})
-            with ramsey._shared_rows():
-                assert ramsey._rows_of(G, {0, 1, 2}) is rows
-            assert ramsey._rows_of(G, {0, 1, 2}) is rows
-        assert ramsey._rows_of(G, {0, 1, 2}) is None
+    @pytest.mark.parametrize("kind, carried, uncarried", [
+        ("ramsey", 387, 601), ("clan", 398, 612)])
+    def test_single_alt_embedding_carries_rows(self, monkeypatch, kind,
+                                               carried, uncarried):
+        # the scale below one that leaves Y whole asks for the same rows at
+        # half the radius
+        calls = _counting_profiles(monkeypatch)
+        G = _fixed_point_graph("random48")
+        V = set(range(48))
 
-    def test_finite_graph_reports_completed_diameter(self):
-        rng = random.Random(62)
-        for _ in range(10):
-            G = random_graph(rng, rng.randint(3, 10), 0.2, 1.0, 5.0)
-            params = [(h, k) for h in (1, 2, 3) for k in (1, 2, 3)]
-            for h, k in params:
-                Gf, omega, diam = finite_graph(G, h, k)
-                Gw = finite_completion(G, h, k)[0]
-                assert diam == hop_diameter(Gw, h)
-                assert omega is None or omega == hop_diameter(Gw, h)
-                assert (omega is None) == (Gw is G)
-                # no omega here lies within 1e-12 above a power of two,
-                # so G is carved in place of its completion
-                assert Gf is G
+        def embed():
+            if kind == "ramsey":
+                return ramsey_embed(G, mwu_measures([1.0] * 48, 2), V, 2, 3, "alt")
+            return clan_embed(G, [1.0] * 48, 2, 2, "alt")
+
+        U = embed().U.to_json()
+        assert len(calls) == carried
+        real = ramsey._Balls.carved
+        monkeypatch.setattr(ramsey._Balls, "carved",
+                            lambda self, removed, unmarked, whole:
+                            real(self, removed, unmarked, False))
+        del calls[:]
+        assert embed().U.to_json() == U
+        assert len(calls) == uncarried
 
     @pytest.mark.parametrize("graph", ["grid10", "random16", "random14"])
-    def test_distribution_matches_standalone_embeddings(self, graph, monkeypatch):
+    def test_distribution_matches_standalone_embeddings(self, graph):
         # no distribution here converges at the standard variant
-        calls = _counting_profiles(monkeypatch)
         if graph == "grid10":
             G = _fixed_point_graph(graph)
         elif graph == "random16":
@@ -431,7 +429,6 @@ class TestSharedRows:
             G = random_graph(random.Random(65), 14, 0.15, 1.0, 8.0)
         n, rounds = G.n, 3
         dist = ramsey_distribution(G, 2, "fixed_k", rounds, variant="standard")
-        shared = len(calls)
         assert len({id(emb) for emb, _ in dist}) == rounds   # every round embeds
         eta = 0.5 / math.sqrt(rounds)
         weights = [1.0] * n
@@ -442,20 +439,22 @@ class TestSharedRows:
             for v in range(n):
                 if v not in alone.M:
                     weights[v] *= 1.0 + eta
-        assert shared < len(calls) - shared
 
-    def test_single_alt_embedding_reuses_rows(self, monkeypatch):
-        # the scale below one that leaves Y whole asks for the same rows at
-        # half the radius
-        calls = _counting_profiles(monkeypatch)
-        G = _fixed_point_graph("random48")
-        mu, V = mwu_measures([1.0] * 48, 2), set(range(48))
-        alone = ramsey_embed(G, mu, V, 2, 3, "alt")
-        unscoped = len(calls)
-        with ramsey._shared_rows():
-            scoped = ramsey_embed(G, mu, V, 2, 3, "alt")
-        assert len(calls) - unscoped < unscoped
-        assert scoped.U.to_json() == alone.U.to_json()
+
+def test_finite_graph_reports_completed_diameter():
+    rng = random.Random(62)
+    for _ in range(10):
+        G = random_graph(rng, rng.randint(3, 10), 0.2, 1.0, 5.0)
+        params = [(h, k) for h in (1, 2, 3) for k in (1, 2, 3)]
+        for h, k in params:
+            Gf, omega, diam = finite_graph(G, h, k)
+            Gw = finite_completion(G, h, k)[0]
+            assert diam == hop_diameter(Gw, h)
+            assert omega is None or omega == hop_diameter(Gw, h)
+            assert (omega is None) == (Gw is G)
+            # no omega here lies within 1e-12 above a power of two,
+            # so G is carved in place of its completion
+            assert Gf is G
 
 
 def _certificate(G, Y, h, k, scale_i):
@@ -467,9 +466,9 @@ def _certificate(G, Y, h, k, scale_i):
     r = 2.0 ** scale_i / 4.0
     balls = ramsey._Balls()
     for v in allowed:
-        balls.measure(None, G, v, bball, r, allowed, mu, Y)
-    return (ramsey._row_certifies(None, G, balls, allowed, allowed, bball, r),
-            ramsey._bounded_diam_at_most(None, G, allowed, 2 * bball, 2 * r))
+        balls.measure(G, v, bball, r, allowed, mu, Y)
+    return (ramsey._row_certifies(G, balls, allowed, allowed, bball, r),
+            ramsey._bounded_diam_at_most(G, allowed, 2 * bball, 2 * r))
 
 
 def _spy_full_checks(monkeypatch) -> list:
