@@ -28,8 +28,7 @@ def build_tree_labels(U: Ultrametric) -> Dict[int, TreeLabel]:
     """Per-leaf root-path labels; distance queries reduce to a prefix walk."""
     out: Dict[int, TreeLabel] = {}
     for leaf in U.leaves():
-        path = list(reversed(U.path_to_root(leaf)))
-        out[leaf] = tuple((x, U.label[x]) for x in path)
+        out[leaf] = tuple((x, U.label[x]) for x in U.path(U.root, leaf))
     return out
 
 

@@ -140,10 +140,6 @@ def induced_path(PTE: PathTreeEmbedding, u_copy: int, v_copy: int) -> Tuple[List
     Returns (vertex sequence, total graph weight); the walk may be non-simple.
     """
     T = PTE.T
-    if not (0 <= u_copy < T.n_nodes() and 0 <= v_copy < T.n_nodes()):
-        raise ValueError("copy ids out of range")
-    if u_copy == v_copy:
-        return [T.payload[u_copy]], 0.0
     nodes = T.path(u_copy, v_copy)
     out: List[int] = [T.payload[u_copy]]
     total = 0.0

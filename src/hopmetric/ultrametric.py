@@ -19,25 +19,34 @@ _SAMPLE_TRIPLES = 200         # triples validate_ultrametric samples above 24 le
 
 
 class _RootedTree:
-    """Rooted tree in parent arrays; nodes are indices.
+    """Rooted tree in parent arrays; nodes are indices, in any order.
 
     parent[root] is None; payload[x] is what node x carries.
     """
 
-    __slots__ = ("parent", "payload", "_children", "_root")
+    __slots__ = ("parent", "payload", "_children", "_root", "_depth")
 
     def __init__(self, parent: List[Optional[int]], payload: List[Optional[object]]):
-        roots = [i for i, p in enumerate(parent) if p is None]
-        if len(roots) != 1:
-            raise ValueError("tree must have exactly one root")
-        self.parent = list(parent)
-        self.payload = list(payload)
-        self._root = roots[0]
         ch: List[List[int]] = [[] for _ in parent]
         for i, p in enumerate(parent):
             if p is not None:
+                if not 0 <= p < len(ch):
+                    raise ValueError(f"parent id {p!r} of node {i} is not a node")
                 ch[p].append(i)
+        # a walk down from the first root reaches all nodes iff no other root or cycle
+        order = [parent.index(None)] if None in parent else []
+        depth = [0] * len(ch)
+        for x in order:
+            for c in ch[x]:
+                depth[c] = depth[x] + 1
+            order.extend(ch[x])
+        if not order or len(order) != len(ch):
+            raise ValueError("tree must have exactly one root and no cycle")
+        self.parent = list(parent)
+        self.payload = list(payload)
+        self._root = order[0]
         self._children = ch
+        self._depth = depth
 
     @property
     def root(self) -> int:
@@ -49,15 +58,36 @@ class _RootedTree:
     def n_nodes(self) -> int:
         return len(self.parent)
 
-    def path_to_root(self, x: int) -> List[int]:
-        out = [x]
-        while self.parent[out[-1]] is not None:
-            out.append(self.parent[out[-1]])
-        return out
+    def _check_nodes(self, *xs: int) -> None:
+        for x in xs:
+            if not 0 <= x < len(self.parent):
+                raise ValueError(f"{x!r} is not a node of the tree")
+
+    def lca(self, x: int, y: int) -> int:
+        """Lowest common ancestor: climb the deeper side, then both."""
+        parent, depth = self.parent, self._depth
+        while depth[x] > depth[y]:
+            x = parent[x]
+        while depth[y] > depth[x]:
+            y = parent[y]
+        while x != y:
+            x, y = parent[x], parent[y]
+        return x
+
+    def path(self, u: int, v: int) -> List[int]:
+        """Node sequence of the unique u-v path."""
+        self._check_nodes(u, v)
+        z = self.lca(u, v)
+        up, down = [u], [v]
+        while up[-1] != z:
+            up.append(self.parent[up[-1]])
+        while down[-1] != z:
+            down.append(self.parent[down[-1]])
+        return up + down[-2::-1]
 
     def depth(self) -> int:
         """Number of edges on the longest root-to-node path."""
-        return max(len(self.path_to_root(x)) for x in range(self.n_nodes())) - 1
+        return max(self._depth)
 
 
 class Ultrametric(_RootedTree):
@@ -110,15 +140,10 @@ class Ultrametric(_RootedTree):
 
 def ultra_distance(U: Ultrametric, x: int, y: int) -> float:
     """Label of lca(x,y); 0 when x == y.  Arguments are leaf node ids."""
+    U._check_nodes(x, y)
     if not U.is_leaf(x) or not U.is_leaf(y):
         raise ValueError("ultra_distance arguments must be leaves")
-    if x == y:
-        return 0.0
-    anc = set(U.path_to_root(x))
-    z = y
-    while z not in anc:
-        z = U.parent[z]
-    return U.label[z]
+    return 0.0 if x == y else U.label[U.lca(x, y)]
 
 
 def validate_ultrametric(U: Ultrametric) -> bool:
@@ -189,16 +214,6 @@ class WeightedTree(_RootedTree):
         super().__init__(parent, payload)
         self.weight = list(weight)  # weight of edge to parent; 0 at root
 
-    def path(self, u: int, v: int) -> List[int]:
-        """Node sequence of the unique u-v path."""
-        au = self.path_to_root(u)
-        pos = {x: i for i, x in enumerate(au)}
-        av = [v]
-        while av[-1] not in pos:
-            av.append(self.parent[av[-1]])
-        lca = av[-1]
-        return au[:pos[lca] + 1] + list(reversed(av[:-1]))
-
 
 def tree_distance(T: WeightedTree, u: int, v: int) -> float:
     p = T.path(u, v)
@@ -219,9 +234,7 @@ def steiner_point_removal(T: WeightedTree, K: Iterable[int]) -> Tuple[WeightedTr
     Kset = set(K)
     if not Kset:
         raise ValueError("K must be nonempty")
-    for x in Kset:
-        if not (0 <= x < T.n_nodes()):
-            raise ValueError(f"{x} not a node of T")
+    T._check_nodes(*Kset)
     n = T.n_nodes()
     order: List[int] = [T.root]
     for x in order:

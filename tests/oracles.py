@@ -68,6 +68,38 @@ def ancestor_set_distance(U: Ultrametric, x: int, y: int):
     raise AssertionError("leaves share no ancestor")
 
 
+def search_tree_path(parent: Sequence, u: int, v: int) -> List[int]:
+    """The u-v node sequence of a tree in parent arrays, by breadth-first
+    search over its undirected edges (no depths, no ancestors)."""
+    adj: List[List[int]] = [[] for _ in parent]
+    for c, p in enumerate(parent):
+        if p is not None:
+            adj[c].append(p)
+            adj[p].append(c)
+    prev = {u: u}
+    queue = [u]
+    for x in queue:
+        for y in adj[x]:
+            if y not in prev:
+                prev[y] = x
+                queue.append(y)
+    out = [v]
+    while out[-1] != u:
+        out.append(prev[out[-1]])
+    return out[::-1]
+
+
+def climbed_depth(parent: Sequence) -> int:
+    """Edges on the longest root path, climbing from every node."""
+    best = 0
+    for x in range(len(parent)):
+        d = 0
+        while parent[x] is not None:
+            x, d = parent[x], d + 1
+        best = max(best, d)
+    return best
+
+
 def _ball(G: WeightedGraph, v: int, hops: int, radius: float,
           allowed: Set[int]) -> Set[int]:
     sub = sorted(allowed)

@@ -33,9 +33,15 @@ def _instances(seed: int, count: int):
         yield G, Y, mu, h, k, i
 
 
+def _split_case():
+    """An instance where the 1/3-2/3 split moves the chosen j from 0 to 1."""
+    G = gen_graph("random-weighted", {"n": 30, "p": 0.15, "wmax": 10}, 0)
+    return G, {6, 9, 12, 17, 29}, [1.0] * G.n, 1, 1, 4
+
+
 class TestClanCreateCluster:
     def test_matches_simulation(self):
-        for G, Y, mu, h, k, i in _instances(51, 30):
+        for G, Y, mu, h, k, i in [*_instances(51, 30), _split_case()]:
             trip = clan_create_cluster(G, Y, mu, h, k, i)
             si, sm, so, sv, sj = simulate_clan_create_cluster(G, Y, mu, h, k, i)
             assert trip.inner == si

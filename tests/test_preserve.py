@@ -131,6 +131,8 @@ class TestPathTreeEmbedding:
         pte = build_path_tree_embedding(WeightedGraph(2, [(0, 1, 1.0)]), 0, 1)
         with pytest.raises(ValueError):
             induced_path(pte, 0, pte.T.n_nodes())
+        with pytest.raises(ValueError):
+            induced_path(pte, -1, -1)
 
 
 class TestRespectingImage:

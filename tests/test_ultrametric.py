@@ -1,6 +1,7 @@
 """Ultrametric trees, weighted trees, and Steiner point removal."""
 from __future__ import annotations
 
+import json
 import math
 import random
 from typing import Dict, List, Optional, Tuple
@@ -14,7 +15,7 @@ from hopmetric.ultrametric import (Ultrametric, WeightedTree, join_under_root,
                                    saturate_labels, steiner_point_removal,
                                    tree_distance, ultra_distance,
                                    ultrametric_to_tree, validate_ultrametric)
-from oracles import ancestor_set_distance
+from oracles import ancestor_set_distance, climbed_depth, search_tree_path
 
 
 def two_leaf(label: float = 8.0) -> Ultrametric:
@@ -30,6 +31,20 @@ def random_ultrametric(rng: random.Random, n_leaves: int) -> Ultrametric:
         label *= rng.uniform(1.5, 3.0)
         trees.append(join_under_root(group, label))
     return trees[0]
+
+
+def relabeled(U: Ultrametric, rng: random.Random) -> Ultrametric:
+    """U with its node ids shuffled, read back by from_json, so parents need
+    not come before their children."""
+    new = list(range(U.n_nodes()))
+    rng.shuffle(new)
+    parent: List[Optional[int]] = [None] * len(new)
+    label, payload = [0.0] * len(new), [None] * len(new)
+    for x, p in enumerate(U.parent):
+        parent[new[x]] = None if p is None else new[p]
+        label[new[x]], payload[new[x]] = U.label[x], U.payload[x]
+    text = json.dumps({"parent": parent, "label": label, "payload": payload})
+    return Ultrametric.from_json(text)
 
 
 class TestBasics:
@@ -55,15 +70,20 @@ class TestBasics:
         assert not validate_ultrametric(bad)
 
     def test_distance_matches_ancestor_sets(self):
-        rng = random.Random(3)
+        rng, shuffle_rng = random.Random(3), random.Random(31)
+        not_preorder = 0
         for _ in range(10):
             U = random_ultrametric(rng, rng.randint(2, 12))
-            leaves = U.leaves()
-            for x in leaves:
-                for y in leaves:
-                    got = ultra_distance(U, x, y)
-                    ref = ancestor_set_distance(U, x, y)
-                    assert got == pytest.approx(ref)
+            V = relabeled(U, shuffle_rng)
+            not_preorder += any(p is not None and p > c for c, p in enumerate(V.parent))
+            for W in (U, V):
+                leaves = W.leaves()
+                for x in leaves:
+                    for y in leaves:
+                        got = ultra_distance(W, x, y)
+                        ref = ancestor_set_distance(W, x, y)
+                        assert got == pytest.approx(ref)
+        assert not_preorder
 
     def test_strong_triangle(self):
         rng = random.Random(4)
@@ -98,6 +118,30 @@ class TestBasics:
 def test_trees_need_exactly_one_root(make, parent):
     with pytest.raises(ValueError, match="exactly one root"):
         make(parent)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: Ultrametric([None, -1], [1.0, 0.0], [None, "a"]), "not a node"),
+    (lambda: Ultrametric.from_json(json.dumps({
+        "parent": [None, 0, 0, 4, 3, 3], "label": [4.0, 0.0, 2.0, 1.0, 1.0, 0.0],
+        "payload": [None, "a", None, None, None, "c"]})), "no cycle"),
+    (lambda: Ultrametric([None, 5], [1.0, 0.0], [None, "a"]), "not a node"),
+], ids=["negative-parent", "cycle-below-root", "parent-past-the-end"])
+def test_parent_arrays_must_form_a_tree(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+@pytest.mark.parametrize("call", [
+    lambda U: ultra_distance(U, -1, 2),
+    lambda U: ultrametric_to_tree(U).path(-1, 2),
+    lambda U: ultra_distance(U, 9, 2),
+    lambda U: steiner_point_removal(ultrametric_to_tree(U), [2, 5]),
+], ids=["negative-leaf", "negative-path-end", "leaf-past-the-end", "terminal-past-the-end"])
+def test_node_ids_checked_at_the_tree(call):
+    U = join_under_root([two_leaf(2.0), Ultrametric.leaf("c")], 8.0)
+    with pytest.raises(ValueError, match="not a node of the tree"):
+        call(U)
 
 
 @pytest.mark.parametrize("label, payload", [([8.0], [None, "a"]),
@@ -246,6 +290,16 @@ def test_steiner_point_removal_matches_quotient_graph(tree_and_terminals):
     T, K = tree_and_terminals
     T2, new_id = steiner_point_removal(T, K)
     assert (T2.parent, T2.weight, T2.payload, new_id) == _quotient_spr(T, K)
+
+
+@given(weighted_trees_and_terminals())
+@settings(max_examples=100, deadline=None)
+def test_paths_and_depth_on_shuffled_ids(tree_and_terminals):
+    T, _ = tree_and_terminals
+    for u in range(T.n_nodes()):
+        for v in range(T.n_nodes()):
+            assert T.path(u, v) == search_tree_path(T.parent, u, v)
+    assert T.depth() == climbed_depth(T.parent)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6),
