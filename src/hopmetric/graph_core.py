@@ -139,20 +139,18 @@ class WeightedGraph:
 
 def bellman_ford(G: WeightedGraph, s: int, budgets: Sequence[int],
                  maxr: float | None = None,
-                 allowed: Sequence[int] | None = None,
-                 preds: Optional[List[Dict[int, int]]] = None) -> Dict[int, List[float]]:
+                 allowed: Sequence[int] | None = None) -> Dict[int, List[float]]:
     """Truncated Bellman-Ford distances from s, one snapshot per budget.
 
     Each round relaxes only the edges out of the vertices the previous round
     improved, and the search stops once a round improves nothing.  ``maxr``
     prunes distances above maxr (valid since weights are positive: every
     prefix of a shortest path is no longer than the path itself).
-    ``allowed`` restricts relaxation to an induced vertex subset.  If
-    ``preds`` is a list, every round appends {v: predecessor} for the
-    vertices it improved; among equal candidates the smallest id wins.
+    ``allowed`` restricts relaxation to an induced vertex subset.  Budgets
+    are integers; a fractional value, a bool or a string is an error.
     """
     G._check_vertex(s)
-    want = sorted(set(int(b) for b in budgets))
+    want = sorted({b if type(b) is int else as_integer(b, "budget") for b in budgets})
     if not want or want[0] < 0:
         raise ValueError("budgets must be nonnegative")
     n, adj = G.n, G.adj
@@ -182,9 +180,6 @@ def bellman_ford(G: WeightedGraph, s: int, budgets: Sequence[int],
                         cur = updates.get(v)
                         if cur is None or nd < cur:
                             updates[v] = nd
-            if preds is not None:
-                preds.append({v: next(u for u, w in adj[v] if dist[u] + w == nd)
-                              for v, nd in updates.items()})
             for v, nd in updates.items():
                 dist[v] = nd
             frontier = list(updates)
@@ -228,18 +223,21 @@ def hop_ball(G: WeightedGraph, v: int, r: float, h: int,
 
 
 def hop_diameter(G: WeightedGraph, h: int) -> float:
-    d, lacking = _finite_scan(G, h, stop_lacking=True)
-    return INFINITY if lacking else d
+    """Largest h-hop distance over vertex pairs; the scan of the rows stops
+    at the first pair with no h-hop path, whose distance is INFINITY."""
+    best = 0.0
+    for s in range(G.n):
+        best = max([best, *hop_distance_all(G, s, h)[s + 1:]])
+        if is_inf(best):
+            break
+    return best
 
 
 def _finite_scan(G: WeightedGraph, h: int,
-                 missing: Optional[List[Tuple[int, int]]] = None,
-                 stop_lacking: bool = False) -> Tuple[float, bool]:
+                 missing: Optional[List[Tuple[int, int]]] = None) -> Tuple[float, bool]:
     """One pass over the all-pairs h-hop rows: (D', whether some pair u < v
     has no h-hop path).  The pairs themselves are appended to ``missing``
-    when it is given; only the reference builder needs them.  With
-    ``stop_lacking`` the scan ends after the row of the first pair lacking
-    a path, and D' is then only a lower bound."""
+    when it is given; only the reference builder needs them."""
     best = 0.0
     lacking = False
     for s in range(G.n):
@@ -252,8 +250,6 @@ def _finite_scan(G: WeightedGraph, h: int,
                     missing.append((s, v))
             elif d > best:
                 best = d
-        if lacking and stop_lacking:
-            break
     return best, lacking
 
 

@@ -14,8 +14,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from .clan import ClanEmbedding, clan_embed, optimal_path_copies
 from .cover import SparseCover, sparse_cover
-from .graph_core import (WeightedGraph, bellman_ford, dijkstra, is_h_respecting,
-                         is_inf, shortest_path_tree)
+from .graph_core import (WeightedGraph, as_integer, bellman_ford, dijkstra,
+                         is_h_respecting, is_inf, shortest_path_tree)
 from .ultrametric import (WeightedTree, steiner_point_removal, tree_distance,
                           ultra_distance, ultrametric_to_tree)
 
@@ -34,21 +34,28 @@ def bounded_hop_path(G: WeightedGraph, s: int, t: int,
                      budget: int) -> Optional[Tuple[List[int], float]]:
     """Minimum-weight s-t path using at most `budget` edges, or None.
 
-    Walks the per-round predecessors of the bounded-hop relaxation back
-    from t; ties between equal-weight predecessors go to the smallest id.
+    Walks the relaxation's per-round rows back from t: when round r
+    improved the current vertex x, the path steps to the smallest-id
+    neighbour u with row[r-1][u] + w(u, x) == row[r][x].  Capping the
+    rounds at n - 1 is exact: row r holds the lightest float sum over walks
+    of at most r edges, a longer walk repeats a vertex, and since weights
+    are positive and float addition is monotone, cutting out the cycle
+    gives no heavier sum, so no round after n - 1 improves any entry.
     """
-    preds: List[Dict[int, int]] = []
-    dist = bellman_ford(G, s, [budget], preds=preds)[budget]
-    if dist[t] == math.inf:
+    G._check_vertex(t)
+    b = min(as_integer(budget, "budget"), G.n - 1)
+    rows = bellman_ford(G, s, range(b + 1))
+    if rows[b][t] == math.inf:
         return None
     path = [t]
-    for layer in reversed(preds):
-        if path[-1] in layer:
-            path.append(layer[path[-1]])
+    for r in range(b, 0, -1):
+        x, row, prev = path[-1], rows[r], rows[r - 1]
+        if row[x] < prev[x]:
+            path.append(next(u for u, w in G.adj[x] if prev[u] + w == row[x]))
     path.reverse()
     if path[0] != s:
         raise AssertionError("path reconstruction failed")
-    return path, dist[t]
+    return path, rows[b][t]
 
 
 @dataclass

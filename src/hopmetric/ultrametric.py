@@ -6,27 +6,28 @@ ancestor; labels never increase from the root down and leaves carry label 0.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .graph_core import INFINITY, is_inf
 
 _EPS = 1e-9
-_SAMPLE_TRIPLES = 200         # triples validate_ultrametric samples above 24 leaves
 
 
 class _RootedTree:
     """Rooted tree in parent arrays; nodes are indices, in any order.
 
-    parent[root] is None; payload[x] is what node x carries.
+    parent[root] is None; payload[x] is what node x carries; ``values``
+    (labels or edge weights) is only checked for its length.
     """
 
     __slots__ = ("parent", "payload", "_children", "_root", "_depth")
 
-    def __init__(self, parent: List[Optional[int]], payload: List[Optional[object]]):
+    def __init__(self, parent: List[Optional[int]], payload: List[Optional[object]],
+                 values: Sequence[float]):
+        if not len(parent) == len(payload) == len(values):
+            raise ValueError("array lengths differ")
         ch: List[List[int]] = [[] for _ in parent]
         for i, p in enumerate(parent):
             if p is not None:
@@ -99,9 +100,7 @@ class Ultrametric(_RootedTree):
 
     def __init__(self, parent: List[Optional[int]], label: List[float],
                  payload: List[Optional[object]]):
-        if not (len(parent) == len(label) == len(payload)):
-            raise ValueError("array lengths differ")
-        super().__init__(parent, payload)
+        super().__init__(parent, payload, label)
         self.label = list(label)
 
     # -- construction ----------------------------------------------------
@@ -147,31 +146,28 @@ def ultra_distance(U: Ultrametric, x: int, y: int) -> float:
 
 
 def validate_ultrametric(U: Ultrametric) -> bool:
-    """Label monotonicity plus the strong triangle inequality on triples
-    (exhaustive for small leaf counts, sampled otherwise)."""
-    for i, p in enumerate(U.parent):
-        if p is not None and U.label[i] > U.label[p] + _EPS:
+    """Leaf labels 0, payloads on leaves only, and the strong triangle
+    inequality over all ordered leaf triples, within 1e-9 (a NaN fails).  A
+    leaf pair's distance is the label of its LCA, a branching node (two or
+    more children), so one top-down pass checks every label against its
+    parent's and every branching label against its strict branching ancestors'."""
+    label = U.label
+    cap = [math.inf] * U.n_nodes()   # least label of x's strict branching ancestors
+    order = [U.root]
+    for x in order:
+        ch = U.children(x)
+        if (not ch) is (U.payload[x] is None) or (not ch and label[x] != 0.0):
             return False
-        if U.is_leaf(i) and U.label[i] != 0.0:
-            return False
-        if U.is_leaf(i) is (U.payload[i] is None):
-            return False
-    lvs = U.leaves()
-    if len(lvs) < 3:
-        return True
-    triples: Iterable[Tuple[int, int, int]]
-    if len(lvs) <= 24:
-        triples = itertools.combinations(lvs, 3)
-    else:
-        rng = random.Random(0)
-        triples = ((rng.choice(lvs), rng.choice(lvs), rng.choice(lvs))
-                   for _ in range(_SAMPLE_TRIPLES))
-    for a, b, c in triples:
-        dab = ultra_distance(U, a, b)
-        dbc = ultra_distance(U, b, c)
-        dac = ultra_distance(U, a, c)
-        if dac > max(dab, dbc) + _EPS:
-            return False
+        below = cap[x]
+        if len(ch) > 1:
+            if not label[x] <= below + _EPS:
+                return False
+            below = min(below, label[x])
+        for c in ch:
+            if not label[c] <= label[x] + _EPS:
+                return False
+            cap[c] = below
+        order.extend(ch)
     return True
 
 
@@ -211,7 +207,7 @@ class WeightedTree(_RootedTree):
 
     def __init__(self, parent: List[Optional[int]], weight: List[float],
                  payload: List[Optional[object]]):
-        super().__init__(parent, payload)
+        super().__init__(parent, payload, weight)
         self.weight = list(weight)  # weight of edge to parent; 0 at root
 
 

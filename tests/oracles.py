@@ -50,6 +50,37 @@ def edge_count_bellman_ford(G: WeightedGraph, s: int) -> List[float]:
     return dist
 
 
+def logged_hop_path(G: WeightedGraph, s: int, t: int, budget: int):
+    """Literal transcription of the predecessor-log path walk: relax
+    ``budget`` rounds from s, log {v: smallest-id predecessor} for the
+    vertices each round improves, and walk the logs back from t."""
+    dist = [math.inf] * G.n
+    dist[s] = 0.0
+    frontier = [s]
+    preds: List[Dict[int, int]] = []
+    for _ in range(budget):
+        if not frontier:
+            break
+        updates: Dict[int, float] = {}
+        for u in frontier:
+            for v, w in G.adj[u]:
+                nd = dist[u] + w
+                if nd < dist[v] and (v not in updates or nd < updates[v]):
+                    updates[v] = nd
+        preds.append({v: next(u for u, w in G.adj[v] if dist[u] + w == nd)
+                      for v, nd in updates.items()})
+        for v, nd in updates.items():
+            dist[v] = nd
+        frontier = list(updates)
+    if dist[t] == math.inf:
+        return None
+    path = [t]
+    for layer in reversed(preds):
+        if path[-1] in layer:
+            path.append(layer[path[-1]])
+    return path[::-1], dist[t]
+
+
 def ancestor_set_distance(U: Ultrametric, x: int, y: int):
     """Ultrametric leaf distance via explicit ancestor-list intersection."""
     if x == y:
@@ -66,6 +97,22 @@ def ancestor_set_distance(U: Ultrametric, x: int, y: int):
         if z in ay:
             return U.label[z]
     raise AssertionError("leaves share no ancestor")
+
+
+def brute_force_is_ultrametric(U: Ultrametric) -> bool:
+    """Leaf labels 0, monotone labels, and d(a,b) <= max(d(a,c), d(c,b))
+    within 1e-9 over every ordered leaf triple, by ancestor sets."""
+    lvs = [x for x in range(U.n_nodes()) if not U.children(x)]
+    if any(U.label[x] != 0.0 or U.payload[x] is None for x in lvs):
+        return False
+    if any(U.payload[x] is not None for x in range(U.n_nodes()) if U.children(x)):
+        return False
+    if any(p is not None and U.label[x] > U.label[p] + 1e-9
+           for x, p in enumerate(U.parent)):
+        return False
+    d = {(a, b): ancestor_set_distance(U, a, b) for a in lvs for b in lvs}
+    return all(d[a, b] <= max(d[a, c], d[c, b]) + 1e-9
+               for a in lvs for b in lvs for c in lvs)
 
 
 def search_tree_path(parent: Sequence, u: int, v: int) -> List[int]:

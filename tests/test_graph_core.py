@@ -14,11 +14,26 @@ from hopmetric.graph_core import (INFINITY, HopParams, WeightedGraph,
                                   finite_completion, hop_ball, hop_diameter,
                                   hop_distance, hop_distance_all,
                                   is_h_respecting, is_inf)
+from hopmetric.preserve import bounded_hop_path
 from oracles import edge_count_bellman_ford, random_graph, walk_enum_distance
 
 
 def P4() -> WeightedGraph:
     return WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda G: hop_distance_all(G, 0, 2.5),
+    lambda G: hop_diameter(G, 2.5),
+    lambda G: bounded_hop_path(G, 0, 2, 2.5),
+    lambda G: hop_distance_all(G, 0, "2"),
+    lambda G: hop_distance_all(G, 0, True),
+    lambda G: bounded_hop_path(G, 0, 2, True),
+], ids=["fraction-row", "fraction-diameter", "fraction-path", "string-row",
+        "bool-row", "bool-path"])
+def test_hop_budgets_are_integers(call):
+    with pytest.raises(ValueError, match="budget must be an integer"):
+        call(P4())
 
 
 class TestInfinity:

@@ -13,7 +13,8 @@ from hopmetric.preserve import (Unreachable, bounded_hop_path,
                                 image_of_general_subgraph,
                                 image_of_respecting_subgraph, induced_path)
 from hopmetric.cli import gen_graph
-from oracles import connected_random_graph, random_graph, walk_enum_distance
+from oracles import (connected_random_graph, logged_hop_path, random_graph,
+                     walk_enum_distance)
 from test_golden_structures import _digest
 
 
@@ -43,6 +44,44 @@ class TestBoundedHopPath:
                             assert path[0] == s and path[-1] == t
                             assert len(path) - 1 <= budget
                             _assert_walk(G, path, w)
+
+    def test_matches_predecessor_log(self):
+        # budgets run to 3n, past the n - 1 cap; unit grids and cycles tie
+        # equal-weight predecessors, and small integer weights tie paths of
+        # different hop counts
+        rng = random.Random(112)
+        graphs = [random_graph(rng, rng.randint(1, 9), 0.35, 1.0, 7.0)
+                  for _ in range(12)]
+        graphs += [WeightedGraph(n, [(u, v, rng.randint(1, 3)) for u in range(n)
+                                     for v in range(u + 1, n) if rng.random() < 0.4])
+                   for n in (5, 6, 7, 8)]
+        graphs += [WeightedGraph(1, []), gen_graph("grid", {"rows": 3, "cols": 4}),
+                   gen_graph("cycle", {"n": 6}), gen_graph("cycle", {"n": 7})]
+        for G in graphs:
+            for s in range(G.n):
+                for t in range(G.n):
+                    for budget in range(3 * G.n + 1):
+                        assert bounded_hop_path(G, s, t, budget) == \
+                            logged_hop_path(G, s, t, budget)
+
+    def test_grid_embedding_paths_match_predecessor_log(self):
+        G = gen_graph("grid", {"rows": 10, "cols": 10})
+        pte = build_path_tree_embedding(G, 37, 2)
+        checked = 0
+        for c, p in enumerate(pte.T.parent):
+            if p is None or pte.T.weight[c] == math.inf:
+                continue
+            u, v = pte.T.payload[c], pte.T.payload[p]
+            ref = logged_hop_path(G, u, v, pte.edge_hop_budget) if u != v else ([u], 0.0)
+            assert pte.assoc[(min(c, p), max(c, p))] == ref
+            checked += u != v
+        assert checked == 120
+
+    @pytest.mark.parametrize("t", [-1, 4])
+    def test_target_range_checked(self, t):
+        G = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        with pytest.raises(ValueError, match="invalid vertex id"):
+            bounded_hop_path(G, 0, t, 3)
 
     def test_zero_budget(self):
         G = WeightedGraph(2, [(0, 1, 1.0)])

@@ -15,7 +15,8 @@ from hopmetric.ultrametric import (Ultrametric, WeightedTree, join_under_root,
                                    saturate_labels, steiner_point_removal,
                                    tree_distance, ultra_distance,
                                    ultrametric_to_tree, validate_ultrametric)
-from oracles import ancestor_set_distance, climbed_depth, search_tree_path
+from oracles import (ancestor_set_distance, brute_force_is_ultrametric,
+                     climbed_depth, search_tree_path)
 
 
 def two_leaf(label: float = 8.0) -> Ultrametric:
@@ -68,6 +69,44 @@ class TestBasics:
         assert validate_ultrametric(two_leaf())
         bad = Ultrametric([None, 0, 0], [1.0, 0.0, 2.0], [None, "a", "b"])
         assert not validate_ultrametric(bad)
+
+    def test_validate_checks_every_orientation(self):
+        # d(a,b) = 4 + 1.2e-9 exceeds d(a,c) = d(c,b) = 4 by more than 1e-9,
+        # though each label is within 1e-9 of its parent's
+        U = Ultrametric([None, 0, 1, 2, 2, 0, 1],
+                        [4.0, 4.0 + 6e-10, 4.0 + 1.2e-9, 0.0, 0.0, 0.0, 0.0],
+                        [None, None, None, "a", "b", "c", "d"])
+        assert not validate_ultrametric(U)
+
+    def test_validate_rejects_nan_labels(self):
+        assert not validate_ultrametric(
+            Ultrametric([None, 0, 0], [math.nan, 0.0, 0.0], [None, "a", "b"]))
+        assert not validate_ultrametric(
+            Ultrametric([None, 0, 0, 2, 2], [8.0, 0.0, math.nan, 0.0, 0.0],
+                        [None, "a", None, "c", "d"]))
+
+    def test_validate_matches_brute_force(self):
+        # labels mostly stay or fall by one and drift by +-6e-10 per edge, so
+        # some trees break the 1e-9 tolerance only across a chain of nodes
+        rng = random.Random(5)
+        verdicts = set()
+        for _ in range(600):
+            n = rng.randint(1, 9)
+            parent = [None] + [rng.randrange(i) for i in range(1, n)]
+            label = [4.0] + [0.0] * (n - 1)
+            for x in range(1, n):
+                step = rng.choice([0, 0, 0, 1]) if rng.random() < 0.97 else -1
+                label[x] = label[parent[x]] - step + rng.choice([-6e-10, 0.0, 6e-10])
+            leaves = set(range(n)) - set(parent)
+            for x in leaves:
+                label[x] = 0.0 if rng.random() < 0.99 else 1.0
+            payload = [x if (x in leaves) is (rng.random() < 0.99) else None
+                       for x in range(n)]
+            U = Ultrametric(parent, label, payload)
+            verdict = validate_ultrametric(U)
+            assert verdict == brute_force_is_ultrametric(U), (parent, label, payload)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     def test_distance_matches_ancestor_sets(self):
         rng, shuffle_rng = random.Random(3), random.Random(31)
@@ -149,6 +188,13 @@ def test_node_ids_checked_at_the_tree(call):
 def test_ultrametric_rejects_unequal_array_lengths(label, payload):
     with pytest.raises(ValueError, match="array lengths differ"):
         Ultrametric([None, 0], label, payload)
+
+
+@pytest.mark.parametrize("weight, payload", [([0.0], [None, None]),
+                                             ([0.0, 1.0], [None])])
+def test_weighted_tree_rejects_unequal_array_lengths(weight, payload):
+    with pytest.raises(ValueError, match="array lengths differ"):
+        WeightedTree([None, 0], weight, payload)
 
 
 class TestTreeRealization:
