@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import tz
-from .graph_core import INFINITY, HopParams, WeightedGraph, is_inf
+from .graph_core import INFINITY, HopParams, WeightedGraph, is_inf, vertex_id
 from .ramsey import RamseyEmbedding, ramsey_distribution, ramsey_embed
 from .rng import substream
 from .ultrametric import Ultrametric
@@ -56,7 +56,10 @@ def tree_label_query(lx: TreeLabel, ly: TreeLabel) -> float:
 
 def _coarse_estimate(rows_u: Sequence[TreeLabel], home_u: int,
                     rows_v: Sequence[TreeLabel], home_v: int) -> float:
-    """min over both home rounds; each side is individually sandwiched."""
+    """min over both home rounds; each side is individually sandwiched.
+    Equal homes name one round, walked once."""
+    if home_u == home_v:
+        return tree_label_query(rows_u[home_u], rows_v[home_u])
     return min(tree_label_query(rows_u[home_u], rows_v[home_u]),
                tree_label_query(rows_u[home_v], rows_v[home_v]))
 
@@ -315,6 +318,8 @@ def build_hop_oracle(G: WeightedGraph, h: int, k: int, epsilon: float,
 
 
 def hop_oracle_query(O: HopOracle, u: int, v: int) -> float:
+    n = len(O.coarse.home)
+    u, v = vertex_id(u, n), vertex_id(v, n)
     if u == v:
         return 0.0
     est = O.coarse.query(u, v)
@@ -347,7 +352,7 @@ class HopLabeling(_HopRecord):
             for v, home in enumerate(self.coarse.home)))
 
     def label(self, v: int) -> HopVertexLabel:
-        return self.labels[v]
+        return self.labels[vertex_id(v, len(self.labels))]
 
 
 def build_hop_labeling(G: WeightedGraph, h: int, k: int,
@@ -396,6 +401,7 @@ def route(S: RoutingScheme, u: int, v: int) -> RouteResult:
     """Simulated delivery: the source picks the scale from coarse labels,
     attaches it to the header, and per-hop forwarding uses only the current
     node's scale table plus the header."""
+    u, v = vertex_id(u, S.G.n), vertex_id(v, S.G.n)
     if u == v:
         return RouteResult(True, (u,), None, 0.0, 0.0, (u,))
     est = S.coarse.query(u, v)
@@ -406,6 +412,15 @@ def route(S: RoutingScheme, u: int, v: int) -> RouteResult:
     if got is None:
         return RouteResult(False, (u,), i, 0.0, 0.0, (u,))
     path, reads = got
-    w_base = sum(S.G.edge_weight(a, b) for a, b in zip(path, path[1:]))
+    adj = S.G.adj
+    weights = []
+    for a, b in zip(path, path[1:]):
+        for x, w in adj[a]:
+            if x == b:
+                weights.append(w)
+                break
+        else:
+            raise KeyError((a, b))
+    w_base = sum(weights)
     w_aux = w_base + S.omegas[i] * (len(path) - 1)
     return RouteResult(True, tuple(path), i, w_base, w_aux, tuple(reads))

@@ -27,6 +27,16 @@ def as_integer(val, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {val!r}")
 
 
+def vertex_id(v, n: int) -> int:
+    """v as a vertex id of a structure on n vertices; a non-integer or an id
+    outside range(n), a negative one included, is an error that names it."""
+    if type(v) is not int:      # ints skip the call
+        v = as_integer(v, "vertex id")
+    if 0 <= v < n:
+        return v
+    raise ValueError(f"vertex id {v} out of range for n={n}")
+
+
 @dataclass(frozen=True)
 class HopParams:
     """Common parameter bundle: hop budget h, distortion parameter k, epsilon."""
@@ -146,8 +156,9 @@ def bellman_ford(G: WeightedGraph, s: int, budgets: Sequence[int],
     improved, and the search stops once a round improves nothing.  ``maxr``
     prunes distances above maxr (valid since weights are positive: every
     prefix of a shortest path is no longer than the path itself).
-    ``allowed`` restricts relaxation to an induced vertex subset.  Budgets
-    are integers; a fractional value, a bool or a string is an error.
+    ``allowed`` restricts relaxation to an induced vertex subset; an id in
+    it outside range(n) is an error.  Budgets are integers; a fractional
+    value, a bool or a string is an error.
     """
     G._check_vertex(s)
     want = sorted({b if type(b) is int else as_integer(b, "budget") for b in budgets})
@@ -157,6 +168,10 @@ def bellman_ford(G: WeightedGraph, s: int, budgets: Sequence[int],
     if allowed is None:
         mask = [True] * n
     else:
+        lo, hi = min(allowed, default=0), max(allowed, default=0)
+        if lo < 0 or hi >= n:
+            raise ValueError(f"allowed vertex id {lo if lo < 0 else hi} "
+                             f"out of range for n={n}")
         mask = [False] * n
         for v in allowed:
             mask[v] = True
@@ -285,17 +300,13 @@ def finite_completion(G: WeightedGraph, h: int, k: int) -> Tuple[WeightedGraph, 
 
 def dijkstra(adj: Sequence[Sequence[Tuple[int, float]]], s: int,
              allowed: Optional[Set[int]] = None,
-             maxd: float = math.inf,
-             bound: Optional[Sequence[float]] = None) -> List[float]:
+             maxd: float = math.inf) -> List[float]:
     """Dijkstra from s over an adjacency structure (no hop constraint).
 
     ``allowed`` restricts the search to a vertex subset containing s, and
     ``maxd`` prunes distances above maxd; unreached vertices stay at INFINITY.
-    ``bound`` cuts the search off per vertex: v != s is reached only at a
-    distance below bound[v] by more than the 1e-15 improvement tolerance,
-    as if bound[v] were a distance already found.
     """
-    dist = [math.inf] * len(adj) if bound is None else list(bound)
+    dist = [math.inf] * len(adj)
     dist[s] = 0.0
     lim = maxd + 1e-12
     pq: List[Tuple[float, int]] = [(0.0, s)]
@@ -308,9 +319,6 @@ def dijkstra(adj: Sequence[Sequence[Tuple[int, float]]], s: int,
             if nd < dist[v] - 1e-15 and nd <= lim and (allowed is None or v in allowed):
                 dist[v] = nd
                 heapq.heappush(pq, (nd, v))
-    if bound is not None:
-        dist = [d if d < b else math.inf for d, b in zip(dist, bound)]
-        dist[s] = 0.0
     return dist
 
 

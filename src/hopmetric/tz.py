@@ -13,7 +13,8 @@ to A_1, whose landmark trees span their component); they give the top
 pivots.  Every other w in A_i - A_{i+1} grows its cluster
 C(w) = {x : d(w,x) < d(A_{i+1},x)} with one Dijkstra cut off at
 d(A_{i+1},x) per vertex, so it settles only its cluster, and the bunch of
-x is the set of clusters that contain x.  The cut-off search finds all of
+x is the set of clusters that contain x.  The search keeps its distances
+in a dict, so its cost follows the cluster, not n.  It finds all of
 C(w) because the cluster is closed under shortest-path prefixes: if y lies
 on a shortest w-x path, then d(w,y) = d(w,x) - d(y,x) < d(A_{i+1},x) - d(y,x)
 <= d(A_{i+1},y) by the triangle inequality, so no prefix is cut off.  The
@@ -24,15 +25,17 @@ d(A_{i+1},x).
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .graph_core import dijkstra, shortest_path_tree
 from .rng import substream
 
 Adjacency = Sequence[Sequence[Tuple[int, float]]]
-Row = Dict[int, float]             # reached vertex -> distance, ascending ids
+Row = Dict[int, float]             # reached vertex -> distance
 
 
 def sssp(adj: Adjacency, s: int) -> List[float]:
@@ -42,6 +45,24 @@ def sssp(adj: Adjacency, s: int) -> List[float]:
 
 def _reached(dist: Sequence[float]) -> Row:
     return {x: d for x, d in enumerate(dist) if d < math.inf}
+
+
+def _cluster(adj: Adjacency, w: int, bound: Sequence[float]) -> Row:
+    """Dijkstra from w cut off per vertex: x != w is reached only at a
+    distance below bound[x] by more than the 1e-15 improvement tolerance,
+    as if bound[x] were a distance already found."""
+    dist = {w: 0.0}
+    pq = [(0.0, w)]
+    while pq:
+        d, u = heapq.heappop(pq)
+        if d > dist[u]:
+            continue
+        for v, wt in adj[u]:
+            nd = d + wt
+            if nd < dist.get(v, bound[v]) - 1e-15:
+                dist[v] = nd
+                heapq.heappush(pq, (nd, v))
+    return dist
 
 
 def _sample_levels(n: int, k: int, seed: int) -> List[FrozenSet[int]]:
@@ -113,7 +134,7 @@ def _core(adj: Adjacency, k: int, seed: int,
         bound = lim if i == 0 else [d * (1.0 + 1e-9) for d in lim]
         for w in own[i]:
             if w not in rows:
-                rows[w] = _reached(dijkstra(adj, w, bound=bound))
+                rows[w] = _cluster(adj, w, bound)
         # the level-i pivot of x is in its level-i bunch or is p_{i+1}(x)
         upper: Dict[int, Row] = {}
         for x, p in enumerate(piv[i + 1]):
@@ -200,8 +221,7 @@ def build_labeling(adj: Adjacency, k: int, seed: int = 0) -> TZLabeling:
 Interval = Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class TreeEntry:
+class TreeEntry(NamedTuple):
     parent: Optional[int]
     interval: Interval
     children: Tuple[Tuple[Interval, int], ...]   # (child subtree interval, next hop)
@@ -235,26 +255,27 @@ class TZRouting:
 
 def _tree_entries(parent: Dict[int, Optional[int]], root: int,
                   ) -> Dict[int, TreeEntry]:
+    """Each vertex's entry in the tree: its DFS interval [tin, tin + subtree
+    size) over a pre-order walk that visits children in ascending id order,
+    and its children's intervals."""
     children: Dict[int, List[int]] = {v: [] for v in parent}
     for v, p in parent.items():
         if p is not None:
             children[p].append(v)
-    for v in children:
-        children[v].sort()
-    tin: Dict[int, int] = {}
-    span: Dict[int, Interval] = {}
-    clock = 0
-    stack: List[Tuple[int, bool]] = [(root, False)]
+    order: List[int] = []
+    stack = [root]
     while stack:
-        x, done = stack.pop()
-        if done:
-            span[x] = (tin[x], clock)
-            continue
-        tin[x] = clock
-        clock += 1
-        stack.append((x, True))
-        for c in reversed(children[x]):
-            stack.append((c, False))
+        x = stack.pop()
+        order.append(x)
+        kids = children[x]
+        kids.sort()
+        stack.extend(reversed(kids))
+    size = dict.fromkeys(order, 1)
+    for x in reversed(order):
+        p = parent[x]
+        if p is not None:
+            size[p] += size[x]
+    span = {x: (t, t + size[x]) for t, x in enumerate(order)}
     return {v: TreeEntry(p, span[v], tuple((span[c], c) for c in children[v]))
             for v, p in parent.items()}
 
@@ -274,12 +295,11 @@ def build_routing(adj: Adjacency, k: int, seed: int = 0) -> TZRouting:
     return TZRouting(k, tables, rlabels)
 
 
-@dataclass(frozen=True)
-class Header:
-    """Packet header, written once at the source: the destination's label
-    and the root of the tree the packet travels in."""
-    dest: RoutingLabel
+class Header(NamedTuple):
+    """Packet header, written once at the source: the root of the tree the
+    packet travels in and the destination's DFS interval in that tree."""
     tree: int
+    interval: Interval
 
 
 def prepare_header(scheme: TZRouting, table_u: NodeTable,
@@ -290,44 +310,46 @@ def prepare_header(scheme: TZRouting, table_u: NodeTable,
     if got is None:
         return None
     w = got[1]
-    if w not in dest.intervals or w not in table_u.trees:
+    interval = dest.intervals.get(w)
+    if interval is None or w not in table_u.trees:
         return None
-    return Header(dest, w)
+    return Header(w, interval)
 
 
 def forward(table_x: NodeTable, header: Header) -> int:
     """One forwarding step using only the current node's table + header:
     down to the child whose subtree holds the destination if this node's
     subtree holds it, else up to the parent."""
-    entry = table_x.trees[header.tree]
-    dlo, dhi = header.dest.intervals[header.tree]
-    lo, hi = entry.interval
+    tree, (dlo, dhi) = header
+    parent, (lo, hi), children = table_x.trees[tree]
     if lo <= dlo and dhi <= hi:
-        for (lo, hi), nxt in entry.children:
+        for (lo, hi), nxt in children:
             if lo <= dlo and dhi <= hi:
                 return nxt
         raise AssertionError("no child subtree contains the destination")
-    if entry.parent is None:
+    if parent is None:
         raise AssertionError("the tree does not contain the destination")
-    return entry.parent
+    return parent
 
 
 def route(scheme: TZRouting, u: int, v: int,
           ) -> Optional[Tuple[List[int], List[int]]]:
     """Simulate routing; returns (path, table read log) or None if declined.
+    The source reads its table to write the header and again to take the
+    first hop, and every later hop reads the table of the node it leaves.
 
     A tree route climbs at most to the root and then descends, so it takes
     fewer than 2n hops on n vertices; a longer walk is a loop."""
-    reads = [u]
-    header = prepare_header(scheme, scheme.tables[u], scheme.rlabels[v])
+    tables = scheme.tables
+    header = prepare_header(scheme, tables[u], scheme.rlabels[v])
     if header is None:
         return None
+    limit = 2 * len(tables)
     path = [u]
     cur = u
     while cur != v:
-        if len(path) > 2 * len(scheme.tables):
+        if len(path) > limit:
             raise AssertionError("routing loop detected")
-        reads.append(cur)
-        cur = forward(scheme.tables[cur], header)
+        cur = forward(tables[cur], header)
         path.append(cur)
-    return path, reads
+    return path, [u] + path[:-1]

@@ -4,15 +4,21 @@ Deliberately written with different algorithmic structure than the library:
 depth-limited walk enumeration instead of round-synchronous relaxation,
 edge-count Bellman-Ford instead of Dijkstra, ancestor-set intersection
 instead of the library's LCA walk, and a literal transcription of the
-cluster-carving rules driven by plain ball queries.
+cluster-carving rules driven by plain ball queries.  The serving layer is
+checked against literal transcriptions of earlier forms of its steps: the
+two-visit DFS interval walk, the cut-off Dijkstra on a full distance list,
+the two-walk coarse estimate and the per-hop read log.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import random
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from hopmetric.datastructures import tree_label_query
 from hopmetric.graph_core import WeightedGraph, hop_distance_all, is_inf
+from hopmetric.tz import prepare_header, forward
 from hopmetric.ultrametric import Ultrametric
 
 
@@ -79,6 +85,80 @@ def logged_hop_path(G: WeightedGraph, s: int, t: int, budget: int):
         if path[-1] in layer:
             path.append(layer[path[-1]])
     return path[::-1], dist[t]
+
+
+def done_flag_tree_entries(parent: Dict[int, Optional[int]], root: int):
+    """Literal transcription of the two-visit DFS interval walk: a node's
+    interval opens at its first visit and closes at its second, once its
+    subtree (children in ascending id order) is done.  Returns
+    {v: (parent, interval, ((child interval, child), ...))}."""
+    children: Dict[int, List[int]] = {v: [] for v in parent}
+    for v, p in parent.items():
+        if p is not None:
+            children[p].append(v)
+    for v in children:
+        children[v].sort()
+    tin: Dict[int, int] = {}
+    span: Dict[int, Tuple[int, int]] = {}
+    clock = 0
+    stack: List[Tuple[int, bool]] = [(root, False)]
+    while stack:
+        x, done = stack.pop()
+        if done:
+            span[x] = (tin[x], clock)
+            continue
+        tin[x] = clock
+        clock += 1
+        stack.append((x, True))
+        for c in reversed(children[x]):
+            stack.append((c, False))
+    return {v: (p, span[v], tuple((span[c], c) for c in children[v]))
+            for v, p in parent.items()}
+
+
+def list_state_cutoff_row(adj, s: int, bound: Sequence[float]) -> Dict[int, float]:
+    """Literal transcription of the cut-off Dijkstra on a distance list that
+    starts at ``bound``: a vertex is reached only below its bound by more
+    than 1e-15, then entries still at their bound are dropped."""
+    dist = list(bound)
+    dist[s] = 0.0
+    pq: List[Tuple[float, int]] = [(0.0, s)]
+    while pq:
+        d, u = heapq.heappop(pq)
+        if d > dist[u]:
+            continue
+        for v, w in adj[u]:
+            nd = d + w
+            if nd < dist[v] - 1e-15:
+                dist[v] = nd
+                heapq.heappush(pq, (nd, v))
+    dist = [d if d < b else math.inf for d, b in zip(dist, bound)]
+    dist[s] = 0.0
+    return {x: d for x, d in enumerate(dist) if d < math.inf}
+
+
+def two_walk_estimate(rows_u, home_u: int, rows_v, home_v: int) -> float:
+    """The coarse estimate as the min of one tree-label walk per home
+    round, both walks taken even when the homes are equal."""
+    return min(tree_label_query(rows_u[home_u], rows_v[home_u]),
+               tree_label_query(rows_u[home_v], rows_v[home_v]))
+
+
+def per_hop_logged_route(scheme, u: int, v: int):
+    """Tree routing that appends to the read log as it goes: the source's
+    table once for the header, then the table of every node before it
+    forwards.  Returns (path, reads), or None when the source declines."""
+    reads = [u]
+    header = prepare_header(scheme, scheme.tables[u], scheme.rlabels[v])
+    if header is None:
+        return None
+    path = [u]
+    cur = u
+    while cur != v:
+        reads.append(cur)
+        cur = forward(scheme.tables[cur], header)
+        path.append(cur)
+    return path, reads
 
 
 def ancestor_set_distance(U: Ultrametric, x: int, y: int):

@@ -25,7 +25,7 @@ from hopmetric.graph_core import WeightedGraph, hop_distance_all, is_inf
 from hopmetric.ramsey import ramsey_embed
 from hopmetric.ultrametric import ultra_distance
 from oracles import (connected_random_graph, edge_count_bellman_ford, lasso,
-                     random_graph, walk_enum_distance)
+                     random_graph, two_walk_estimate, walk_enum_distance)
 from test_ultrametric import random_ultrametric
 
 
@@ -87,6 +87,30 @@ class TestCoarseLabeling:
         for u in range(8):
             for v in range(8):
                 assert cl.query(u, v) == cl.query(v, u)
+
+
+    @pytest.mark.parametrize("seed, rounds", [(2, 2), (0, 5)])
+    def test_estimate_matches_two_walks(self, monkeypatch, seed, rounds):
+        """One walk for equal homes gives the min over both home rounds,
+        on every pair, cross-home pairs included."""
+        G = connected_random_graph(random.Random(seed), 30, 0.12, 1.0, 10.0)
+        C = build_coarse_labeling(G, 1, 1)
+        assert C.rounds() == rounds
+        walks = []
+        real = datastructures.tree_label_query
+        monkeypatch.setattr(datastructures, "tree_label_query",
+                            lambda lx, ly: walks.append(1) or real(lx, ly))
+        cross = 0
+        for u in range(G.n):
+            for v in range(G.n):
+                walks.clear()
+                got = C.query(u, v)
+                same = C.home[u] == C.home[v]
+                assert len(walks) == (1 if same else 2)
+                cross += not same
+                assert got == two_walk_estimate(C.labels[u], C.home[u],
+                                                C.labels[v], C.home[v])
+        assert cross > 0
 
 
 class TestCoarseOracle:
@@ -387,6 +411,48 @@ class TestRouting:
         S = build_routing_scheme(G, 1, 2, 0.5)
         res = route(S, 0, 2)
         assert not res.delivered
+
+
+class TestVertexIds:
+    """Query entry points reject ids outside range(n), negative ones
+    included, and non-integer ids, naming the id, instead of wrapping to
+    another vertex or failing inside the coarse record or a routing table."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        G = P4()
+        return (build_hop_oracle(G, 2, 2, 0.5), build_hop_labeling(G, 2, 2, 0.5),
+                build_routing_scheme(G, 2, 2, 0.5))
+
+    @pytest.mark.parametrize("u, v, bad", [(0, -1, -1), (0, 9, 9), (-2, 1, -2),
+                                           (4, 4, 4)])
+    def test_oracle_query(self, built, u, v, bad):
+        with pytest.raises(ValueError, match=rf"vertex id {bad} out of range for n=4"):
+            hop_oracle_query(built[0], u, v)
+
+    @pytest.mark.parametrize("v", [-1, 4])
+    def test_label(self, built, v):
+        with pytest.raises(ValueError, match=rf"vertex id {v} out of range for n=4"):
+            built[1].label(v)
+
+    @pytest.mark.parametrize("u, v, bad", [(0, -1, -1), (0, 7, 7), (-1, -1, -1)])
+    def test_route(self, built, u, v, bad):
+        with pytest.raises(ValueError, match=rf"vertex id {bad} out of range for n=4"):
+            route(built[2], u, v)
+
+    @pytest.mark.parametrize("bad", [1.5, True, "1"])
+    def test_non_integers(self, built, bad):
+        O, L, S = built
+        for call in (lambda: hop_oracle_query(O, 0, bad), lambda: L.label(bad),
+                     lambda: route(S, bad, 0)):
+            with pytest.raises(ValueError, match="vertex id must be an integer"):
+                call()
+
+    def test_integral_floats_are_ids(self, built):
+        O, L, S = built
+        assert hop_oracle_query(O, 0.0, 3.0) == hop_oracle_query(O, 0, 3)
+        assert L.label(2.0) is L.labels[2]
+        assert route(S, 3.0, 0) == route(S, 3, 0)
 
 
 class TestParameterValidation:

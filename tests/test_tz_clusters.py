@@ -19,7 +19,8 @@ import pytest
 from hopmetric import tz
 from hopmetric.datastructures import auxiliary_graph
 from hopmetric.graph_core import WeightedGraph, dijkstra
-from oracles import connected_random_graph
+from oracles import (connected_random_graph, done_flag_tree_entries,
+                     list_state_cutoff_row, per_hop_logged_route)
 
 
 def reference_core(adj, k: int, seed: int) -> tz.TZCore:
@@ -214,7 +215,7 @@ def test_forward_is_one_interval_test():
         for v in range(len(adj)):
             if u == v:
                 continue
-            nxt = tz.forward(R.tables[u], tz.Header(R.rlabels[v], w))
+            nxt = tz.forward(R.tables[u], tz.Header(w, R.rlabels[v].intervals[w]))
             lo, hi = T[u].interval
             if lo <= T[v].interval[0] < hi:
                 assert T[nxt].parent == u
@@ -222,10 +223,62 @@ def test_forward_is_one_interval_test():
             else:
                 assert nxt == T[u].parent
     with pytest.raises(AssertionError, match="no child"):
-        tz.forward(R.tables[5], tz.Header(R.rlabels[5], w))
-    outside = tz.RoutingLabel(R.rlabels[5].label, {w: (len(adj), len(adj) + 1)})
+        tz.forward(R.tables[5], tz.Header(w, R.rlabels[5].intervals[w]))
     with pytest.raises(AssertionError, match="does not contain"):
-        tz.forward(R.tables[w], tz.Header(outside, w))
+        tz.forward(R.tables[w], tz.Header(w, (len(adj), len(adj) + 1)))
+
+
+def _random_tree(rng: random.Random, n: int):
+    """A random rooted tree whose ids are shuffled, so a pre-order walk
+    does not visit them in id order, as a parent map in shuffled order."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    parent = {ids[0]: None}
+    for i in range(1, n):
+        parent[ids[i]] = ids[rng.randrange(i)]
+    items = list(parent.items())
+    rng.shuffle(items)
+    return dict(items), ids[0]
+
+
+def test_tree_entries_match_done_flag_walk():
+    rng = random.Random(83)
+    trees = [_random_tree(rng, rng.randint(1, 60)) for _ in range(200)]
+    trees.append(({3: None, 1: 3, 2: 3, 0: 1}, 3))
+    for parent, root in trees:
+        got = tz._tree_entries(parent, root)
+        assert list(got) == list(parent)
+        assert {v: tuple(e) for v, e in got.items()} == \
+            done_flag_tree_entries(parent, root)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_cluster_rows_match_list_state_search(name, k):
+    """The dict-state cluster search gives the rows of the cut-off search
+    on a full distance list, on the bounds ``tz._core`` passes it: the
+    next level's distance, widened by 1e-9 above level 0 to reach ties."""
+    adj = GRAPHS[name]
+    for seed in range(3):
+        ref = reference_core(adj, k, seed)
+        for i in range(k - 1):
+            lim = ref.pivot_dist[i + 1]
+            bound = list(lim) if i == 0 else [d * (1.0 + 1e-9) for d in lim]
+            for w in sorted(ref.levels[i] - ref.levels[i + 1]):
+                got = tz._cluster(adj, w, bound)
+                assert sorted(got.items()) == \
+                    sorted(list_state_cutoff_row(adj, w, bound).items())
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_read_log_matches_per_hop_log(name):
+    adj = GRAPHS[name]
+    n = len(adj)
+    for k in (1, 2, 3):
+        R = tz.build_routing(adj, k, 2)
+        for u in range(n):
+            for v in range(n):
+                assert tz.route(R, u, v) == per_hop_logged_route(R, u, v)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
