@@ -1,0 +1,129 @@
+"""Mutation checks: does tier-1 catch a construction that breaks a claim?
+
+Each entry of ``MUTANTS`` names a file under the repository root, the
+exact text to replace (it must occur once), the replacement and the claim
+the replacement breaks.  For each entry the script copies the tree into a
+temporary directory, applies that one mutant there and runs tier-1 first
+without the golden tests (``tests/test_golden_*.py``) and, if that passes,
+with them.  It prints one verdict per entry:
+
+- ``killed by T``: a non-golden test fails, T the first;
+- ``killed by goldens only: T``: only a pinned digest notices;
+- ``survived``: all of tier-1 passes.
+
+The working tree is never edited.  An unmutated copy is run first, and the
+script stops if that copy fails.  Run from the repository root (about 20 s
+of tests per mutant):
+
+    python3 scripts/mutants.py            # every entry
+    python3 scripts/mutants.py repair-blanks-cut scan-bound-at-h
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    claim: str
+
+
+MUTANTS = (
+    Mutant("repair-blanks-cut", "src/hopmetric/graph_core.py",
+           "    if not bad:\n        return dist\n",
+           "    return dist\n",
+           "a repaired carving row equals the fresh row of G[Y minus C]; "
+           "blanking the carved entries alone keeps stale distances"),
+    Mutant("scan-bound-at-h", "src/hopmetric/graph_core.py",
+           "            reach[s] = max(rows[h - 1])\n",
+           "            reach[s] = max(rows[h])\n",
+           "a skipped scan row cannot raise D' or lack a pair; the bound "
+           "needs x's (h - 1)-hop row, since s spends one hop reaching x"),
+    Mutant("gate-drops-lim", "src/hopmetric/graph_core.py",
+           "    gate = _gate(n, allowed, math.nextafter(lim, math.inf))\n",
+           "    gate = _gate(n, allowed, lim)\n",
+           "bellman_ford keeps every entry <= maxr + 1e-12; a gate at lim "
+           "itself drops the entries exactly on it"),
+    Mutant("clan-no-split", "src/hopmetric/clan.py",
+           "    return standard_rule(G, Y, Y, mu, h, k, k + 1, scale_i, True,\n",
+           "    return standard_rule(G, Y, Y, mu, h, k, k + 1, scale_i, False,\n",
+           "the clan path bound path_t charges a 1/3-2/3 split of mu(Y) "
+           "at every standard clan carving"),
+)
+
+IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
+                                 ".hypothesis", ".benchmarks")
+
+
+def mutated(root: str, m: Mutant) -> str:
+    """The text of m.path under root with m applied; m.old must occur once."""
+    with open(os.path.join(root, m.path), encoding="utf-8") as fh:
+        text = fh.read()
+    if text.count(m.old) != 1:
+        raise ValueError(f"{m.name}: expected one match in {m.path}, "
+                         f"found {text.count(m.old)}")
+    return text.replace(m.old, m.new)
+
+
+def tier1(root: str, goldens: bool) -> str:
+    """The first failing test of tier-1 in the copy at root, "" if it passes."""
+    # tests/test_mutants.py checks this table against the tree, so any
+    # mutant would fail it
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider",
+           "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
+    if not goldens:
+        cmd.append("--ignore-glob=tests/test_golden_*")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+    if out.returncode == 0:
+        return ""
+    failed = [ln.split()[1] for ln in out.stdout.splitlines() if ln.startswith("FAILED ")]
+    return failed[0] if failed else f"exit {out.returncode}"
+
+
+def verdict(root: str) -> str:
+    first = tier1(root, goldens=False)
+    if first:
+        return f"killed by {first}"
+    first = tier1(root, goldens=True)
+    return f"killed by goldens only: {first}" if first else "survived"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("names", nargs="*", help="entries to run (default: all)")
+    args = ap.parse_args(argv)
+    known = {m.name: m for m in MUTANTS}
+    unknown = sorted(set(args.names) - set(known))
+    if unknown:
+        ap.error(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [known[n] for n in args.names] or list(MUTANTS)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = os.path.join(tmp, "clean")
+        shutil.copytree(src, clean, ignore=IGNORED)
+        texts = [mutated(clean, m) for m in chosen]     # every entry applies
+        if tier1(clean, goldens=True):
+            print("the unmutated tree fails tier-1; no verdicts", file=sys.stderr)
+            return 1
+        for m, text in zip(chosen, texts):
+            root = os.path.join(tmp, m.name)
+            shutil.copytree(clean, root)
+            with open(os.path.join(root, m.path), "w", encoding="utf-8") as fh:
+                fh.write(text)
+            print(f"{m.name}: {verdict(root)} ({m.claim})", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

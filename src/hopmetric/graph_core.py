@@ -19,11 +19,16 @@ is_inf = math.isinf
 
 
 def as_integer(val, name: str) -> int:
-    """val as an int; a fractional value, a bool or a string is an error
-    that names it."""
-    if not isinstance(val, (bool, str)) and (isinstance(val, int)
-                                             or float(val).is_integer()):
-        return int(val)
+    """val as an int; a fractional value, a bool, a string or a value that
+    ``float`` cannot take (None, a list) is an error that names it."""
+    if not isinstance(val, (bool, str)):
+        if isinstance(val, int):
+            return int(val)
+        try:
+            if float(val).is_integer():
+                return int(val)
+        except TypeError:
+            pass
     raise ValueError(f"{name} must be an integer, got {val!r}")
 
 
@@ -129,22 +134,149 @@ class WeightedGraph:
         return max((w for _, _, w in self.edges), default=1.0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
+        u, v = self._check_vertex(u), self._check_vertex(v)
         return any(x == v for x, _ in self.adj[u])
 
     def edge_weight(self, u: int, v: int) -> float:
-        if not 0 <= u < self.n:
-            raise ValueError(f"invalid vertex id {u}")
+        u = self._check_vertex(u)
         for x, w in self.adj[u]:
             if x == v:
                 return w
         self._check_vertex(v)
         raise KeyError((u, v))
 
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise ValueError(f"invalid vertex id {v}")
+    def _check_vertex(self, v) -> int:
+        """v as a vertex id of this graph (see ``vertex_id``)."""
+        return vertex_id(v, self.n)
+
+
+def _relax(adj: Sequence[Sequence[Tuple[int, float]]], dist: List[float],
+           gate: List[float], frontier: Iterable[int], rounds: int) -> Iterable[int]:
+    """Run up to ``rounds`` rounds of the frontier relaxation on ``dist``;
+    return the frontier left, empty once a round improves nothing.
+
+    A round offers each edge (u, v) out of the frontier, the vertices the
+    previous round improved, the candidate nd = dist[u] + w, and v takes the
+    least candidate that passes its gate, nd < gate[v].  The caller seeds
+    the gate with dist[v] where v is reached, with nextafter(maxr + 1e-12,
+    inf) where it may still be reached, and with -inf where it may not
+    (outside the allowed set).  Before a round, then, nd < gate[v] is
+    exactly nd < dist[v] and nd <= maxr + 1e-12 and v allowed, the three
+    tests of a masked kernel.  An accepted candidate is written into the
+    gate at once, so later candidates of the round must beat it, and into
+    ``dist`` after the round, so every candidate reads the distances of the
+    previous round and round r extends walks by one edge.
+    """
+    for _ in range(rounds):
+        if not frontier:
+            break
+        updates: Dict[int, float] = {}
+        for u in frontier:
+            du = dist[u]
+            for v, w in adj[u]:
+                nd = du + w
+                if nd < gate[v]:
+                    gate[v] = updates[v] = nd
+        for v, nd in updates.items():
+            dist[v] = nd
+        frontier = updates
+    return frontier
+
+
+def _gate(n: int, allowed: Optional[Iterable[int]], top: float) -> List[float]:
+    """The initial gate of ``_relax``: ``top`` on the allowed ids, -inf on
+    the rest; an id outside range(n) is an error that names it.
+
+    The gate is 2n long, so a negative id down to -2n writes into its upper
+    half and a larger one fails to index it: one scan of the upper half
+    finds both, where a per-id range test would cost more than the writes.
+    """
+    if allowed is None:
+        return [top] * n
+    gate = [-math.inf] * (2 * n)
+    try:
+        for v in allowed:
+            gate[v] = top
+        bad = top in gate[n:]
+    except IndexError:
+        bad = True
+    if bad:
+        v = next(v for v in allowed if not 0 <= v < n)
+        raise ValueError(f"allowed vertex id {v} out of range for n={n}")
+    return gate
+
+
+def _repair(adj: Sequence[Sequence[Tuple[int, float]]], row: List[float],
+            cut: Set[int], maxr: float, rounds: int) -> List[float]:
+    """A plain row of G[Y] pruned at maxr, recomputed for G[Y minus cut].
+
+    ``row`` is ``bellman_ford(G, s, [b], maxr, Y)[b]`` for a budget b >=
+    |Y| - 1, with s not in ``cut``, and ``rounds`` is b.  Such a budget
+    cannot bind: removing a cycle from a walk leaves each later partial sum
+    no larger (weights are positive and float addition is monotone), so the
+    least float sum over all walks is reached by a simple path.  The result
+    equals the row that ``bellman_ford`` relaxes on G[Y minus cut], entry
+    for entry.
+
+    Call x a tight neighbour of u when row[x] + w(x, u) == row[u] in floats.
+    In a converged row every reached u != s has one, and following tight
+    neighbours, each at a smaller distance or set at an earlier round,
+    leads back to s.  An entry is kept when it is valid, that is, when a
+    walk in G[Y minus cut] has that float sum.  Removing vertices cannot
+    shorten a distance, so a valid entry is the new distance.  The walks
+    are found outward from the cut, in increasing old distance:
+
+    - a vertex none of whose tight neighbours is cut or invalid is valid:
+      its chain of tight neighbours back to s avoids both, by induction;
+    - any other vertex u is valid when some tight neighbour x with
+      row[x] < row[u], decided before u, is valid, extending x's walk by
+      the edge (x, u), and invalid otherwise.
+
+    Invalid entries are relaxed again from their valid neighbours, whose
+    gates are -inf since no walk of G[Y minus cut] reaches them with a
+    smaller sum (as are the cut's and the unreached vertices', which stay
+    above maxr).  Every walk from s into the invalid region leaves a valid
+    vertex last, where its partial sum is at least that vertex's entry;
+    float addition is monotone, so relaxing from those seeds gives the
+    least float sum of every invalid entry, pruned at maxr as before.
+    """
+    inf = math.inf
+    heap: List[Tuple[float, int]] = []
+    for c in cut:
+        dc = row[c]
+        if dc != inf:
+            heap.extend((row[y], y) for y, w in adj[c]
+                        if dc + w == row[y] and y not in cut)
+    heapq.heapify(heap)
+    seen: Set[int] = set()
+    bad: Set[int] = set()
+    while heap:
+        du, u = heapq.heappop(heap)
+        if u in seen:
+            continue
+        seen.add(u)
+        for x, w in adj[u]:
+            dx = row[x]
+            if dx < du and dx + w == du and x not in bad and x not in cut:
+                break
+        else:
+            bad.add(u)
+            for y, w in adj[u]:
+                if du + w == row[y] and y not in seen and y not in cut:
+                    heapq.heappush(heap, (row[y], y))
+    dist = list(row)
+    for c in cut:
+        dist[c] = inf
+    if not bad:
+        return dist
+    gate = [-inf] * len(row)
+    top = math.nextafter(maxr + 1e-12, inf)
+    for u in bad:
+        dist[u] = inf
+        gate[u] = top
+    seeds = {x for u in bad for x, _ in adj[u] if dist[x] != inf}
+    _relax(adj, dist, gate, seeds, rounds)
+    return dist
 
 
 def bellman_ford(G: WeightedGraph, s: int, budgets: Sequence[int],
@@ -153,51 +285,35 @@ def bellman_ford(G: WeightedGraph, s: int, budgets: Sequence[int],
     """Truncated Bellman-Ford distances from s, one snapshot per budget.
 
     Each round relaxes only the edges out of the vertices the previous round
-    improved, and the search stops once a round improves nothing.  ``maxr``
-    prunes distances above maxr (valid since weights are positive: every
-    prefix of a shortest path is no longer than the path itself).
-    ``allowed`` restricts relaxation to an induced vertex subset; an id in
-    it outside range(n) is an error.  Budgets are integers; a fractional
-    value, a bool or a string is an error.
+    improved, and the search stops once a round improves nothing
+    (``_relax``).  ``maxr`` prunes distances above maxr + 1e-12 (valid since
+    weights are positive: every prefix of a shortest path is no longer than
+    the path itself).  ``allowed`` restricts relaxation to an induced vertex
+    subset; an id in it outside range(n) is an error.  Budgets are integers;
+    a fractional value, a bool or a string is an error.
+
+    The snapshot at budget b holds, for every v, the least left-to-right
+    float sum over walks of at most b edges from s to v in G[allowed], or
+    infinity when that sum exceeds maxr + 1e-12.
     """
-    G._check_vertex(s)
+    n = G.n
+    if type(s) is not int or not 0 <= s < n:    # ints in range skip the call
+        s = vertex_id(s, n)
     want = sorted({b if type(b) is int else as_integer(b, "budget") for b in budgets})
     if not want or want[0] < 0:
         raise ValueError("budgets must be nonnegative")
-    n, adj = G.n, G.adj
-    if allowed is None:
-        mask = [True] * n
-    else:
-        lo, hi = min(allowed, default=0), max(allowed, default=0)
-        if lo < 0 or hi >= n:
-            raise ValueError(f"allowed vertex id {lo if lo < 0 else hi} "
-                             f"out of range for n={n}")
-        mask = [False] * n
-        for v in allowed:
-            mask[v] = True
-        if not mask[s]:
-            raise ValueError("source not in allowed set")
     lim = math.inf if maxr is None else maxr + 1e-12
+    gate = _gate(n, allowed, math.nextafter(lim, math.inf))
+    if gate[s] == -math.inf:
+        raise ValueError("source not in allowed set")
     dist = [math.inf] * n
-    dist[s] = 0.0
-    frontier = [s]
+    dist[s] = gate[s] = 0.0
+    frontier: Iterable[int] = [s]
     out: Dict[int, List[float]] = {}
-    rnd = 0
+    done = 0
     for b in want:
-        while rnd < b and frontier:
-            rnd += 1
-            updates: Dict[int, float] = {}
-            for u in frontier:
-                du = dist[u]
-                for v, w in adj[u]:
-                    nd = du + w
-                    if nd < dist[v] and nd <= lim and mask[v]:
-                        cur = updates.get(v)
-                        if cur is None or nd < cur:
-                            updates[v] = nd
-            for v, nd in updates.items():
-                dist[v] = nd
-            frontier = list(updates)
+        frontier = _relax(G.adj, dist, gate, frontier, b - done)
+        done = b
         out[b] = list(dist)
     return out
 
@@ -221,8 +337,7 @@ def hop_profile(G: WeightedGraph, s: int, budgets: Sequence[int],
 
 
 def hop_distance(G: WeightedGraph, u: int, v: int, h: int) -> float:
-    G._check_vertex(u)
-    G._check_vertex(v)
+    u, v = G._check_vertex(u), G._check_vertex(v)
     if u == v:
         return 0.0
     return hop_distance_all(G, u, h)[v]
@@ -252,12 +367,35 @@ def _finite_scan(G: WeightedGraph, h: int,
                  missing: Optional[List[Tuple[int, int]]] = None) -> Tuple[float, bool]:
     """One pass over the all-pairs h-hop rows: (D', whether some pair u < v
     has no h-hop path).  The pairs themselves are appended to ``missing``
-    when it is given; only the reference builder needs them."""
+    when it is given; only the reference builder needs them.
+
+    For 1 < h < 10^6 the row of s is skipped when a neighbour x already
+    scanned has (w(s, x) + m_x) * (1 + 1e-9) < D'_s, where m_x is the
+    largest entry of x's row at budget h - 1 (one ``hop_profile`` call
+    gives a scanned row at h - 1 and h) and D'_s the running maximum.  For
+    every v, the walk s -> x followed by x's (h - 1)-edge walk to v has at
+    most h edges, so the entry (s, v) is at most its left-to-right float
+    sum, which exceeds the real weight w + d by a relative h * 2^-53 at
+    most, where d <= m_x is x's float entry, itself within (h - 1) * 2^-53
+    of its walk's real weight (the error argument of
+    ``ramsey._row_certifies``).  Below 10^6 hops that is under 2.3e-10, so
+    every entry of the row is finite and below D'_s: the row can neither
+    raise D' nor add a missing pair, and skipping it changes no output.
+    """
+    n, adj = G.n, G.adj
+    skip = type(h) is int and 1 < h < 10 ** 6
+    budgets = [h - 1, h] if skip else [h]
+    reach = [math.inf] * n      # m_x of every scanned row x
     best = 0.0
     lacking = False
-    for s in range(G.n):
-        dist = hop_distance_all(G, s, h)
-        for v in range(s + 1, G.n):
+    for s in range(n):
+        if skip and any((w + reach[x]) * (1.0 + 1e-9) < best for x, w in adj[s]):
+            continue
+        rows = hop_profile(G, s, budgets)
+        dist = rows[h]
+        if skip:
+            reach[s] = max(rows[h - 1])
+        for v in range(s + 1, n):
             d = dist[v]
             if is_inf(d):
                 lacking = True

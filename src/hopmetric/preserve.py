@@ -42,7 +42,7 @@ def bounded_hop_path(G: WeightedGraph, s: int, t: int,
     are positive and float addition is monotone, cutting out the cycle
     gives no heavier sum, so no round after n - 1 improves any entry.
     """
-    G._check_vertex(t)
+    t = G._check_vertex(t)
     b = min(as_integer(budget, "budget"), G.n - 1)
     rows = bellman_ford(G, s, range(b + 1))
     if rows[b][t] == math.inf:
@@ -79,7 +79,7 @@ class PathTreeEmbedding:
 def build_path_tree_embedding(G: WeightedGraph, r: int, h: int,
                               variant: str = "standard") -> PathTreeEmbedding:
     """Path-tree embedding rooted at r: the root vertex gets a single copy."""
-    G._check_vertex(r)
+    r = G._check_vertex(r)
     n = G.n
     if n == 1:
         T = WeightedTree([None], [0.0], [0])

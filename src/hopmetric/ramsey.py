@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
                     Tuple)
 
-from .graph_core import (HopParams, WeightedGraph, _finite_scan, as_integer,
-                         completion_weight, finite_completion, hop_profile)
+from .graph_core import (HopParams, WeightedGraph, _finite_scan, _repair,
+                         as_integer, completion_weight, finite_completion,
+                         hop_profile)
 from .ultrametric import Ultrametric, saturate_labels
 
 _REL_TOL = 1e-12
@@ -59,6 +60,8 @@ class RamseyEmbedding:
 def _check_measure(mu: Measure, n: int) -> None:
     if len(mu) != n:
         raise ValueError(f"measure has {len(mu)} entries for {n} vertices")
+    if any(isinstance(m, bool) for m in mu):
+        raise ValueError("measure entries must be numbers, not booleans")
     if not all(1.0 - 1e-12 <= m < math.inf for m in mu):
         raise ValueError("measure must be finite and >= 1 on every vertex")
 
@@ -110,32 +113,44 @@ class _Balls:
     the row pruned at R equals the row pruned at r on every entry <=
     r + 1e-12.  Every reader compares entries only against a radius no
     larger than the one it asked for (``_ball``, ``_row_certifies``), so it
-    cannot tell a served row from a fresh one.  A carve drops the rows,
-    which belong to G[Y].  A carve that takes all of Y keeps them, and the
-    table goes with that cluster to the next scale (``_scale_tree``), whose
-    partition carves the same set: below a scale where the alt rule returned
-    Y whole, the same ball budget 2kLh is asked for at half the radius.  A
-    single alt Ramsey embedding of the n = 48 random graph at h = 2, k = 3
-    makes 387 ``hop_profile`` calls with the carried rows and 601 without.
+    cannot tell a served row from a fresh one.
+
+    A carve that takes all of Y keeps every row, and the table goes with
+    that cluster to the next scale (``_scale_tree``), whose partition
+    carves the same set: below a scale where the alt rule returned Y whole,
+    the same ball budget 2kLh is asked for at half the radius.  Any other
+    carve drops the rows whose budget b < |Y| - 1 may bind and the rows
+    whose source it removed.  A plain row (b >= |Y| - 1) whose reach avoids
+    C is kept as it is, by the prefix argument; one whose reach meets C is
+    marked with C, and removals accumulate over carves until ``row`` next
+    serves it, repaired in G[Y minus C] (``graph_core._repair``, which gives
+    the fresh row).  A carve costs O(|C|) per stored row.  A single alt
+    Ramsey embedding of the n = 48 random graph at h = 2, k = 3 makes 157
+    ``hop_profile`` calls, 387 when only a carve of all of Y keeps the rows
+    and 601 when every carve drops them.
     """
     __slots__ = ("_tables", "_rows")
 
     def __init__(self) -> None:
         # (budget, radius) -> candidate -> [ball, marked measure or None]
         self._tables: Dict[Tuple[int, float], Dict[int, list]] = {}
-        # (budget, source) -> (radius R, row pruned at R)
-        self._rows: Dict[Tuple[int, int], Tuple[float, List[float]]] = {}
+        # (budget, source) -> [radius R, row pruned at R, plain, removed
+        # vertices its entries have not yet left, or None]
+        self._rows: Dict[Tuple[int, int], list] = {}
 
     def row(self, G: WeightedGraph, v: int, budget: int, r: float,
             allowed: List[int]) -> List[float]:
         """hop_profile(G, v, [budget], r, allowed)[budget] on every entry
-        <= r + 1e-12, served from the stored row when it was pruned at a
-        radius >= r."""
+        <= r + 1e-12, served from the stored row, repaired if a carve
+        marked it, when it was pruned at a radius >= r."""
         hit = self._rows.get((budget, v))
         if hit is not None and r <= hit[0]:
+            if hit[3] is not None:
+                hit[1] = _repair(G.adj, hit[1], hit[3], hit[0], budget)
+                hit[3] = None
             return hit[1]
         row = hop_profile(G, v, [budget], maxr=r, allowed=allowed)[budget]
-        self._rows[(budget, v)] = (r, row)
+        self._rows[(budget, v)] = [r, row, budget >= len(allowed) - 1, None]
         return row
 
     def measure(self, G: WeightedGraph, v: int, budget: int, r: float,
@@ -156,10 +171,16 @@ class _Balls:
 
     def carved(self, removed: Set[int], unmarked: Set[int], whole: bool) -> None:
         """Refresh the tables after a carve took ``removed`` out of Y and
-        ``unmarked`` out of the marked set; the rows stay only when the
-        carve took all of Y (``whole``)."""
+        ``unmarked`` out of the marked set; every row stays when the carve
+        took all of Y (``whole``)."""
         if not whole:
-            self._rows.clear()
+            rows = self._rows
+            for key, hit in list(rows.items()):
+                row = hit[1]
+                if not hit[2] or key[1] in removed:
+                    del rows[key]
+                elif any(row[c] != math.inf for c in removed):
+                    hit[3] = removed if hit[3] is None else hit[3] | removed
         for table in self._tables.values():
             for v, entry in list(table.items()):
                 if not entry[0].isdisjoint(removed):
@@ -485,7 +506,7 @@ def _constants(kind: str, variant: str, n: int, k: int, phi: int,
 def ramsey_embed(G: WeightedGraph, mu: Measure, M0: Set[int], h: int, k: int,
                  variant: str = "standard") -> RamseyEmbedding:
     """Build the full Ramsey-type embedding of G (all vertices as leaves)."""
-    M0 = set(M0)
+    M0 = {v if type(v) is int else as_integer(v, "marked vertex id") for v in M0}
     if not all(0 <= v < G.n for v in M0):
         raise ValueError(f"marked set has a vertex outside range({G.n})")
     Gw, omega, phi = _embed_setup(G, mu, h, k, variant)

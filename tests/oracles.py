@@ -7,7 +7,9 @@ instead of the library's LCA walk, and a literal transcription of the
 cluster-carving rules driven by plain ball queries.  The serving layer is
 checked against literal transcriptions of earlier forms of its steps: the
 two-visit DFS interval walk, the cut-off Dijkstra on a full distance list,
-the two-walk coarse estimate and the per-hop read log.
+the two-walk coarse estimate and the per-hop read log.  The relaxation
+layer is checked the same way: the masked Bellman-Ford kernel with its
+min/max range check and the all-rows diameter scan.
 """
 from __future__ import annotations
 
@@ -54,6 +56,66 @@ def edge_count_bellman_ford(G: WeightedGraph, s: int) -> List[float]:
             if dist[v] + w < dist[u]:
                 dist[u] = dist[v] + w
     return dist
+
+
+def masked_bellman_ford(G: WeightedGraph, s: int, budgets: Sequence[int],
+                        maxr: Optional[float] = None,
+                        allowed: Optional[Sequence[int]] = None) -> Dict[int, List[float]]:
+    """Literal transcription of the masked frontier kernel: a boolean mask
+    for ``allowed`` behind a min/max range check, and three tests per edge
+    (improves, within maxr + 1e-12, allowed) with a per-round dict of the
+    least candidates."""
+    n, adj = G.n, G.adj
+    if allowed is None:
+        mask = [True] * n
+    else:
+        lo, hi = min(allowed, default=0), max(allowed, default=0)
+        if lo < 0 or hi >= n:
+            raise ValueError(f"allowed vertex id {lo if lo < 0 else hi} "
+                             f"out of range for n={n}")
+        mask = [False] * n
+        for v in allowed:
+            mask[v] = True
+        if not mask[s]:
+            raise ValueError("source not in allowed set")
+    lim = math.inf if maxr is None else maxr + 1e-12
+    dist = [math.inf] * n
+    dist[s] = 0.0
+    frontier = [s]
+    out: Dict[int, List[float]] = {}
+    rnd = 0
+    for b in sorted(set(budgets)):
+        while rnd < b and frontier:
+            rnd += 1
+            updates: Dict[int, float] = {}
+            for u in frontier:
+                du = dist[u]
+                for v, w in adj[u]:
+                    nd = du + w
+                    if nd < dist[v] and nd <= lim and mask[v]:
+                        cur = updates.get(v)
+                        if cur is None or nd < cur:
+                            updates[v] = nd
+            for v, nd in updates.items():
+                dist[v] = nd
+            frontier = list(updates)
+        out[b] = list(dist)
+    return out
+
+
+def all_rows_scan(G: WeightedGraph, h: int) -> Tuple[float, bool, List[Tuple[int, int]]]:
+    """(D', whether a pair lacks an h-hop path, the pairs u < v that do)
+    from every row of the all-pairs h-hop scan, none skipped."""
+    best, lacking, missing = 0.0, False, []
+    for s in range(G.n):
+        dist = masked_bellman_ford(G, s, [h])[h]
+        for v in range(s + 1, G.n):
+            if is_inf(dist[v]):
+                lacking = True
+                missing.append((s, v))
+            elif dist[v] > best:
+                best = dist[v]
+    return best, lacking, missing
 
 
 def logged_hop_path(G: WeightedGraph, s: int, t: int, budget: int):

@@ -14,7 +14,11 @@ from hopmetric import ramsey
 from hopmetric.clan import clan_distribution, clan_embed
 from hopmetric.cli import gen_graph
 from hopmetric.graph_core import WeightedGraph, finite_completion, hop_profile
+from hopmetric.cover import sparse_cover
+from hopmetric.datastructures import build_hop_oracle
+from hopmetric.preserve import build_path_tree_embedding
 from hopmetric.ramsey import finite_graph, ramsey_distribution, ramsey_embed
+from hopmetric.rng import substream
 from oracles import connected_random_graph, random_graph
 from test_ramsey import _below, _fixed_point_graph
 
@@ -227,3 +231,48 @@ class TestBoundary:
     def test_rejects_marked_vertex_out_of_range(self, M0):
         with pytest.raises(ValueError, match="outside range"):
             ramsey_embed(P4, [1.0] * 4, M0, 2, 2)
+
+
+class TestBuildBoundaryIds:
+    """Vertex ids, marked sets, seeds and measures at the build entry points
+    are integers (or numbers) checked once, with a message that names the
+    value, instead of a bare TypeError from deep inside a builder."""
+
+    def test_graph_vertex_check_takes_integers(self):
+        assert P4._check_vertex(2.0) == 2 and type(P4._check_vertex(2.0)) is int
+        assert P4.has_edge(1.0, 2) and P4.edge_weight(3.0, 2) == 1.0
+        for bad in (True, 1.5, None):
+            with pytest.raises(ValueError, match=f"vertex id must be an integer, got {bad}"):
+                P4.has_edge(bad, 1)
+
+    @pytest.mark.parametrize("M0", [{0.5}, {True}, {"1"}])
+    def test_marked_ids_are_integers(self, M0):
+        with pytest.raises(ValueError, match="marked vertex id must be an integer"):
+            ramsey_embed(P4, [1.0] * 4, M0, 2, 2)
+        assert (ramsey_embed(P4, [1.0] * 4, {1.0, 3}, 2, 2).U.to_json()
+                == ramsey_embed(P4, [1.0] * 4, {1, 3}, 2, 2).U.to_json())
+
+    def test_path_tree_root_is_a_vertex_id(self):
+        G = connected_random_graph(random.Random(9), 6, 0.4, 1.0, 3.0)
+        a, b = build_path_tree_embedding(G, 1.0, 2), build_path_tree_embedding(G, 1, 2)
+        assert a.root_vertex == 1 and type(a.root_vertex) is int
+        assert a.f == b.f and a.assoc == b.assoc
+        with pytest.raises(ValueError, match="vertex id must be an integer, got True"):
+            build_path_tree_embedding(G, True, 2)
+
+    @pytest.mark.parametrize("call", [
+        lambda seed: substream(seed, "x"),
+        lambda seed: sparse_cover(P4, 1.0, seed),
+        lambda seed: build_hop_oracle(P4, 2, 2, 0.5, seed=seed)],
+        ids=["substream", "sparse_cover", "build_hop_oracle"])
+    @pytest.mark.parametrize("seed", [1.5, "s", None])
+    def test_seeds_are_integers(self, call, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+            call(seed)
+
+    @pytest.mark.parametrize("embed", [
+        lambda mu: ramsey_embed(P4, mu, {0, 1}, 2, 2),
+        lambda mu: clan_embed(P4, mu, 2, 2)])
+    def test_measure_rejects_booleans(self, embed):
+        with pytest.raises(ValueError, match="not booleans"):
+            embed([1.0, True, 1.0, 1.0])

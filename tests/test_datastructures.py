@@ -440,7 +440,7 @@ class TestVertexIds:
         with pytest.raises(ValueError, match=rf"vertex id {bad} out of range for n=4"):
             route(built[2], u, v)
 
-    @pytest.mark.parametrize("bad", [1.5, True, "1"])
+    @pytest.mark.parametrize("bad", [1.5, True, "1", None, [1]])
     def test_non_integers(self, built, bad):
         O, L, S = built
         for call in (lambda: hop_oracle_query(O, 0, bad), lambda: L.label(bad),

@@ -179,9 +179,9 @@ class TestNormalization:
     def test_edge_queries_reject_bad_vertex_ids(self, u, v):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
         bad = u if not 0 <= u < 3 else v
-        with pytest.raises(ValueError, match=f"invalid vertex id {bad}"):
+        with pytest.raises(ValueError, match=f"vertex id {bad} out of range for n=3"):
             G.has_edge(u, v)
-        with pytest.raises(ValueError, match=f"invalid vertex id {bad}"):
+        with pytest.raises(ValueError, match=f"vertex id {bad} out of range for n=3"):
             G.edge_weight(u, v)
 
     def test_edge_queries_on_valid_ids(self):
@@ -232,13 +232,19 @@ class TestFiniteCompletion:
             Gw, omega = finite_completion(G, h, k)
             assert hop_diameter(Gw, h) == omega
 
-    def test_one_pass_over_rows(self, monkeypatch):
+    @pytest.mark.parametrize("G, rows", [
+        (WeightedGraph(6, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 1.0)]), 6),
+        # D' = 5 after the row of 0; the hub 2 reaches every vertex within
+        # 3 in one hop, so the rows of 3 and 4 stay within 1 + 3 < 5
+        (WeightedGraph(5, [(0, 1, 5.0), (0, 2, 3.0), (1, 2, 3.0), (2, 3, 1.0),
+                           (2, 4, 1.0)]), 3)])
+    def test_one_pass_over_rows(self, monkeypatch, G, rows):
         calls = []
-        monkeypatch.setattr(graph_core, "hop_distance_all",
-                            lambda *a, **kw: calls.append(a[1]) or hop_distance_all(*a, **kw))
-        G = WeightedGraph(6, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 1.0)])
+        real = graph_core.hop_profile
+        monkeypatch.setattr(graph_core, "hop_profile",
+                            lambda *a, **kw: calls.append(a[1]) or real(*a, **kw))
         finite_completion(G, 2, 2)
-        assert sorted(calls) == list(range(6))
+        assert calls == sorted(set(calls)) and len(calls) == rows
 
 
 class TestHRespecting:
@@ -261,7 +267,7 @@ class TestHopParams:
             HopParams(h=1, k=0, epsilon=0.5)
         with pytest.raises(ValueError):
             HopParams(h=1, k=1, epsilon=1.5)
-        for h, k in ((True, 1), (1, True), ("2", 1)):
+        for h, k in ((True, 1), (1, True), ("2", 1), (None, 1), (1, [2])):
             with pytest.raises(ValueError, match="must be an integer"):
                 HopParams(h, k)
 

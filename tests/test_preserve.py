@@ -80,7 +80,7 @@ class TestBoundedHopPath:
     @pytest.mark.parametrize("t", [-1, 4])
     def test_target_range_checked(self, t):
         G = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-        with pytest.raises(ValueError, match="invalid vertex id"):
+        with pytest.raises(ValueError, match=rf"vertex id {t} out of range for n=4"):
             bounded_hop_path(G, 0, t, 3)
 
     def test_zero_budget(self):

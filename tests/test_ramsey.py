@@ -393,12 +393,13 @@ class TestCarriedRows:
                 assert _below(row, r) == _below(fresh, r)
         assert requests - len(calls) > requests / 4   # served from stored rows
 
-    @pytest.mark.parametrize("kind, carried, uncarried", [
-        ("ramsey", 387, 601), ("clan", 398, 612)])
-    def test_single_alt_embedding_carries_rows(self, monkeypatch, kind,
+    @pytest.mark.parametrize("kind, repaired, carried, uncarried", [
+        ("ramsey", 157, 387, 601), ("clan", 309, 398, 612)])
+    def test_single_alt_embedding_carries_rows(self, monkeypatch, kind, repaired,
                                                carried, uncarried):
         # the scale below one that leaves Y whole asks for the same rows at
-        # half the radius
+        # half the radius, and a row kept past a carve is repaired, not
+        # relaxed again
         calls = _counting_profiles(monkeypatch)
         G = _fixed_point_graph("random48")
         V = set(range(48))
@@ -409,14 +410,18 @@ class TestCarriedRows:
             return clan_embed(G, [1.0] * 48, 2, 2, "alt")
 
         U = embed().U.to_json()
-        assert len(calls) == carried
+        assert len(calls) == repaired
         real = ramsey._Balls.carved
-        monkeypatch.setattr(ramsey._Balls, "carved",
-                            lambda self, removed, unmarked, whole:
-                            real(self, removed, unmarked, False))
-        del calls[:]
-        assert embed().U.to_json() == U
-        assert len(calls) == uncarried
+        for keep, count in ((lambda whole: whole, carried),
+                            (lambda whole: False, uncarried)):
+            def carved(self, removed, unmarked, whole, keep=keep):
+                if not keep(whole):
+                    self._rows.clear()
+                real(self, removed, unmarked, whole)
+            monkeypatch.setattr(ramsey._Balls, "carved", carved)
+            del calls[:]
+            assert embed().U.to_json() == U
+            assert len(calls) == count
 
     @pytest.mark.parametrize("graph", ["grid10", "random16", "random14"])
     def test_distribution_matches_standalone_embeddings(self, graph):
