@@ -13,6 +13,7 @@ from hopmetric.graph_core import (WeightedGraph, _finite_scan, bellman_ford,
                                   hop_profile)
 from oracles import (all_rows_scan, connected_random_graph, lasso,
                      masked_bellman_ford, random_graph)
+from test_ramsey import _below
 
 
 def _grid(rows: int, cols: int) -> WeightedGraph:
@@ -49,10 +50,6 @@ def _family(name: str, rng: random.Random) -> WeightedGraph:
 
 
 FAMILIES = ["connected", "disconnected", "grid", "lasso", "wide"]
-
-
-def _below(row, r: float) -> list:
-    return [d if d <= r + 1e-12 else math.inf for d in row]
 
 
 class TestGatedKernel:
