@@ -187,22 +187,20 @@ def _gate(n: int, allowed: Optional[Iterable[int]], top: float) -> List[float]:
     """The initial gate of ``_relax``: ``top`` on the allowed ids, -inf on
     the rest; an id outside range(n) is an error that names it.
 
-    The gate is 2n long, so a negative id down to -2n writes into its upper
-    half and a larger one fails to index it: one scan of the upper half
-    finds both, where a per-id range test would cost more than the writes.
+    A negative id would index the gate from its end, so one ``min`` pass
+    rejects those, and an id of n or more fails to index it.
     """
     if allowed is None:
         return [top] * n
-    gate = [-math.inf] * (2 * n)
+    gate = [-math.inf] * n
     try:
+        if min(allowed, default=0) < 0:
+            raise IndexError
         for v in allowed:
             gate[v] = top
-        bad = top in gate[n:]
     except IndexError:
-        bad = True
-    if bad:
         v = next(v for v in allowed if not 0 <= v < n)
-        raise ValueError(f"allowed vertex id {v} out of range for n={n}")
+        raise ValueError(f"allowed vertex id {v} out of range for n={n}") from None
     return gate
 
 

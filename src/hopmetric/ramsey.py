@@ -14,7 +14,7 @@ from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
 
 from .graph_core import (HopParams, WeightedGraph, _finite_scan, _repair,
                          as_integer, completion_weight, finite_completion,
-                         hop_profile)
+                         hop_profile, vertex_id)
 from .ultrametric import Ultrametric, saturate_labels
 
 _REL_TOL = 1e-12
@@ -506,9 +506,7 @@ def _constants(kind: str, variant: str, n: int, k: int, phi: int,
 def ramsey_embed(G: WeightedGraph, mu: Measure, M0: Set[int], h: int, k: int,
                  variant: str = "standard") -> RamseyEmbedding:
     """Build the full Ramsey-type embedding of G (all vertices as leaves)."""
-    M0 = {v if type(v) is int else as_integer(v, "marked vertex id") for v in M0}
-    if not all(0 <= v < G.n for v in M0):
-        raise ValueError(f"marked set has a vertex outside range({G.n})")
+    M0 = {vertex_id(v, G.n) for v in M0}
     Gw, omega, phi = _embed_setup(G, mu, h, k, variant)
     stats: dict = {}
     survivors: Set[int] = set()

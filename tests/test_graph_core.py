@@ -77,7 +77,8 @@ class TestHopDistance:
         assert d[1] == 1.0 and is_inf(d[2]) and is_inf(d[3])
 
     @pytest.mark.parametrize("allowed, bad", [([0, -1], -1), ([0, 9], 9),
-                                              ([0, 4], 4)])
+                                              ([0, 4], 4), ([0, -5], -5),
+                                              ([0, -8], -8), ([0, -9], -9)])
     def test_allowed_ids_in_range(self, allowed, bad):
         C4 = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 5.0)])
         with pytest.raises(ValueError, match=rf"allowed vertex id {bad} out of range"):
