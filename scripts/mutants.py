@@ -53,6 +53,25 @@ MUTANTS = (
            "    gate = _gate(n, allowed, lim)\n",
            "bellman_ford keeps every entry <= maxr + 1e-12; a gate at lim "
            "itself drops the entries exactly on it"),
+    Mutant("slack-one-edge-short", "src/hopmetric/ramsey.py",
+           "(budget + 1) * w_min > (r + _REL_TOL)",
+           "budget * w_min > (r + _REL_TOL)",
+           "a budget is slack at r when its walks of budget + 1 edges all "
+           "weigh more than r + 1e-12; b * w_min is one edge short, and "
+           "leaves such rows hop-bounded"),
+    Mutant("alt-nested-unclipped", "src/hopmetric/ramsey.py",
+           "    rows = _nested_rows(G, balls, v, [want(a, j) for a in range(L)\n"
+           "                                      for j in range(2 * k + 1)] + [want(L, 0)], allowed)\n",
+           "    rows = _nested_rows(G, balls, v, [want(a, j) for a in range(L + 1)\n"
+           "                                      for j in range(2 * k + 1)], allowed)\n",
+           "the alt rule's nested balls lie within delta/4 + 1e-12, where its "
+           "single profile was pruned; the top level's unread balls reach "
+           "(L + 1) * delta/(4L), unclipped"),
+    Mutant("repair-rounds-budget", "src/hopmetric/ramsey.py",
+           "            hit[1] = _repair(G.adj, hit[1], hit[2], hit[0], len(allowed))\n",
+           "            hit[1] = _repair(G.adj, hit[1], hit[2], hit[0], budget)\n",
+           "a plain row is repaired for every entry up to its own radius, in "
+           "at least |Y| rounds; the request's budget covers only its radius"),
     Mutant("clan-no-split", "src/hopmetric/clan.py",
            "    return standard_rule(G, Y, Y, mu, h, k, k + 1, scale_i, True,\n",
            "    return standard_rule(G, Y, Y, mu, h, k, k + 1, scale_i, False,\n",

@@ -63,10 +63,11 @@ class WeightedGraph:
 
     Weights are normalized at construction so the minimum edge weight is 1;
     the applied scale factor is recorded in ``scale`` (original weight =
-    stored weight * scale).  Instances are immutable after construction.
+    stored weight * scale), and the least stored weight in ``w_min``
+    (infinity with no edge).  Instances are immutable after construction.
     """
 
-    __slots__ = ("n", "edges", "adj", "scale")
+    __slots__ = ("n", "edges", "adj", "scale", "w_min")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int, float]],
                  normalize: bool = True):
@@ -94,14 +95,14 @@ class WeightedGraph:
             clean.append((key[0], key[1], float(w)))
         clean.sort()
         scale = 1.0
-        if normalize and clean:
-            wmin = min(w for _, _, w in clean)
-            if wmin != 1.0:
-                scale = wmin
-                clean = [(u, v, w / wmin) for u, v, w in clean]
+        wmin = min((w for _, _, w in clean), default=math.inf)
+        if normalize and clean and wmin != 1.0:
+            scale, wmin = wmin, 1.0
+            clean = [(u, v, w / scale) for u, v, w in clean]
         self.n = n
         self.edges = tuple(clean)
         self.scale = scale
+        self.w_min = wmin
         adj: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
         for u, v, w in clean:
             adj[u].append((v, w))
@@ -208,13 +209,17 @@ def _repair(adj: Sequence[Sequence[Tuple[int, float]]], row: List[float],
             cut: Set[int], maxr: float, rounds: int) -> List[float]:
     """A plain row of G[Y] pruned at maxr, recomputed for G[Y minus cut].
 
-    ``row`` is ``bellman_ford(G, s, [b], maxr, Y)[b]`` for a budget b >=
-    |Y| - 1, with s not in ``cut``, and ``rounds`` is b.  Such a budget
-    cannot bind: removing a cycle from a walk leaves each later partial sum
-    no larger (weights are positive and float addition is monotone), so the
-    least float sum over all walks is reached by a simple path.  The result
-    equals the row that ``bellman_ford`` relaxes on G[Y minus cut], entry
-    for entry.
+    ``row`` is ``bellman_ford(G, s, [b], maxr, Y)[b]`` for a budget b slack
+    at maxr (``ramsey._slack``: b >= |Y| - 1, or every walk of more than b
+    edges weighs more than maxr + 1e-12), with s not in ``cut``, and
+    ``rounds`` is at least |Y|.  Such a row holds the least float sum over
+    all walks of G[Y], pruned at maxr, and it has converged: another round
+    would change nothing.  A least float sum is reached by a simple path,
+    since removing a cycle from a walk leaves each later partial sum no
+    larger (weights are positive and float addition is monotone), so
+    ``rounds`` relaxation rounds reach every one.  The result equals the row
+    that ``bellman_ford`` relaxes on G[Y minus cut] at any budget slack at
+    maxr, entry for entry.
 
     Call x a tight neighbour of u when row[x] + w(x, u) == row[u] in floats.
     In a converged row every reached u != s has one, and following tight
@@ -351,21 +356,20 @@ def hop_ball(G: WeightedGraph, v: int, r: float, h: int,
 
 
 def hop_diameter(G: WeightedGraph, h: int) -> float:
-    """Largest h-hop distance over vertex pairs; the scan of the rows stops
-    at the first pair with no h-hop path, whose distance is INFINITY."""
-    best = 0.0
-    for s in range(G.n):
-        best = max([best, *hop_distance_all(G, s, h)[s + 1:]])
-        if is_inf(best):
-            break
-    return best
+    """Largest h-hop distance over vertex pairs, INFINITY when some pair has
+    no h-hop path: the scan of ``_finite_scan``, which skips the rows that
+    cannot raise the maximum, stopped at the first such pair."""
+    best, lacking = _finite_scan(G, h, stop=True)
+    return INFINITY if lacking else best
 
 
 def _finite_scan(G: WeightedGraph, h: int,
-                 missing: Optional[List[Tuple[int, int]]] = None) -> Tuple[float, bool]:
+                 missing: Optional[List[Tuple[int, int]]] = None,
+                 stop: bool = False) -> Tuple[float, bool]:
     """One pass over the all-pairs h-hop rows: (D', whether some pair u < v
     has no h-hop path).  The pairs themselves are appended to ``missing``
-    when it is given; only the reference builder needs them.
+    when it is given; only the reference builder needs them.  With ``stop``
+    the pass ends at the first such pair, and D' is that of the rows before.
 
     For 1 < h < 10^6 the row of s is skipped when a neighbour x already
     scanned has (w(s, x) + m_x) * (1 + 1e-9) < D'_s, where m_x is the
@@ -396,6 +400,8 @@ def _finite_scan(G: WeightedGraph, h: int,
         for v in range(s + 1, n):
             d = dist[v]
             if is_inf(d):
+                if stop:
+                    return best, True
                 lacking = True
                 if missing is not None:
                     missing.append((s, v))

@@ -79,6 +79,28 @@ def _marked_measure(mu: Measure, B: FrozenSet[int], MY: Set[int]) -> float:
     return math.fsum(mu[u] for u in B if u in MY)
 
 
+def _slack(budget: int, r: float, size: int, w_min: float) -> bool:
+    """Whether hop budget ``budget`` cannot bind in a row of G[Y] pruned at
+    radius r, with |Y| = ``size`` and least edge weight ``w_min``.
+
+    It cannot when budget >= |Y| - 1, since removing a cycle from a walk
+    leaves each later partial sum no larger (weights are positive and float
+    addition is monotone), so the least float sum over all walks is reached
+    by a simple path.  Nor can it when budget < 10^6 and (budget + 1) *
+    w_min > (r + 1e-12) * (1 + 1e-9): every walk of more than ``budget``
+    edges has a prefix of budget + 1 edges, each weighing at least w_min,
+    whose float sum, and so the walk's, exceeds r + 1e-12.  With w_min = 1.0
+    the partial sums of m edges are >= m exactly; for any other w_min they
+    are within a relative m * 2^-53 of their real weight (the error argument
+    of ``_row_certifies``), far inside the 1e-9 margin below 10^6 hops.  The
+    row pruned at r then holds, entry for entry, the least float sum over
+    all walks in G[Y], whatever the budget: it is the plain row of its
+    source.
+    """
+    return budget >= size - 1 or (budget < 10 ** 6 and
+                                  (budget + 1) * w_min > (r + _REL_TOL) * (1.0 + 1e-9))
+
+
 class _Balls:
     """The center-choice balls, their marked measures and their rows for
     the current Y of one ``padded_partition`` or ``clan_cover`` call, kept
@@ -106,52 +128,67 @@ class _Balls:
     The sums are correctly rounded (``_marked_measure``), so equal terms
     give equal floats and every rule picks the same center.
 
-    A ball missing here is built from its row in G[Y], keyed by (budget b,
-    source v) and kept with the radius R it was pruned at; ``row`` serves it
-    at any radius r <= R.  This is exact: by the prefix argument above,
-    pruning at R only turns the entries above R + 1e-12 into infinity, so
-    the row pruned at R equals the row pruned at r on every entry <=
-    r + 1e-12.  Every reader compares entries only against a radius no
-    larger than the one it asked for (``_ball``, ``_row_certifies``), so it
-    cannot tell a served row from a fresh one.
+    A ball missing here is built from its row in G[Y], kept with the radius
+    R it was pruned at; ``row`` serves it at any radius r <= R.  This is
+    exact: by the prefix argument above, pruning at R only turns the
+    entries above R + 1e-12 into infinity, so the row pruned at R equals
+    the row pruned at r on every entry <= r + 1e-12.  Every reader compares
+    entries only against a radius no larger than the one it asked for
+    (``_ball``, ``_row_certifies``), so it cannot tell a served row from a
+    fresh one.
+
+    A row whose budget is slack at its radius (``_slack``: no walk it
+    leaves out weighs r + 1e-12 or less) is its source's plain row, the
+    least float sums over all walks of G[Y] pruned at R.  There is one per
+    source, and it serves every request (b, r <= R) whose budget b is slack
+    at r, since the b-hop row pruned at r is then that plain row pruned at
+    r.  A row whose budget binds is kept under (budget, source).
 
     A carve that takes all of Y keeps every row, and the table goes with
     that cluster to the next scale (``_scale_tree``), whose partition
     carves the same set: below a scale where the alt rule returned Y whole,
     the same ball budget 2kLh is asked for at half the radius.  Any other
-    carve drops the rows whose budget b < |Y| - 1 may bind and the rows
-    whose source it removed.  A plain row (b >= |Y| - 1) whose reach avoids
-    C is kept as it is, by the prefix argument; one whose reach meets C is
-    marked with C, and removals accumulate over carves until ``row`` next
-    serves it, repaired in G[Y minus C] (``graph_core._repair``, which gives
-    the fresh row).  A carve costs O(|C|) per stored row.  A single alt
-    Ramsey embedding of the n = 48 random graph at h = 2, k = 3 makes 157
-    ``hop_profile`` calls, 387 when only a carve of all of Y keeps the rows
-    and 601 when every carve drops them.
+    carve drops the rows whose budget binds and the rows whose source it
+    removed.  A plain row whose reach avoids C is kept as it is, by the
+    prefix argument; one whose reach meets C is marked with C, and removals
+    accumulate over carves until ``row`` next serves it, repaired in
+    G[Y minus C] (``graph_core._repair``, which gives the fresh row).  A
+    carve costs O(|C|) per plain row.  A single alt Ramsey embedding of the
+    n = 48 random graph at h = 2, k = 3 makes 103 ``hop_profile`` calls,
+    359 when only a carve of all of Y keeps the rows and 573 when every
+    carve drops them.
     """
-    __slots__ = ("_tables", "_rows")
+    __slots__ = ("_tables", "_plain", "_rows")
 
     def __init__(self) -> None:
         # (budget, radius) -> candidate -> [ball, marked measure or None]
         self._tables: Dict[Tuple[int, float], Dict[int, list]] = {}
-        # (budget, source) -> [radius R, row pruned at R, plain, removed
-        # vertices its entries have not yet left, or None]
+        # source -> [radius R, plain row pruned at R, removed vertices its
+        # entries have not yet left, or None]
+        self._plain: Dict[int, list] = {}
+        # (budget, source) -> [radius R, row pruned at R], the budget binding
         self._rows: Dict[Tuple[int, int], list] = {}
 
     def row(self, G: WeightedGraph, v: int, budget: int, r: float,
             allowed: List[int]) -> List[float]:
         """hop_profile(G, v, [budget], r, allowed)[budget] on every entry
-        <= r + 1e-12, served from the stored row, repaired if a carve
-        marked it, when it was pruned at a radius >= r."""
-        hit = self._rows.get((budget, v))
-        if hit is not None and r <= hit[0]:
-            if hit[3] is not None:
-                hit[1] = _repair(G.adj, hit[1], hit[3], hit[0], budget)
-                hit[3] = None
+        <= r + 1e-12, served from a stored row pruned at a radius >= r: the
+        plain row of v, repaired if a carve marked it, when the budget is
+        slack at r, and the row of (budget, v) otherwise."""
+        if not _slack(budget, r, len(allowed), G.w_min):
+            hit = self._rows.get((budget, v))
+            if hit is None or r > hit[0]:
+                row = hop_profile(G, v, [budget], maxr=r, allowed=allowed)[budget]
+                hit = self._rows[budget, v] = [r, row]
             return hit[1]
-        row = hop_profile(G, v, [budget], maxr=r, allowed=allowed)[budget]
-        self._rows[(budget, v)] = [r, row, budget >= len(allowed) - 1, None]
-        return row
+        hit = self._plain.get(v)
+        if hit is None or r > hit[0]:
+            row = hop_profile(G, v, [budget], maxr=r, allowed=allowed)[budget]
+            hit = self._plain[v] = [r, row, None]
+        elif hit[2] is not None:
+            hit[1] = _repair(G.adj, hit[1], hit[2], hit[0], len(allowed))
+            hit[2] = None
+        return hit[1]
 
     def measure(self, G: WeightedGraph, v: int, budget: int, r: float,
                 allowed: List[int], mu: Measure, MY: Set[int]) -> float:
@@ -174,19 +211,55 @@ class _Balls:
         ``unmarked`` out of the marked set; every row stays when the carve
         took all of Y (``whole``)."""
         if not whole:
-            rows = self._rows
-            for key, hit in list(rows.items()):
+            self._rows.clear()
+            plain = self._plain
+            for v, hit in list(plain.items()):
                 row = hit[1]
-                if not hit[2] or key[1] in removed:
-                    del rows[key]
+                if v in removed:
+                    del plain[v]
                 elif any(row[c] != math.inf for c in removed):
-                    hit[3] = removed if hit[3] is None else hit[3] | removed
+                    hit[2] = removed if hit[2] is None else hit[2] | removed
         for table in self._tables.values():
             for v, entry in list(table.items()):
                 if not entry[0].isdisjoint(removed):
                     del table[v]
                 elif not entry[0].isdisjoint(unmarked):
                     entry[1] = None
+
+
+def _nested_rows(G: WeightedGraph, balls: _Balls, v: int,
+                 wants: List[Tuple[int, float]],
+                 allowed: List[int]) -> Dict[Tuple[int, float], List[float]]:
+    """A row of v in G[allowed] for each (budget b, radius r) of ``wants``,
+    equal to hop_profile(G, v, [b], r, allowed)[b] on every entry <=
+    r + 1e-12: the rows of a rule's nested balls around its center.
+
+    Slackness is checked per ball, at the ball's own radius.  The slack
+    budgets read v's plain row (``_Balls.row``), asked for once at the
+    largest of their radii, which serves the smaller ones.  The binding
+    budgets alone share one ``hop_profile`` call, pruned at the largest of
+    their radii (pruning at a larger radius changes no entry below it; see
+    ``_Balls``); budget 0 needs none, since its row is 0 at v and infinity
+    elsewhere.
+    """
+    size, w_min = len(allowed), G.w_min
+    slack = {w: _slack(*w, size, w_min) for w in wants}
+    rows: Dict[Tuple[int, float], List[float]] = {}
+    plain = [w for w in wants if slack[w]]
+    if plain:
+        row = balls.row(G, v, *max(plain, key=lambda w: w[1]), allowed)
+        rows.update(dict.fromkeys(plain, row))
+    bound = [w for w in wants if not slack[w]]
+    hops = [w for w in bound if w[0]]
+    if hops:
+        prof = hop_profile(G, v, [b for b, _ in hops], maxr=max(r for _, r in hops),
+                           allowed=allowed)
+        rows.update((w, prof[w[0]]) for w in hops)
+    if len(hops) < len(bound):
+        zero = [math.inf] * G.n
+        zero[v] = 0.0
+        rows.update((w, zero) for w in bound if not w[0])
+    return rows
 
 
 def _live_marks(Y: Set[int], M: Set[int]) -> Set[int]:
@@ -219,9 +292,9 @@ def standard_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
             best_v, best_m = v, m
     v = best_v
     nb = 2 * k_geom
-    prof = hop_profile(G, v, [b0 + j * h for j in range(nb + 1)],
-                       maxr=r0 + nb * rho, allowed=allowed)
-    A = [_ball(prof[b0 + j * h], allowed, r0 + j * rho) for j in range(nb + 1)]
+    wants = [(b0 + j * h, r0 + j * rho) for j in range(nb + 1)]
+    rows = _nested_rows(G, balls, v, wants, allowed)
+    A = [_ball(rows[b, r], allowed, r) for b, r in wants]
     muA = [_marked_measure(mu, A[j], MY) for j in range(nb + 1)]
     muM = measure_of(mu, MY)
     target = (muA[nb] / muA[0]) ** (1.0 / k)
@@ -257,6 +330,15 @@ def alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
     full check would accept.  When no ball is all of Y, or the row's
     largest entry lies in the band above delta/4 * (1 - 1e-9), the full
     check runs as before, so the decision is the same either way.
+
+    The nested balls A(a, j) around the winner v have budget (2ka + j)h and
+    radius (a + j/(2k)) * delta/(4L), and the rule reads them only for
+    a < L, j <= 2k and for (L, 0).  Each of those radii is <= delta/4 in
+    floats: a + j/(2k) rounds to at most a + 1 <= L, the product with delta,
+    a power of two, is exact, and the quotient by 4L rounds to at most
+    L * delta/(4L) = delta/4.  So the balls come from ``_nested_rows``
+    unclipped: the single profile that gave them before, pruned at
+    delta/4 + 1e-12, cut off none of them.
     """
     muM = measure_of(mu, MY)
     L = alt_levels(muM)
@@ -280,17 +362,18 @@ def alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
             return ClusterTriple(X, X, X, v, 0)
         return fallback()
 
-    def budget(a: int, j: int) -> int:
-        return (2 * k * a + j) * h
+    def want(a: int, j: int) -> Tuple[int, float]:
+        return (2 * k * a + j) * h, (a + j / (2.0 * k)) * delta / (4.0 * L)
 
-    budgets = sorted({budget(a, j) for a in range(L + 1) for j in range(2 * k + 1)})
-    prof = hop_profile(G, v, budgets, maxr=delta / 4.0 + _REL_TOL, allowed=allowed)
-
+    # the balls read below: every (a, j) under the top level L, and (L, 0)
+    rows = _nested_rows(G, balls, v, [want(a, j) for a in range(L)
+                                      for j in range(2 * k + 1)] + [want(L, 0)], allowed)
     nested: Dict[Tuple[int, int], Tuple[FrozenSet[int], float]] = {}
 
     def ball_and_measure(a: int, j: int) -> Tuple[FrozenSet[int], float]:
         if (a, j) not in nested:
-            ball = _ball(prof[budget(a, j)], allowed, (a + j / (2.0 * k)) * delta / (4.0 * L))
+            b, r = want(a, j)
+            ball = _ball(rows[b, r], allowed, r)
             nested[a, j] = (ball, _marked_measure(mu, ball, MY))
         return nested[a, j]
 

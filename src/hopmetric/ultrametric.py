@@ -10,9 +10,20 @@ import json
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .graph_core import INFINITY, is_inf
+from .graph_core import INFINITY, is_inf, vertex_id
 
 _EPS = 1e-9
+
+
+def _node_id(x, n: int, what: str) -> int:
+    """x as a node id of a tree on n nodes, checked as a vertex id
+    (``graph_core.vertex_id``): an integral float is its int, and a bool, a
+    fraction, a non-number or an id outside range(n) is an error that
+    names ``what``."""
+    try:
+        return vertex_id(x, n)
+    except ValueError:
+        raise ValueError(f"{what} is not a node of the tree") from None
 
 
 class _RootedTree:
@@ -28,11 +39,12 @@ class _RootedTree:
                  values: Sequence[float]):
         if not len(parent) == len(payload) == len(values):
             raise ValueError("array lengths differ")
+        parent = list(parent)
         ch: List[List[int]] = [[] for _ in parent]
         for i, p in enumerate(parent):
             if p is not None:
-                if not 0 <= p < len(ch):
-                    raise ValueError(f"parent id {p!r} of node {i} is not a node")
+                if type(p) is not int or not 0 <= p < len(ch):   # ints skip the call
+                    p = parent[i] = _node_id(p, len(ch), f"parent id {p!r} of node {i}")
                 ch[p].append(i)
         # a walk down from the first root reaches all nodes iff no other root or cycle
         order = [parent.index(None)] if None in parent else []
@@ -43,7 +55,7 @@ class _RootedTree:
             order.extend(ch[x])
         if not order or len(order) != len(ch):
             raise ValueError("tree must have exactly one root and no cycle")
-        self.parent = list(parent)
+        self.parent = parent
         self.payload = list(payload)
         self._root = order[0]
         self._children = ch
@@ -59,10 +71,13 @@ class _RootedTree:
     def n_nodes(self) -> int:
         return len(self.parent)
 
-    def _check_nodes(self, *xs: int) -> None:
+    def _check_nodes(self, *xs) -> Tuple[int, ...]:
+        """xs as node ids of this tree (see ``_node_id``)."""
+        n = len(self.parent)
         for x in xs:
-            if not 0 <= x < len(self.parent):
-                raise ValueError(f"{x!r} is not a node of the tree")
+            if type(x) is not int or not 0 <= x < n:    # ints in range skip the calls
+                return tuple(_node_id(x, n, repr(x)) for x in xs)
+        return xs
 
     def lca(self, x: int, y: int) -> int:
         """Lowest common ancestor: climb the deeper side, then both."""
@@ -77,7 +92,7 @@ class _RootedTree:
 
     def path(self, u: int, v: int) -> List[int]:
         """Node sequence of the unique u-v path."""
-        self._check_nodes(u, v)
+        u, v = self._check_nodes(u, v)
         z = self.lca(u, v)
         up, down = [u], [v]
         while up[-1] != z:
@@ -139,7 +154,7 @@ class Ultrametric(_RootedTree):
 
 def ultra_distance(U: Ultrametric, x: int, y: int) -> float:
     """Label of lca(x,y); 0 when x == y.  Arguments are leaf node ids."""
-    U._check_nodes(x, y)
+    x, y = U._check_nodes(x, y)
     if not U.is_leaf(x) or not U.is_leaf(y):
         raise ValueError("ultra_distance arguments must be leaves")
     return 0.0 if x == y else U.label[U.lca(x, y)]
@@ -227,10 +242,9 @@ def steiner_point_removal(T: WeightedTree, K: Iterable[int]) -> Tuple[WeightedTr
     folded into their parent's class.  Returns the new tree plus the map
     old node id in K -> new node id.
     """
-    Kset = set(K)
+    Kset = set(T._check_nodes(*K))
     if not Kset:
         raise ValueError("K must be nonempty")
-    T._check_nodes(*Kset)
     n = T.n_nodes()
     order: List[int] = [T.root]
     for x in order:

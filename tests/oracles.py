@@ -9,7 +9,8 @@ checked against literal transcriptions of earlier forms of its steps: the
 two-visit DFS interval walk, the cut-off Dijkstra on a full distance list,
 the two-walk coarse estimate and the per-hop read log.  The relaxation
 layer is checked the same way: the masked Bellman-Ford kernel with its
-min/max range check and the all-rows diameter scan.
+min/max range check, the all-rows diameter scan and the single profile
+the carving rules relaxed for their nested balls.
 """
 from __future__ import annotations
 
@@ -116,6 +117,38 @@ def all_rows_scan(G: WeightedGraph, h: int) -> Tuple[float, bool, List[Tuple[int
             elif dist[v] > best:
                 best = dist[v]
     return best, lacking, missing
+
+
+def _profile_balls(G: WeightedGraph, v: int, allowed: Sequence[int],
+                   wants: List[Tuple[int, float]],
+                   maxr: float) -> Dict[Tuple[int, float], frozenset]:
+    prof = masked_bellman_ford(G, v, [b for b, _ in wants], maxr, allowed)
+    return {(b, r): frozenset(u for u in allowed if prof[b][u] <= r + 1e-12)
+            for b, r in wants}
+
+
+def profiled_standard_balls(G: WeightedGraph, v: int, allowed: Sequence[int],
+                            h: int, k_geom: int, scale_i: int):
+    """The standard rule's 2 k_geom + 1 nested balls around v as the rule
+    once computed them, from one profile over all their budgets pruned at
+    the largest radius; keyed by (budget, radius)."""
+    r0 = 2.0 ** (scale_i - 3)
+    rho = 2.0 ** scale_i / (16.0 * k_geom)
+    b0 = scale_i * 2 * k_geom * h if scale_i > 0 else 0
+    nb = 2 * k_geom
+    wants = [(b0 + j * h, r0 + j * rho) for j in range(nb + 1)]
+    return _profile_balls(G, v, allowed, wants, r0 + nb * rho)
+
+
+def profiled_alt_balls(G: WeightedGraph, v: int, allowed: Sequence[int],
+                       h: int, k: int, L: int, scale_i: int):
+    """The alt rule's nested balls A(a, j), a <= L and j <= 2k, around v as
+    the rule once computed them, from one profile over every budget
+    (2ka + j)h pruned at delta/4 + 1e-12; keyed by (budget, radius)."""
+    delta = 2.0 ** scale_i
+    wants = [((2 * k * a + j) * h, (a + j / (2.0 * k)) * delta / (4.0 * L))
+             for a in range(L + 1) for j in range(2 * k + 1)]
+    return _profile_balls(G, v, allowed, wants, delta / 4.0 + 1e-12)
 
 
 def logged_hop_path(G: WeightedGraph, s: int, t: int, budget: int):

@@ -89,16 +89,17 @@ class TestHopDistance:
         assert is_inf(hop_diameter(P4(), 2))
 
     def test_diameter_stops_at_first_missing_pair(self, monkeypatch):
-        # on a long path the first row already lacks a 2-hop pair
+        # on a long path the first row already lacks a 2-hop pair; at h = 399
+        # the scan skips the rows whose neighbour's 398-hop row bounds them
         G = WeightedGraph(400, [(v, v + 1, 1.0) for v in range(399)])
         calls = []
-        real = graph_core.hop_distance_all
-        monkeypatch.setattr(graph_core, "hop_distance_all",
+        real = graph_core.hop_profile
+        monkeypatch.setattr(graph_core, "hop_profile",
                             lambda *a, **kw: calls.append(a[1]) or real(*a, **kw))
         assert is_inf(hop_diameter(G, 2))
         assert calls == [0]
         assert hop_diameter(G, 399) == 399.0
-        assert len(calls) == 1 + 400
+        assert len(calls) == 1 + 202
 
     def test_matches_walk_enumeration(self):
         rng = random.Random(0)

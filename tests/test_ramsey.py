@@ -394,7 +394,7 @@ class TestCarriedRows:
         assert requests - len(calls) > requests / 4   # served from stored rows
 
     @pytest.mark.parametrize("kind, repaired, carried, uncarried", [
-        ("ramsey", 157, 387, 601), ("clan", 309, 398, 612)])
+        ("ramsey", 103, 359, 573), ("clan", 103, 369, 583)])
     def test_single_alt_embedding_carries_rows(self, monkeypatch, kind, repaired,
                                                carried, uncarried):
         # the scale below one that leaves Y whole asks for the same rows at
@@ -417,6 +417,7 @@ class TestCarriedRows:
             def carved(self, removed, unmarked, whole, keep=keep):
                 if not keep(whole):
                     self._rows.clear()
+                    self._plain.clear()
                 real(self, removed, unmarked, whole)
             monkeypatch.setattr(ramsey._Balls, "carved", carved)
             del calls[:]

@@ -1,6 +1,7 @@
 """The relaxation layer against transcriptions of its earlier forms: the
-gated frontier kernel, the repaired carving rows and the diameter scan
-that skips rows."""
+gated frontier kernel, the repaired carving rows, the plain rows of slack
+budgets, the nested balls served from them and the diameter scan that
+skips rows."""
 from __future__ import annotations
 
 import math
@@ -8,11 +9,13 @@ import random
 
 import pytest
 
-from hopmetric import graph_core, ramsey
+from hopmetric import clan, graph_core, ramsey
 from hopmetric.graph_core import (WeightedGraph, _finite_scan, bellman_ford,
-                                  hop_profile)
+                                  hop_diameter, hop_profile)
+from hopmetric.ramsey import _slack
 from oracles import (all_rows_scan, connected_random_graph, lasso,
-                     masked_bellman_ford, random_graph)
+                     masked_bellman_ford, profiled_alt_balls,
+                     profiled_standard_balls, random_graph)
 from test_ramsey import _below
 
 
@@ -37,7 +40,18 @@ def _wide(rng: random.Random, n: int) -> WeightedGraph:
                              for u, v, w in G.edges])
 
 
+def _w037(rng: random.Random) -> WeightedGraph:
+    """An unnormalized grid with least weight 0.37 on most edges: sums of
+    several 0.37 steps round, so (b + 1) * w_min and a (b + 1)-edge walk's
+    float sum need not agree."""
+    G = _grid(rng.randint(2, 5), rng.randint(3, 6))
+    return WeightedGraph(G.n, [(u, v, 0.37 if rng.random() < 0.7 else 0.37 * rng.uniform(1.0, 3.0))
+                               for u, v, _ in G.edges], normalize=False)
+
+
 def _family(name: str, rng: random.Random) -> WeightedGraph:
+    if name == "w037":
+        return _w037(rng)
     if name == "connected":
         return connected_random_graph(rng, rng.randint(6, 24), 0.2, 1.0, 9.0)
     if name == "disconnected":
@@ -50,6 +64,12 @@ def _family(name: str, rng: random.Random) -> WeightedGraph:
 
 
 FAMILIES = ["connected", "disconnected", "grid", "lasso", "wide"]
+SLACK_FAMILIES = FAMILIES + ["w037"]
+
+
+def _around(x: float) -> list:
+    """x and one ulp to either side."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
 
 
 class TestGatedKernel:
@@ -129,8 +149,9 @@ class TestRowRepair:
                     Y -= C
                     table.carved(C, set(), False)
                 allowed = sorted(Y)
-                for (budget, v), (R, old, _, cut) in list(table._rows.items()):
-                    assert v in Y and budget == b
+                assert not table._rows                 # every row is plain
+                for v, (R, old, cut) in list(table._plain.items()):
+                    assert v in Y
                     r = rng.choice([R, R / 2.0, rng.uniform(0.0, R)])
                     row = table.row(G, v, b, r, allowed)
                     fresh = hop_profile(G, v, [b], maxr=R, allowed=allowed)[b]
@@ -151,26 +172,124 @@ class TestRowRepair:
         for v in (0, 5, 11):
             table.row(G, v, 11, 20.0, allowed)      # plain
             table.row(G, v, 2, 20.0, allowed)       # hop-bounded
+        assert sorted(table._rows) == [(2, 0), (2, 5), (2, 11)]
         table.carved({5, 6}, set(), False)
-        assert sorted(table._rows) == [(11, 0), (11, 11)]
-        assert all(hit[3] == {5, 6} for hit in table._rows.values())
+        assert sorted(table._plain) == [0, 11]
+        assert not table._rows
+        assert all(hit[2] == {5, 6} for hit in table._plain.values())
 
     def test_whole_carve_keeps_rows_unmarked(self):
         G = _grid(2, 3)
         table = ramsey._Balls()
         for v in range(6):
-            table.row(G, v, 1, 5.0, list(range(6)))
+            table.row(G, v, 1, 5.0, list(range(6)))     # hop-bounded
+            table.row(G, v, 5, 5.0, list(range(6)))     # plain
         table.carved(set(range(6)), set(), True)
-        assert len(table._rows) == 6
-        assert all(hit[3] is None for hit in table._rows.values())
+        assert len(table._rows) == 6 and len(table._plain) == 6
+        assert all(hit[2] is None for hit in table._plain.values())
 
     def test_reach_avoiding_the_carve_is_kept_unmarked(self):
         G = WeightedGraph(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
         table = ramsey._Balls()
         row = table.row(G, 0, 4, 1.5, list(range(5)))
         table.carved({3}, set(), False)
-        hit = table._rows[(4, 0)]
-        assert hit[1] is row and hit[3] is None
+        hit = table._plain[0]
+        assert hit[1] is row and hit[2] is None
+
+
+class TestSlackRows:
+    """A budget slack at a radius (``ramsey._slack``) gives the row of the
+    budget n - 1 there, and ``_Balls`` serves it from one plain row per
+    source."""
+
+    @pytest.mark.parametrize("family", SLACK_FAMILIES)
+    def test_slack_row_equals_unbounded_row(self, family):
+        rng = random.Random(300 + SLACK_FAMILIES.index(family))
+        slack = bound = 0
+        for _ in range(8):
+            G = _family(family, rng)
+            n, w = G.n, G.w_min
+            for _ in range(4):
+                s = rng.randrange(n)
+                allowed = None
+                if rng.random() < 0.5:
+                    allowed = sorted({s} | set(rng.sample(range(n), rng.randint(0, n - 1))))
+                size = n if allowed is None else len(allowed)
+                for b in range(min(size, 7)):
+                    # where (b + 1) edges of w_min reach r + 1e-12, and where
+                    # the 1e-9 margin of the rule puts its edge
+                    edge = (b + 1) * w / (1.0 + 1e-9) - 1e-12
+                    radii = _around((b + 1) * w - 1e-12) + _around(edge) + [
+                        rng.uniform(0.0, (b + 1) * w), rng.uniform(0.0, 3.0 * (b + 1) * w)]
+                    for r in radii:
+                        row = bellman_ford(G, s, [b], r, allowed)[b]
+                        if _slack(b, r, size, w):
+                            slack += 1
+                            assert row == bellman_ford(G, s, [n - 1], r, allowed)[n - 1]
+                        else:
+                            bound += 1
+        assert slack > 50 and bound > 50
+
+    def test_slack_edge(self):
+        big = 10 ** 9                                # no budget reaches |Y| - 1
+        for w in (1.0, 0.37, 3.0):
+            for b in (0, 1, 5, 40):
+                # half an edge past b edges of w: no walk of b + 1 edges fits
+                assert _slack(b, (b + 0.5) * w, big, w)
+                assert not _slack(b, (b + 1) * w - 1e-12, big, w)
+                assert not _slack(b, (b + 1) * w, big, w)
+            assert _slack(3, 1e9, 4, w)              # budget >= |Y| - 1
+        assert not _slack(10 ** 6, 0.5, big, 1.0)   # past the float bound
+        assert _slack(0, 0.0, big, 1e-6) and not _slack(0, 0.0, big, 1e-12)
+
+    def test_one_plain_row_per_source(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ramsey, "hop_profile",
+                            lambda *a, **kw: calls.append(a[2]) or hop_profile(*a, **kw))
+        G = _grid(4, 5)
+        allowed = list(range(20))
+        table = ramsey._Balls()
+        row = table.row(G, 7, 6, 6.5, allowed)        # slack by its radius
+        for b, r in ((2, 2.5), (0, 0.5), (19, 6.5), (5, 3.0)):
+            assert table.row(G, 7, b, r, allowed) is row
+        assert table.row(G, 7, 2, 6.5, allowed) is not row   # binds at 6.5
+        assert list(table._plain) == [7] and list(table._rows) == [(2, 7)]
+        assert calls == [[6], [2]]
+
+    @pytest.mark.parametrize("family", SLACK_FAMILIES)
+    def test_small_budget_repairs_for_every_radius(self, family):
+        # a repair asked for by a small budget at a small radius serves a
+        # later request of the whole row, at the radius the row was pruned at
+        rng = random.Random(400 + SLACK_FAMILIES.index(family))
+        checked = 0
+        for _ in range(8):
+            G = _family(family, rng)
+            w = G.w_min
+            Y = set(range(G.n))
+            table = ramsey._Balls()
+            while len(Y) > 2:
+                allowed = sorted(Y)
+                for v in rng.sample(allowed, min(len(allowed), 5)):
+                    exact = [d for d in hop_profile(G, v, [G.n], allowed=allowed)[G.n]
+                             if d < math.inf]
+                    table.row(G, v, len(allowed) - 1, max(exact), allowed)
+                C = set(rng.sample(allowed, rng.randint(1, max(1, len(Y) // 4))))
+                Y -= C
+                table.carved(C, set(), False)
+                allowed = sorted(Y)
+                for v, (R, _, _) in list(table._plain.items()):
+                    b = rng.randint(0, 2)
+                    r = rng.uniform(0.0, (b + 0.5) * w)
+                    assert _slack(b, r, len(allowed), w)
+                    small = table.row(G, v, b, r, allowed)
+                    assert _below(small, r) == _below(
+                        hop_profile(G, v, [b], maxr=r, allowed=allowed)[b], r)
+                    whole = table.row(G, v, len(allowed) - 1, R, allowed)
+                    assert whole is small
+                    assert whole == hop_profile(G, v, [len(allowed) - 1], maxr=R,
+                                                allowed=allowed)[len(allowed) - 1]
+                    checked += 1
+        assert checked > 30
 
 
 class TestFiniteScan:
@@ -211,6 +330,15 @@ class TestFiniteScan:
             rows += G.n
         assert len(calls) < rows
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_diameter_matches_all_rows_scan(self, family):
+        rng = random.Random(250 + FAMILIES.index(family))
+        for _ in range(6):
+            G = _family(family, rng)
+            for h in (1, 2, 3, 5):
+                best, lacking, _ = all_rows_scan(G, h)
+                assert hop_diameter(G, h) == (math.inf if lacking else best)
+
     def test_no_skip_past_the_float_bound(self, monkeypatch):
         calls = []
         real = graph_core.hop_profile
@@ -219,3 +347,70 @@ class TestFiniteScan:
         G = _grid(3, 3)
         assert _finite_scan(G, 10 ** 6) == (4.0, False)
         assert len(calls) == 9
+
+
+def _nested_counts(monkeypatch, builds) -> dict:
+    """Run the embeddings ``builds`` makes, checking every nested ball a
+    rule reads against the single profile; count the rules and balls."""
+    running = []                      # parameters of the rules running
+    counts = {"standard": 0, "alt": 0, "slack": 0, "bound": 0}
+    real_rows = ramsey._nested_rows
+
+    def nested_rows(G, balls, v, wants, allowed):
+        rows = real_rows(G, balls, v, wants, allowed)
+        kind, params = running[-1]
+        ref = (profiled_standard_balls if kind == "standard"
+               else profiled_alt_balls)(G, v, allowed, *params)
+        counts[kind] += 1
+        for b, r in wants:
+            assert ramsey._ball(rows[b, r], allowed, r) == ref[b, r]
+            counts["slack" if _slack(b, r, len(allowed), G.w_min) else "bound"] += 1
+        return rows
+
+    def traced(kind, rule, params):
+        def run(*args):
+            running.append((kind, params(*args)))
+            try:
+                return rule(*args)
+            finally:
+                running.pop()
+        return run
+
+    standard = traced("standard", ramsey.standard_rule,
+                      lambda G, Y, MY, mu, h, k, k_geom, i, *_: (h, k_geom, i))
+    alt = traced("alt", ramsey.alt_rule,
+                 lambda G, Y, MY, mu, h, k, i, *_: (
+                     h, k, ramsey.alt_levels(ramsey.measure_of(mu, MY)), i))
+    monkeypatch.setattr(ramsey, "_nested_rows", nested_rows)
+    for module in (ramsey, clan):
+        monkeypatch.setattr(module, "standard_rule", standard)
+        monkeypatch.setattr(module, "alt_rule", alt)
+    for G, mu, h, k in builds:
+        for variant in ("standard", "alt"):
+            ramsey.ramsey_embed(G, mu, set(range(G.n)), h, k, variant)
+            clan.clan_embed(G, mu, h, k, variant)
+    return counts
+
+
+class TestNestedBalls:
+    """The nested balls each rule reads around its winner, from the plain
+    row and one profile of the binding budgets, equal those of the single
+    profile the rules once relaxed (``oracles.profiled_*_balls``)."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_served_balls_match_profile(self, family, monkeypatch):
+        rng = random.Random(500 + FAMILIES.index(family))
+        builds = []
+        for _ in range(3):
+            G = _family(family, rng)
+            mu = [rng.choice([1.0, 1.0, 3.0]) for _ in range(G.n)]
+            builds += [(G, mu, 1, 2), (G, mu, 2, 1)]
+        counts = _nested_counts(monkeypatch, builds)
+        assert counts["standard"] > 10 and counts["alt"] > 10 and counts["slack"] > 100
+
+    def test_binding_budgets_match_profile(self, monkeypatch):
+        # on a long path, budgets bind at the larger radii
+        G = lasso(80)
+        counts = _nested_counts(monkeypatch, [(G, [1.0] * G.n, 1, 2), (G, [1.0] * G.n, 2, 3)])
+        assert counts["standard"] > 10 and counts["alt"] > 10
+        assert counts["slack"] > 100 and counts["bound"] > 100

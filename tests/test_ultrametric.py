@@ -183,6 +183,33 @@ def test_node_ids_checked_at_the_tree(call):
         call(U)
 
 
+def test_query_ids_are_checked_as_vertex_ids():
+    # a bool is not a node id; an integral float is its int
+    U = join_under_root([two_leaf(2.0), Ultrametric.leaf("c")], 8.0)
+    with pytest.raises(ValueError, match="True is not a node of the tree"):
+        ultra_distance(U, True, 4)
+    for bad in (2.5, "2", None):
+        with pytest.raises(ValueError, match="not a node of the tree"):
+            ultra_distance(U, bad, 4)
+        with pytest.raises(ValueError, match="not a node of the tree"):
+            ultrametric_to_tree(U).path(bad, 4)
+    assert ultra_distance(U, 2.0, 4.0) == ultra_distance(U, 2, 4) == 8.0
+    assert ultrametric_to_tree(U).path(2.0, 4) == ultrametric_to_tree(U).path(2, 4)
+    tree, index = steiner_point_removal(ultrametric_to_tree(U), [2.0, 4])
+    assert sorted(index) == [2, 4]
+
+
+def test_parent_ids_are_checked_as_vertex_ids():
+    U = Ultrametric([None, 0.0], [1.0, 0.0], [None, "a"])
+    assert U.parent == [None, 0] and type(U.parent[1]) is int
+    assert U.to_json() == Ultrametric([None, 0], [1.0, 0.0], [None, "a"]).to_json()
+    for bad in (True, 0.5, "0", [0]):
+        with pytest.raises(ValueError, match=r"parent id .* of node 1 is not a node"):
+            Ultrametric([None, bad], [1.0, 0.0], [None, "a"])
+        with pytest.raises(ValueError, match=r"parent id .* of node 1 is not a node"):
+            WeightedTree([None, bad], [0.0, 1.0], [None, None])
+
+
 @pytest.mark.parametrize("label, payload", [([8.0], [None, "a"]),
                                             ([8.0, 0.0], [None])])
 def test_ultrametric_rejects_unequal_array_lengths(label, payload):
