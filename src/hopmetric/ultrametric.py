@@ -154,7 +154,9 @@ class Ultrametric(_RootedTree):
 
 def ultra_distance(U: Ultrametric, x: int, y: int) -> float:
     """Label of lca(x,y); 0 when x == y.  Arguments are leaf node ids."""
-    x, y = U._check_nodes(x, y)
+    n = len(U.parent)
+    if not (type(x) is type(y) is int and 0 <= x < n and 0 <= y < n):  # ints in range
+        x, y = U._check_nodes(x, y)                                     # skip the call
     if not U.is_leaf(x) or not U.is_leaf(y):
         raise ValueError("ultra_distance arguments must be leaves")
     return 0.0 if x == y else U.label[U.lca(x, y)]
