@@ -408,6 +408,22 @@ class TestNestedBalls:
         counts = _nested_counts(monkeypatch, builds)
         assert counts["standard"] > 10 and counts["alt"] > 10 and counts["slack"] > 100
 
+    def test_nested_rows_of_each_kind(self, monkeypatch):
+        # least weight 0.1: budget 0 binds at radius 0.5, budget 2 is slack
+        # at 0.25 and budget 3 binds at 5
+        calls = []
+        monkeypatch.setattr(ramsey, "hop_profile",
+                            lambda *a, **kw: calls.append(a[2]) or hop_profile(*a, **kw))
+        G = WeightedGraph(6, [(u, u + 1, 0.1 * (u + 1)) for u in range(5)], normalize=False)
+        allowed = list(range(6))
+        wants = [(0, 0.5), (2, 0.25), (3, 5.0), (1, 0.05)]
+        assert [_slack(b, r, 6, G.w_min) for b, r in wants] == [False, True, False, True]
+        rows = ramsey._nested_rows(G, ramsey._Balls(), 1, wants, allowed)
+        for b, r in wants:
+            assert _below(rows[b, r], r) == _below(
+                masked_bellman_ford(G, 1, [b], r, allowed)[b], r)
+        assert calls == [[2], [3]]     # the plain row at 0.25, then budget 3 alone
+
     def test_binding_budgets_match_profile(self, monkeypatch):
         # on a long path, budgets bind at the larger radii
         G = lasso(80)
