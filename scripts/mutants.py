@@ -77,6 +77,22 @@ MUTANTS = (
            "    return standard_rule(G, Y, Y, mu, h, k, k + 1, scale_i, False,\n",
            "the clan path bound path_t charges a 1/3-2/3 split of mu(Y) "
            "at every standard clan carving"),
+    Mutant("tree-parent-largest-id", "src/hopmetric/tz.py",
+           "    nbrs = [sorted(a) for a in adj]\n",
+           "    nbrs = [sorted(a, reverse=True) for a in adj]\n",
+           "a routing tree's parent is the smallest-id neighbour within 1e-9 "
+           "of tight; scanning neighbours in descending id order takes the "
+           "largest"),
+    Mutant("tree-parent-loose-tight", "src/hopmetric/tz.py",
+           "            if abs(get(u, math.inf) + w - dv) <= 1e-9:\n",
+           "            if abs(get(u, math.inf) + w - dv) <= 0.5:\n",
+           "a routing tree's parent lies within 1e-9 of tight; a wider "
+           "tolerance admits a smaller-id neighbour off every shortest path"),
+    Mutant("scale-floor-ignores-w-min", "src/hopmetric/ramsey.py",
+           "    if G.w_min < 1.0:\n",
+           "    if G.w_min < 0.0:\n",
+           "the scale recursion stops at scale 0, so every embedding and "
+           "structure refuses a least weight below 1 at its boundary"),
 )
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",

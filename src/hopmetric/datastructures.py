@@ -15,7 +15,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import tz
 from .graph_core import INFINITY, HopParams, WeightedGraph, is_inf, vertex_id
-from .ramsey import RamseyEmbedding, ramsey_distribution, ramsey_embed
+from .ramsey import (RamseyEmbedding, _check_weights, ramsey_distribution,
+                     ramsey_embed)
 from .rng import substream
 from .ultrametric import Ultrametric
 
@@ -313,6 +314,7 @@ class HopOracle(_HopRecord):
 def build_hop_oracle(G: WeightedGraph, h: int, k: int, epsilon: float,
                      seed: int = 0) -> HopOracle:
     HopParams(h, k, epsilon)
+    _check_weights(G)
     return _scale_step(HopOracle, G, build_coarse_oracle(G, h, k, seed), h, k,
                        epsilon, "labels", seed)
 
@@ -358,6 +360,7 @@ class HopLabeling(_HopRecord):
 def build_hop_labeling(G: WeightedGraph, h: int, k: int,
                        epsilon: float) -> HopLabeling:
     HopParams(h, k, epsilon)
+    _check_weights(G)
     return _scale_step(HopLabeling, G, build_coarse_labeling(G, h, k), h, k,
                        epsilon, "labels", 0)
 
@@ -393,6 +396,7 @@ class RouteResult:
 def build_routing_scheme(G: WeightedGraph, h: int, k: int, epsilon: float,
                          seed: int = 0) -> RoutingScheme:
     HopParams(h, k, epsilon)
+    _check_weights(G)
     return _scale_step(RoutingScheme, G, build_coarse_labeling(G, h, k), h, k,
                        epsilon, "routing", seed, G)
 

@@ -66,6 +66,14 @@ def _check_measure(mu: Measure, n: int) -> None:
         raise ValueError("measure must be finite and >= 1 on every vertex")
 
 
+def _check_weights(G: WeightedGraph) -> None:
+    """Refuse a least edge weight below 1: the scale recursion stops at
+    scale 0, so it assumes that distinct vertices lie at least 1 apart."""
+    if G.w_min < 1.0:
+        raise ValueError(f"least edge weight {G.w_min} is below 1; build the "
+                         "graph with normalize=True")
+
+
 def _check_variant(variant: str) -> None:
     if variant not in ("standard", "alt"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -524,6 +532,7 @@ def _embed_setup(G: WeightedGraph, mu: Measure, h: int, k: int,
     HopParams(h, k)
     _check_variant(variant)
     _check_measure(mu, G.n)
+    _check_weights(G)
     Gw, omega, diam = finite_graph(G, h, k)
     return Gw, omega, math.ceil(math.log2(max(diam, 1.0)))
 

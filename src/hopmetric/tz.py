@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from .graph_core import dijkstra, shortest_path_tree
+from .graph_core import dijkstra
 from .rng import substream
 
 Adjacency = Sequence[Sequence[Tuple[int, float]]]
@@ -217,6 +217,13 @@ def build_labeling(adj: Adjacency, k: int, seed: int = 0) -> TZLabeling:
 
 
 # -- routing ---------------------------------------------------------------
+#
+# Every vertex w roots one tree, and each vertex of that tree keeps w's
+# entry in its table: its parent, its DFS interval and its children's
+# intervals, the next hops.  A routing label holds its vertex's interval in
+# every tree that contains it.  One walk per root (``_tree_walk``) picks
+# the parents from the row its search reached and writes the entries and
+# the intervals straight into the per-vertex dicts.
 
 Interval = Tuple[int, int]
 
@@ -253,46 +260,99 @@ class TZRouting:
         return sum(t.size_words() for t in self.tables)
 
 
-def _tree_entries(parent: Dict[int, Optional[int]], root: int,
-                  ) -> Dict[int, TreeEntry]:
-    """Each vertex's entry in the tree: its DFS interval [tin, tin + subtree
-    size) over a pre-order walk that visits children in ascending id order,
-    and its children's intervals."""
-    children: Dict[int, List[int]] = {v: [] for v in parent}
-    for v, p in parent.items():
-        if p is not None:
-            children[p].append(v)
-    order: List[int] = []
+# builds a TreeEntry without the Python-level __new__ of a NamedTuple
+_entry = tuple.__new__
+
+
+def _tree_walk(nbrs: Adjacency, root: int, dist: Row,
+               trees: List[Dict[int, TreeEntry]],
+               intervals: List[Dict[int, Interval]]) -> None:
+    """Write the entry and the interval of every vertex of the tree rooted
+    at ``root`` over the vertices ``dist`` reached into ``trees[v][root]``
+    and ``intervals[v][root]``.  ``nbrs[v]`` lists v's neighbours in
+    ascending id order.
+
+    The parent of v is its smallest-id neighbour u within 1e-9 of tight,
+    |dist[u] + w(u, v) - dist[v]| <= 1e-9, found as the first such one in
+    ``nbrs[v]``.  One always exists: the search set dist[v] to
+    dist[u] + w(u, v) for the u it was last improved from, and that u's
+    entry is final.  A parent is closer to the root by its edge's weight
+    less 1e-9, so on weights above 1e-9 the parents form a tree; a walk
+    that misses a reached vertex raises.  The parents are read off the
+    finished row, not picked at each pop of the search: the searches are
+    ``_core``'s, which ``build_labeling`` runs too and would pay for.
+
+    The walk visits children in ascending id order.  A vertex with
+    children opens at its first visit and closes at an exit marker once
+    its subtree is done, so its interval is [its pre-order index, the
+    index after its subtree), the interval of the done-flag walk; a leaf
+    opens and closes at once.  A vertex's entry needs its children's
+    intervals, which close first, so each entry is written at its close.
+    """
+    get = dist.get
+    parent: Dict[int, Optional[int]] = {root: None}
+    kids: Dict[int, List[int]] = {}
+    for v, dv in dist.items():
+        if v == root:
+            continue
+        for u, w in nbrs[v]:
+            if abs(get(u, math.inf) + w - dv) <= 1e-9:
+                break
+        else:
+            raise AssertionError("broken shortest-path tree")
+        parent[v] = u
+        ch = kids.get(u)
+        if ch is None:
+            kids[u] = [v]
+        else:
+            ch.append(v)
+    span: Dict[int, Interval] = {}
+    opened: Dict[int, int] = {}
+    clock = 0
     stack = [root]
     while stack:
         x = stack.pop()
-        order.append(x)
-        kids = children[x]
-        kids.sort()
-        stack.extend(reversed(kids))
-    size = dict.fromkeys(order, 1)
-    for x in reversed(order):
-        p = parent[x]
-        if p is not None:
-            size[p] += size[x]
-    span = {x: (t, t + size[x]) for t, x in enumerate(order)}
-    return {v: TreeEntry(p, span[v], tuple((span[c], c) for c in children[v]))
-            for v, p in parent.items()}
+        if x >= 0:
+            ch = kids.get(x)
+            if ch is not None:
+                opened[x] = clock
+                clock += 1
+                stack.append(~x)                # the exit marker
+                ch.sort()
+                stack.extend(reversed(ch))
+                continue
+            sp = span[x] = (clock, clock + 1)
+            clock += 1
+            entry = _entry(TreeEntry, (parent[x], sp, ()))
+        else:
+            x = ~x
+            ch = kids[x]
+            sp = span[x] = (opened[x], clock)
+            entry = _entry(TreeEntry, (parent[x], sp,
+                                       tuple(zip(map(span.__getitem__, ch), ch))))
+        trees[x][root] = entry
+        intervals[x][root] = sp
+    if clock != len(dist):
+        raise AssertionError("broken shortest-path tree")
 
 
 def build_routing(adj: Adjacency, k: int, seed: int = 0) -> TZRouting:
-    # every vertex w roots one tree: a landmark (A_1) the shortest-path tree
-    # of its component, any other w the tree of its cluster search over C_0(w)
+    """The landmark core with one routing tree per vertex w: a landmark's
+    (a vertex of A_1, or of A_0 when k = 1) is the shortest-path tree of
+    its component, any other w's the tree of its cluster search over
+    C_0(w).  Each tree is built by one walk (``_tree_walk``) that writes
+    its entries and intervals straight into the per-vertex tables, root by
+    root in ascending id order; a routing label holds its vertex's
+    interval dict itself."""
     c, rows = _core(adj, k, seed, min(1, k - 1))
+    nbrs = [sorted(a) for a in adj]
     trees: List[Dict[int, TreeEntry]] = [dict() for _ in range(c.n)]
+    intervals: List[Dict[int, Interval]] = [dict() for _ in range(c.n)]
     for w in range(c.n):
-        for v, e in _tree_entries(shortest_path_tree(adj, w, rows[w]), w).items():
-            trees[v][w] = e
+        _tree_walk(nbrs, w, rows[w], trees, intervals)
     labels = _labels(c)
-    tables = tuple(NodeTable(l, t) for l, t in zip(labels, trees))
-    rlabels = tuple(RoutingLabel(l, {w: e.interval for w, e in t.items()})
-                    for l, t in zip(labels, trees))
-    return TZRouting(k, tables, rlabels)
+    return TZRouting(k, tuple(NodeTable(l, t) for l, t in zip(labels, trees)),
+                     tuple(RoutingLabel(l, iv) for l, iv in zip(labels, intervals)))
 
 
 class Header(NamedTuple):

@@ -6,8 +6,9 @@ edge-count Bellman-Ford instead of Dijkstra, ancestor-set intersection
 instead of the library's LCA walk, and a literal transcription of the
 cluster-carving rules driven by plain ball queries.  The serving layer is
 checked against literal transcriptions of earlier forms of its steps: the
-two-visit DFS interval walk, the cut-off Dijkstra on a full distance list,
-the two-walk coarse estimate and the per-hop read log.  The relaxation
+two-visit DFS interval walk, the three-pass routing tree builder, the
+cut-off Dijkstra on a full distance list, the two-walk coarse estimate and
+the per-hop read log.  The relaxation
 layer is checked the same way: the masked Bellman-Ford kernel with its
 min/max range check, the all-rows diameter scan and the single profile
 the carving rules relaxed for their nested balls.
@@ -209,6 +210,52 @@ def done_flag_tree_entries(parent: Dict[int, Optional[int]], root: int):
             stack.append((c, False))
     return {v: (p, span[v], tuple((span[c], c) for c in children[v]))
             for v, p in parent.items()}
+
+
+def scattered_routing_trees(adj, rows: Dict[int, Dict[int, float]], n: int):
+    """Literal transcription of the three-pass tree builder: per root w in
+    ascending id order, the parent map of the shortest-path tree over the
+    vertices rows[w] reached (a full rescan of each vertex's neighbours,
+    ties to the smallest id), each vertex's entry over a pre-order walk with
+    subtree sizes, scattered into per-vertex dicts by root, and the
+    intervals copied back out of them.  Returns (trees, intervals), the
+    per-vertex dicts of ``NodeTable.trees`` and ``RoutingLabel.intervals``."""
+    trees: List[Dict[int, tuple]] = [dict() for _ in range(n)]
+    for w in range(n):
+        dist = rows[w]
+        parent: Dict[int, Optional[int]] = {w: None}
+        for v, dv in dist.items():
+            if v == w:
+                continue
+            best = None
+            for u, wt in adj[v]:
+                if (best is None or u < best) and abs(dist.get(u, math.inf) + wt - dv) <= 1e-9:
+                    best = u
+            if best is None:
+                raise AssertionError("broken shortest-path tree")
+            parent[v] = best
+        children: Dict[int, List[int]] = {v: [] for v in parent}
+        for v, p in parent.items():
+            if p is not None:
+                children[p].append(v)
+        order: List[int] = []
+        stack = [w]
+        while stack:
+            x = stack.pop()
+            order.append(x)
+            kids = children[x]
+            kids.sort()
+            stack.extend(reversed(kids))
+        size = dict.fromkeys(order, 1)
+        for x in reversed(order):
+            p = parent[x]
+            if p is not None:
+                size[p] += size[x]
+        span = {x: (t, t + size[x]) for t, x in enumerate(order)}
+        for v, p in parent.items():
+            trees[v][w] = (p, span[v], tuple((span[c], c) for c in children[v]))
+    intervals = [{w: e[1] for w, e in t.items()} for t in trees]
+    return trees, intervals
 
 
 def list_state_cutoff_row(adj, s: int, bound: Sequence[float]) -> Dict[int, float]:

@@ -475,3 +475,11 @@ class TestParameterValidation:
     def test_rejects_out_of_range(self, build, h, k, eps, message):
         with pytest.raises(ValueError, match=message):
             build(P4(), h, k, eps)
+
+    @pytest.mark.parametrize("build", [build_hop_oracle, build_hop_labeling,
+                                       build_routing_scheme])
+    def test_rejects_light_weights(self, build):
+        # the scale recursion assumes distinct vertices at least 1 apart
+        G = WeightedGraph(6, [(i, i + 1, 0.1) for i in range(5)], normalize=False)
+        with pytest.raises(ValueError, match="normalize"):
+            build(G, 2, 2, 0.5)

@@ -234,13 +234,28 @@ class TestRamseyEmbed:
         with pytest.raises(ValueError, match="measure has"):
             ramsey_embed(G, mu, {0, 1}, 1, 2)
 
+    @pytest.mark.parametrize("variant", ["standard", "alt"])
+    def test_embed_setup_rejects_light_weights(self, variant):
+        # every embedding checks its graph in ramsey._embed_setup; an
+        # unnormalized graph keeps weights at least 1 only by choice
+        G = WeightedGraph(6, [(i, i + 1, 0.1) for i in range(5)], normalize=False)
+        mu = [1.0] * G.n
+        for embed in (lambda: ramsey_embed(G, mu, set(range(G.n)), 2, 1, variant),
+                      lambda: clan_embed(G, mu, 2, 1, variant)):
+            with pytest.raises(ValueError, match="normalize"):
+                embed()
+        heavy = WeightedGraph(6, [(i, i + 1, 1.5 + i) for i in range(5)], normalize=False)
+        assert heavy.w_min == 1.5
+        ramsey_embed(heavy, mu, set(range(G.n)), 2, 1, variant)
+        clan_embed(heavy, mu, 2, 1, variant)
+
     @pytest.mark.parametrize("family, variant, binding", [
         ("cycle", "alt", 600),
         ("path", "alt", 1128),
         ("path", "standard", 120),
         pytest.param("lasso", "alt", 1128, marks=pytest.mark.xfail(
             strict=True, raises=AssertionError,
-            reason="ROADMAP item 4: the alt rule falls back to the standard "
+            reason="ROADMAP item 1: the alt rule falls back to the standard "
                    "rule, whose mid clusters span more than beta*h hops")),
     ])
     def test_domination_binds(self, family, variant, binding):

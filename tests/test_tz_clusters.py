@@ -20,7 +20,8 @@ from hopmetric import tz
 from hopmetric.datastructures import auxiliary_graph
 from hopmetric.graph_core import WeightedGraph, dijkstra
 from oracles import (connected_random_graph, done_flag_tree_entries,
-                     list_state_cutoff_row, per_hop_logged_route)
+                     list_state_cutoff_row, per_hop_logged_route,
+                     scattered_routing_trees)
 
 
 def reference_core(adj, k: int, seed: int) -> tz.TZCore:
@@ -241,13 +242,66 @@ def _random_tree(rng: random.Random, n: int):
     return dict(items), ids[0]
 
 
-def test_tree_entries_match_done_flag_walk():
+def test_tree_walk_matches_done_flag_walk():
+    """On a tree graph the one tight neighbour of a vertex is its parent, so
+    the walk rebuilds the tree and gives the done-flag walk's entries, with
+    each interval also in the interval dicts."""
     rng = random.Random(83)
     for parent, root in (_random_tree(rng, rng.randint(1, 60)) for _ in range(200)):
-        got = tz._tree_entries(parent, root)
-        assert list(got) == list(parent)
-        assert {v: tuple(e) for v, e in got.items()} == \
+        n = len(parent)
+        adj = [[] for _ in range(n)]
+        for v, p in parent.items():
+            if p is not None:
+                wt = rng.uniform(1.0, 10.0)
+                adj[v].append((p, wt))
+                adj[p].append((v, wt))
+        d = dijkstra(adj, root)
+        trees = [dict() for _ in range(n)]
+        intervals = [dict() for _ in range(n)]
+        tz._tree_walk([sorted(a) for a in adj], root, {v: d[v] for v in parent},
+                      trees, intervals)
+        assert {v: tuple(t[root]) for v, t in enumerate(trees)} == \
             done_flag_tree_entries(parent, root)
+        assert intervals == [{root: t[root].interval} for t in trees]
+
+
+def _unit_graphs():
+    rng = random.Random(67)
+    yield "unit-grid", _grid(9, 11).adj
+    yield "unit-random", connected_random_graph(rng, 48, 6.0 / 48, 1.0, 1.0).adj
+
+
+TIE_GRAPHS = dict(_unit_graphs())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(GRAPHS) + sorted(TIE_GRAPHS))
+def test_routing_matches_three_pass_builder(name, k):
+    """Tables and routing labels equal, dict order included, those of the
+    three-pass builder over the core's rows; on unit weights most vertices
+    have several tight neighbours, and the smallest id must win."""
+    adj = GRAPHS.get(name) or TIE_GRAPHS[name]
+    for seed in (2, 5):
+        R = tz.build_routing(adj, k, seed)
+        c, rows = tz._core(adj, k, seed, min(1, k - 1))
+        trees, intervals = scattered_routing_trees(adj, rows, len(adj))
+        labels = tz._labels(c)
+        assert R.tables == tuple(tz.NodeTable(l, t) for l, t in zip(labels, trees))
+        assert R.rlabels == tuple(tz.RoutingLabel(l, i) for l, i in zip(labels, intervals))
+        assert [list(t.trees.items()) for t in R.tables] == [list(t.items()) for t in trees]
+        assert [list(r.intervals.items()) for r in R.rlabels] == \
+            [list(i.items()) for i in intervals]
+
+
+def test_broken_tree_is_refused():
+    """A row whose vertex has no tight neighbour, or whose tight neighbours
+    form a cycle away from the root, has no shortest-path tree."""
+    adj = [[(1, 1.0)], [(0, 1.0)]]
+    with pytest.raises(AssertionError, match="broken shortest-path tree"):
+        tz._tree_walk(adj, 0, {0: 0.0, 1: 1.5}, [{}, {}], [{}, {}])
+    adj = [[], [(2, 1e-10)], [(1, 1e-10)]]
+    with pytest.raises(AssertionError, match="broken shortest-path tree"):
+        tz._tree_walk(adj, 0, {0: 0.0, 1: 5.0, 2: 5.0}, [{}, {}, {}], [{}, {}, {}])
 
 
 @pytest.mark.parametrize("k", [2, 3])
