@@ -260,7 +260,8 @@ class TZRouting:
         return sum(t.size_words() for t in self.tables)
 
 
-# builds a TreeEntry without the Python-level __new__ of a NamedTuple
+# makes a TreeEntry without the Python-level __new__ of a NamedTuple, one
+# frame less per entry
 _entry = tuple.__new__
 
 
