@@ -93,6 +93,29 @@ MUTANTS = (
            "    if G.w_min < 0.0:\n",
            "the scale recursion stops at scale 0, so every embedding and "
            "structure refuses a least weight below 1 at its boundary"),
+    Mutant("route-weight-aux", "src/hopmetric/datastructures.py",
+           "sum([nbr_weight[a][b] for a, b in",
+           "sum([nbr_weight[a][b] + S.omegas[i] for a, b in",
+           "a route's weight is the base-graph weight of its path; adding "
+           "omega_i per hop reports the scale graph's weight"),
+    Mutant("no-surcharge", "src/hopmetric/datastructures.py",
+           "tuple((v, w + omega) for v, w in row)",
+           "tuple((v, w) for v, w in row)",
+           "the scale graph charges omega_i on every edge, which turns the "
+           "hop budget into a weight budget; without it the landmark layer "
+           "answers on the base graph and ignores hops"),
+    Mutant("omega-halved", "src/hopmetric/datastructures.py",
+           "    omega = (epsilon / (t_coarse * h)) * 2.0 ** i\n",
+           "    omega = (epsilon / (2 * t_coarse * h)) * 2.0 ** i\n",
+           "a path of more than B*h hops pays more than omega_i*B*h >= 2*2^i "
+           "in surcharge; half of omega_i pays only 2^i, so long paths "
+           "undercut the hop-bounded distance"),
+    Mutant("bunch-admits-1.5-lim", "src/hopmetric/tz.py",
+           "                if d < lim[x] - 1e-15:\n                    bunch[x][w] = d\n",
+           "                if d <= 1.5 * lim[x]:\n                    bunch[x][w] = d\n",
+           "the bunch of x holds the w in A_i - A_{i+1} strictly closer than "
+           "d(A_{i+1}, x); admitting d <= 1.5 * d(A_{i+1}, x) grows bunches "
+           "past the cluster rule and changes labels, witnesses and routes"),
 )
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",

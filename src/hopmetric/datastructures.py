@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import tz
 from .graph_core import INFINITY, HopParams, WeightedGraph, is_inf, vertex_id
@@ -383,8 +383,7 @@ class RoutingScheme(_HopRecord):
     G: WeightedGraph
 
 
-@dataclass(frozen=True)
-class RouteResult:
+class RouteResult(NamedTuple):
     delivered: bool
     path: Tuple[int, ...]
     scale: Optional[int]
@@ -416,15 +415,11 @@ def route(S: RoutingScheme, u: int, v: int) -> RouteResult:
     if got is None:
         return RouteResult(False, (u,), i, 0.0, 0.0, (u,))
     path, reads = got
-    adj = S.G.adj
-    weights = []
-    for a, b in zip(path, path[1:]):
-        for x, w in adj[a]:
-            if x == b:
-                weights.append(w)
-                break
-        else:
-            raise KeyError((a, b))
-    w_base = sum(weights)
+    nbr_weight = S.G.nbr_weight
+    try:
+        w_base = sum([nbr_weight[a][b] for a, b in zip(path, path[1:])])
+    except KeyError:
+        raise KeyError(next((a, b) for a, b in zip(path, path[1:])
+                            if b not in nbr_weight[a])) from None
     w_aux = w_base + S.omegas[i] * (len(path) - 1)
     return RouteResult(True, tuple(path), i, w_base, w_aux, tuple(reads))

@@ -65,9 +65,14 @@ class WeightedGraph:
     the applied scale factor is recorded in ``scale`` (original weight =
     stored weight * scale), and the least stored weight in ``w_min``
     (infinity with no edge).  Instances are immutable after construction.
+
+    ``adj[u]`` lists u's (neighbour, weight) pairs in ascending neighbour
+    id; ``nbr_weight[u]`` maps the same neighbours to the same weights, so
+    ``has_edge``, ``edge_weight`` and the weights of a routed path are one
+    dict lookup per edge.
     """
 
-    __slots__ = ("n", "edges", "adj", "scale", "w_min")
+    __slots__ = ("n", "edges", "adj", "nbr_weight", "scale", "w_min")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int, float]],
                  normalize: bool = True):
@@ -110,6 +115,7 @@ class WeightedGraph:
         for lst in adj:
             lst.sort()
         self.adj = tuple(tuple(lst) for lst in adj)
+        self.nbr_weight = tuple(dict(lst) for lst in adj)
 
     # -- serialization ---------------------------------------------------
 
@@ -136,13 +142,13 @@ class WeightedGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         u, v = self._check_vertex(u), self._check_vertex(v)
-        return any(x == v for x, _ in self.adj[u])
+        return v in self.nbr_weight[u]
 
     def edge_weight(self, u: int, v: int) -> float:
         u = self._check_vertex(u)
-        for x, w in self.adj[u]:
-            if x == v:
-                return w
+        w = self.nbr_weight[u].get(v)
+        if w is not None:
+            return w
         self._check_vertex(v)
         raise KeyError((u, v))
 

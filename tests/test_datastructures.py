@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import hopmetric
 from hopmetric import datastructures, tz
 from hopmetric.datastructures import (CoarseBudgetExceeded, CoarseOracle,
-                                      auxiliary_graph,
+                                      RouteResult, auxiliary_graph,
                                       build_coarse_labeling,
                                       build_coarse_oracle, build_hop_labeling,
                                       build_hop_oracle, build_routing_scheme,
@@ -379,14 +379,21 @@ class TestHopLabeling:
         assert binding > 0
 
 
+def _random_schemes():
+    """(G, h, S): four small connected random graphs, each with a routing
+    scheme at a random h, k and epsilon."""
+    rng = random.Random(261)
+    for _ in range(4):
+        n = rng.randint(2, 9)
+        G = connected_random_graph(rng, n, 0.3, 1.0, 5.0)
+        h, k, eps = rng.randint(1, 2), rng.randint(1, 2), rng.choice([0.25, 0.5])
+        yield G, h, build_routing_scheme(G, h, k, eps, seed=rng.randrange(100))
+
+
 class TestRouting:
     def test_delivery_weight_and_locality(self):
-        rng = random.Random(261)
-        for _ in range(4):
-            n = rng.randint(2, 9)
-            G = connected_random_graph(rng, n, 0.3, 1.0, 5.0)
-            h, k, eps = rng.randint(1, 2), rng.randint(1, 2), rng.choice([0.25, 0.5])
-            S = build_routing_scheme(G, h, k, eps, seed=rng.randrange(100))
+        for G, h, S in _random_schemes():
+            n = G.n
             for u in range(n):
                 dh = hop_distance_all(G, u, h)
                 for v in range(n):
@@ -405,6 +412,39 @@ class TestRouting:
                     omega = S.omegas[res.scale]
                     assert len(res.path) - 1 <= res.weight_aux / omega + 1e-9
                     assert set(res.table_reads) <= set(res.path)
+
+    def test_delivered_weight_is_the_path_sum(self):
+        """weight is the float sum of the path's edge weights in path order,
+        read here from G.edges rather than the graph's weight maps, and
+        weight_aux adds the scale's surcharge once per hop."""
+        delivered = 0
+        for G, _, S in _random_schemes():
+            w = {}
+            for a, b, x in G.edges:
+                w[a, b] = w[b, a] = x
+            for u in range(G.n):
+                for v in range(G.n):
+                    res = route(S, u, v)
+                    if u == v or not res.delivered:
+                        continue
+                    hops = list(zip(res.path, res.path[1:]))
+                    assert res.weight == sum(w[a, b] for a, b in hops)
+                    assert res.weight_aux == \
+                        res.weight + S.omegas[res.scale] * len(hops)
+                    delivered += 1
+        assert delivered > 0
+
+    def test_route_result_fields(self):
+        # tests/test_golden_structures.py flattens a RouteResult in this order
+        assert RouteResult._fields == ("delivered", "path", "scale", "weight",
+                                       "weight_aux", "table_reads")
+
+    def test_non_edge_hop_names_the_pair(self, monkeypatch):
+        S = build_routing_scheme(P4(), 2, 2, 0.5)
+        monkeypatch.setattr(tz, "route", lambda R, u, v: ([0, 1, 3], [0, 1]))
+        with pytest.raises(KeyError) as exc:
+            route(S, 0, 3)
+        assert exc.value.args == ((1, 3),)
 
     def test_declines_disconnected(self):
         G = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])

@@ -193,6 +193,27 @@ class TestNormalization:
         with pytest.raises(KeyError):
             G.edge_weight(0, 2)
 
+    def test_weight_maps_agree_with_edges(self):
+        """The per-vertex weight maps hold each edge both ways, so has_edge
+        and edge_weight answer from G.edges; a non-edge is a KeyError
+        naming the pair."""
+        rng = random.Random(137)
+        for _ in range(20):
+            G = random_graph(rng, rng.randint(1, 12), 0.4, 1.0, 5.0)
+            want = {}
+            for u, v, w in G.edges:
+                want[u, v] = want[v, u] = w
+            assert G.nbr_weight == tuple(dict(row) for row in G.adj)
+            for u in range(G.n):
+                for v in range(G.n):
+                    assert G.has_edge(u, v) == ((u, v) in want)
+                    if (u, v) in want:
+                        assert G.edge_weight(u, v) == want[u, v]
+                    else:
+                        with pytest.raises(KeyError) as exc:
+                            G.edge_weight(u, v)
+                        assert exc.value.args == ((u, v),)
+
     def test_integral_floats_are_ids(self):
         G = WeightedGraph.from_json('{"n": 3.0, "edges": [[0.0, 2, 1.0]]}')
         assert G.n == 3 and G.edges == ((0, 2, 1.0),)
