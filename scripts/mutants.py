@@ -116,6 +116,42 @@ MUTANTS = (
            "the bunch of x holds the w in A_i - A_{i+1} strictly closer than "
            "d(A_{i+1}, x); admitting d <= 1.5 * d(A_{i+1}, x) grows bunches "
            "past the cluster rule and changes labels, witnesses and routes"),
+    Mutant("carve-blank-skips-tight-test", "src/hopmetric/ramsey.py",
+           "            if hit[2] is None and not any(row[c] + w == row[y] and y not in removed\n"
+           "                                          for c in reached for y, w in adj[c]):\n",
+           "            if hit[2] is None:\n",
+           "a carve blanks a plain row in place only when no reached cut vertex "
+           "has a tight successor outside the cut; past one, entries that "
+           "walked through the cut must be repaired"),
+    Mutant("stale-ball-no-radius", "src/hopmetric/ramsey.py",
+           "            entry[0] = _ball(self.row(G, v, budget, r, allowed), entry[0], r)\n",
+           "            entry[0] = entry[0].intersection(allowed)\n",
+           "a stale ball is refreshed through its served row at its radius; "
+           "the old ball minus the cut keeps vertices whose repaired distance "
+           "passed the radius"),
+    Mutant("certificate-margin-1.05", "src/hopmetric/ramsey.py",
+           "            return max(d[u] for u in allowed) <= r * (1.0 - 1e-9)\n",
+           "            return max(d[u] for u in allowed) <= r * 1.05\n",
+           "one row certifies the trivial return only within r * (1 - 1e-9); "
+           "at 1.05 r two walks joined at the center can exceed delta/2"),
+    Mutant("alt-ball-budget-halved", "src/hopmetric/ramsey.py",
+           "    bball = 2 * k * L * h\n",
+           "    bball = k * L * h\n",
+           "the alt rule's balls have hop budget 2kLh, which the reported "
+           "beta = 4kL charges; half of it changes the centers and clusters"),
+    Mutant("diam-check-1.5-bound", "src/hopmetric/ramsey.py",
+           "        d = hop_profile(G, s, [budget], maxr=bound, allowed=allowed)[budget]\n"
+           "        if any(d[u] > bound + _REL_TOL for u in allowed):\n",
+           "        d = hop_profile(G, s, [budget], maxr=1.5 * bound, allowed=allowed)[budget]\n"
+           "        if any(d[u] > 1.5 * bound + _REL_TOL for u in allowed):\n",
+           "the trivial return claims diam^(4kLh)(G[Y]) <= delta/2; pruning and "
+           "accepting at 1.5 times that admits a cluster of larger diameter"),
+    Mutant("diam-check-skipped", "src/hopmetric/ramsey.py",
+           "                or _bounded_diam_at_most(G, allowed, 2 * bball, delta / 2.0)):\n",
+           "                or True):\n",
+           "the trivial return must be certified, since far unmarked vertices "
+           "can break diam^(4kLh)(G[Y]) <= delta/2; skipping the check "
+           "returns such a Y whole"),
 )
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",

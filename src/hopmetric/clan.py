@@ -105,7 +105,7 @@ def clan_cover(G: WeightedGraph, X: Set[int], mu: Measure, h: int, k: int,
         # every vertex of Y is marked, so only removed vertices lose a mark;
         # an inner cluster of all of Y makes outer = Y the last cluster, and
         # the rows of G[Y] carry to its next scale
-        balls.carved(trip.inner, frozenset(), not Y)
+        balls.carved(G, Y, trip.inner, frozenset())
     return out
 
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 from .graph_core import (HopParams, WeightedGraph, _finite_scan, _repair,
                          as_integer, completion_weight, finite_completion,
@@ -79,8 +79,8 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"unknown variant {variant!r}")
 
 
-def _ball(dist: Sequence[float], allowed: List[int], r: float) -> FrozenSet[int]:
-    return frozenset(u for u in allowed if dist[u] <= r + _REL_TOL)
+def _ball(dist: Sequence[float], among: Iterable[int], r: float) -> FrozenSet[int]:
+    return frozenset(u for u in among if dist[u] <= r + _REL_TOL)
 
 
 def _marked_measure(mu: Measure, B: FrozenSet[int], MY: Set[int]) -> float:
@@ -119,8 +119,8 @@ class _Balls:
     depends on the rule only through (b, r), so there is one table per
     (b, r): the standard rule, its runs as the alt rule's fallback included,
     and each alt level L read their own.  After a carve removes C from Y and
-    unmarks U (``carved``), the table holds exactly what a fresh sweep of
-    G[Y minus C] would compute:
+    unmarks U (``carved``), every ball the table holds is either exactly
+    what a fresh sweep of G[Y minus C] would compute or marked stale:
 
     - B(v) avoids C: kept.  The distance to u is the least left-to-right
       float sum over walks of at most b edges from v.  Weights are positive
@@ -129,9 +129,18 @@ class _Balls:
       radius is itself in B(v).  Those walks avoid C and survive in
       G[Y minus C], where other distances can only grow; so the ball and
       its distances are unchanged.
-    - B(v) meets C: dropped, and computed again when next asked for.
+    - B(v) meets C, b is slack at r in Y (below) and v's plain row,
+      pruned at a radius >= r, was blanked in place by this carve (below):
+      B(v) minus C.  The ball is then the one that row gives, and the
+      blanked row is the fresh one, with every entry off C unchanged.
+    - Any other B(v) that meets C: kept and marked stale.  Distances in
+      G[Y minus C] only grow, so the fresh ball is a subset of B(v) minus
+      C, and ``measure`` refreshes it by keeping the vertices of B(v) whose
+      entry in v's served row, fresh or repaired, is within r.  No other
+      vertex needs a look.
     - B(v) meets U but not C: its marked measure is summed again.  A ball
-      meeting neither keeps its sum, which has the same terms.
+      meeting neither keeps its sum, which has the same terms.  A ball
+      changed by the carve is summed again too.
 
     The sums are correctly rounded (``_marked_measure``), so equal terms
     give equal floats and every rule picks the same center.
@@ -143,14 +152,16 @@ class _Balls:
     the row pruned at r on every entry <= r + 1e-12.  Every reader compares
     entries only against a radius no larger than the one it asked for
     (``_ball``, ``_row_certifies``), so it cannot tell a served row from a
-    fresh one.
+    fresh one.  A served row is valid only until the next carve, which may
+    blank it in place; no caller holds one across a carve.
 
     A row whose budget is slack at its radius (``_slack``: no walk it
     leaves out weighs r + 1e-12 or less) is its source's plain row, the
     least float sums over all walks of G[Y] pruned at R.  There is one per
     source, and it serves every request (b, r <= R) whose budget b is slack
     at r, since the b-hop row pruned at r is then that plain row pruned at
-    r.  A row whose budget binds is kept under (budget, source).
+    r.  A row whose budget binds is kept under (budget, source).  A budget
+    slack at r in Y stays slack in every smaller Y.
 
     A carve that takes all of Y keeps every row, and the table goes with
     that cluster to the next scale (``_scale_tree``), whose partition
@@ -158,18 +169,26 @@ class _Balls:
     the same ball budget 2kLh is asked for at half the radius.  Any other
     carve drops the rows whose budget binds and the rows whose source it
     removed.  A plain row whose reach avoids C is kept as it is, by the
-    prefix argument; one whose reach meets C is marked with C, and removals
+    prefix argument.  One whose reach meets C, with no removals pending, is
+    blanked in place when no reached c in C has a tight successor y outside
+    C (row[c] + w(c, y) == row[y] in floats).  Every reached vertex off C
+    then has a chain of tight neighbours back to the source that avoids C,
+    since a chain entering C leaves it through such a y; so every entry off
+    C is valid, and the row with C's entries set to infinity is the fresh
+    row.  ``graph_core._repair`` would find the same, from an empty heap.
+    Any other row whose reach meets C is marked with C, and removals
     accumulate over carves until ``row`` next serves it, repaired in
-    G[Y minus C] (``graph_core._repair``, which gives the fresh row).  A
-    carve costs O(|C|) per plain row.  A single alt Ramsey embedding of the
-    n = 48 random graph at h = 2, k = 3 makes 103 ``hop_profile`` calls,
-    359 when only a carve of all of Y keeps the rows and 573 when every
-    carve drops them.
+    G[Y minus C] (``_repair``, which gives the fresh row).  A carve costs
+    O(|C|) per plain row, plus the adjacency of the reached part of C.  A
+    single alt Ramsey embedding of the n = 48 random graph at h = 2, k = 3
+    makes 103 ``hop_profile`` calls, 359 when only a carve of all of Y
+    keeps the rows and 573 when every carve drops them.
     """
     __slots__ = ("_tables", "_plain", "_rows")
 
     def __init__(self) -> None:
-        # (budget, radius) -> candidate -> [ball, marked measure or None]
+        # (budget, radius) -> candidate -> [ball, marked measure or None,
+        # stale]; a stale ball's measure is None
         self._tables: Dict[Tuple[int, float], Dict[int, list]] = {}
         # source -> [radius R, plain row pruned at R, removed vertices its
         # entries have not yet left, or None]
@@ -198,14 +217,21 @@ class _Balls:
             hit[2] = None
         return hit[1]
 
+    def table(self, budget: int, r: float) -> Dict[int, list]:
+        """The entries [ball, marked measure or None, stale] at (budget, r)."""
+        return self._tables.setdefault((budget, r), {})
+
     def measure(self, G: WeightedGraph, v: int, budget: int, r: float,
                 allowed: List[int], mu: Measure, MY: Set[int]) -> float:
         """mu(B(v) & MY) in G[allowed], for ball budget and radius r."""
-        table = self._tables.setdefault((budget, r), {})
+        table = self.table(budget, r)
         entry = table.get(v)
         if entry is None:
             ball = _ball(self.row(G, v, budget, r, allowed), allowed, r)
-            entry = table[v] = [ball, None]
+            entry = table[v] = [ball, None, False]
+        elif entry[2]:
+            entry[0] = _ball(self.row(G, v, budget, r, allowed), entry[0], r)
+            entry[2] = False
         if entry[1] is None:
             entry[1] = _marked_measure(mu, entry[0], MY)
         return entry[1]
@@ -214,25 +240,49 @@ class _Balls:
         """The ball of v at (budget, r), which ``measure`` has read."""
         return self._tables[(budget, r)][v][0]
 
-    def carved(self, removed: Set[int], unmarked: Set[int], whole: bool) -> None:
-        """Refresh the tables after a carve took ``removed`` out of Y and
-        ``unmarked`` out of the marked set; every row stays when the carve
-        took all of Y (``whole``)."""
-        if not whole:
-            self._rows.clear()
-            plain = self._plain
-            for v, hit in list(plain.items()):
-                row = hit[1]
-                if v in removed:
-                    del plain[v]
-                elif any(row[c] != math.inf for c in removed):
-                    hit[2] = removed if hit[2] is None else hit[2] | removed
-        for table in self._tables.values():
-            for v, entry in list(table.items()):
-                if not entry[0].isdisjoint(removed):
-                    del table[v]
-                elif not entry[0].isdisjoint(unmarked):
-                    entry[1] = None
+    def carved(self, G: WeightedGraph, Y: Set[int], removed: Set[int],
+               unmarked: Set[int]) -> None:
+        """Refresh the tables after a carve of G took ``removed`` out of Y,
+        leaving ``Y``, and ``unmarked`` out of the marked set; every row
+        stays when the carve took all of Y."""
+        if not Y:
+            self._tables.clear()     # every ball holds its own center
+            return
+        self._rows.clear()
+        plain = self._plain
+        for c in removed:
+            plain.pop(c, None)
+        adj, inf = G.adj, math.inf
+        blanked: Dict[int, float] = {}   # source -> R, of rows blanked in place
+        for v, hit in plain.items():
+            row = hit[1]
+            for c in removed:       # most rows miss the cut: test in this frame
+                if row[c] != inf:
+                    break
+            else:
+                continue
+            reached = [c for c in removed if row[c] != inf]
+            if hit[2] is None and not any(row[c] + w == row[y] and y not in removed
+                                          for c in reached for y, w in adj[c]):
+                for c in reached:
+                    row[c] = inf
+                blanked[v] = hit[0]
+            else:
+                hit[2] = removed if hit[2] is None else hit[2] | removed
+        size = len(Y) + len(removed)
+        for (budget, r), table in self._tables.items():
+            for c in removed:
+                table.pop(c, None)
+            slack = _slack(budget, r, size, G.w_min)
+            for v, entry in table.items():
+                ball = entry[0]
+                if ball.isdisjoint(removed):
+                    if not ball.isdisjoint(unmarked):
+                        entry[1] = None
+                elif slack and not entry[2] and blanked.get(v, -inf) >= r:
+                    entry[0], entry[1] = ball - removed, None
+                else:
+                    entry[1], entry[2] = None, True
 
 
 def _nested_rows(G: WeightedGraph, balls: _Balls, v: int,
@@ -354,9 +404,13 @@ def alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
     allowed = sorted(Y)
     bball = 2 * k * L * h
     candidates = sorted(MY)
+    table = balls.table(bball, delta / 4.0)
     best_v, best_m = -1, math.inf
     for v in candidates:
-        m = balls.measure(G, v, bball, delta / 4.0, allowed, mu, MY)
+        entry = table.get(v)
+        m = None if entry is None else entry[1]
+        if m is None:
+            m = balls.measure(G, v, bball, delta / 4.0, allowed, mu, MY)
         if m < best_m - _REL_TOL:
             best_v, best_m = v, m
     v = best_v
@@ -522,7 +576,7 @@ def padded_partition(G: WeightedGraph, X: Set[int], mu: Measure, M: Set[int],
         Y -= cluster
         MY -= trip.outer
         MY &= Y
-        balls.carved(cluster, unmarked, not Y)
+        balls.carved(G, Y, cluster, unmarked)
     return out
 
 

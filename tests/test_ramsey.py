@@ -429,11 +429,11 @@ class TestCarriedRows:
         real = ramsey._Balls.carved
         for keep, count in ((lambda whole: whole, carried),
                             (lambda whole: False, uncarried)):
-            def carved(self, removed, unmarked, whole, keep=keep):
-                if not keep(whole):
+            def carved(self, G, Y, removed, unmarked, keep=keep):
+                if not keep(not Y):
                     self._rows.clear()
                     self._plain.clear()
-                real(self, removed, unmarked, whole)
+                real(self, G, Y, removed, unmarked)
             monkeypatch.setattr(ramsey._Balls, "carved", carved)
             del calls[:]
             assert embed().U.to_json() == U

@@ -147,7 +147,7 @@ class TestRowRepair:
                         break
                     C = set(rng.sample(sorted(Y), rng.randint(1, max(1, len(Y) // 4))))
                     Y -= C
-                    table.carved(C, set(), False)
+                    table.carved(G, Y, C, set())
                 allowed = sorted(Y)
                 assert not table._rows                 # every row is plain
                 for v, (R, old, cut) in list(table._plain.items()):
@@ -173,7 +173,7 @@ class TestRowRepair:
             table.row(G, v, 11, 20.0, allowed)      # plain
             table.row(G, v, 2, 20.0, allowed)       # hop-bounded
         assert sorted(table._rows) == [(2, 0), (2, 5), (2, 11)]
-        table.carved({5, 6}, set(), False)
+        table.carved(G, set(allowed) - {5, 6}, {5, 6}, set())
         assert sorted(table._plain) == [0, 11]
         assert not table._rows
         assert all(hit[2] == {5, 6} for hit in table._plain.values())
@@ -184,7 +184,7 @@ class TestRowRepair:
         for v in range(6):
             table.row(G, v, 1, 5.0, list(range(6)))     # hop-bounded
             table.row(G, v, 5, 5.0, list(range(6)))     # plain
-        table.carved(set(range(6)), set(), True)
+        table.carved(G, set(), set(range(6)), set())
         assert len(table._rows) == 6 and len(table._plain) == 6
         assert all(hit[2] is None for hit in table._plain.values())
 
@@ -192,9 +192,25 @@ class TestRowRepair:
         G = WeightedGraph(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
         table = ramsey._Balls()
         row = table.row(G, 0, 4, 1.5, list(range(5)))
-        table.carved({3}, set(), False)
+        table.carved(G, {0, 1, 2, 4}, {3}, set())
         hit = table._plain[0]
         assert hit[1] is row and hit[2] is None
+
+    def test_leaf_carve_blanks_in_place(self):
+        # a leaf of the row's tree has no tight successor, so the row is
+        # blanked in place; an interior vertex leaves its subtree to repair
+        G = WeightedGraph(6, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0), (3, 4, 4.0),
+                              (1, 5, 2.5)])
+        table = ramsey._Balls()
+        row = table.row(G, 0, 5, 20.0, list(range(6)))
+        assert row == [0.0, 1.0, 3.0, 6.0, 10.0, 3.5]
+        table.carved(G, {0, 1, 2, 3}, {4, 5}, set())
+        hit = table._plain[0]
+        assert hit[1] is row and hit[2] is None
+        assert row == [0.0, 1.0, 3.0, 6.0, math.inf, math.inf]
+        table.carved(G, {0, 1, 3}, {2}, set())
+        assert hit[1] is row and hit[2] == {2}
+        assert table.row(G, 0, 5, 20.0, [0, 1, 3]) == [0.0, 1.0] + [math.inf] * 4
 
 
 class TestSlackRows:
@@ -275,7 +291,7 @@ class TestSlackRows:
                     table.row(G, v, len(allowed) - 1, max(exact), allowed)
                 C = set(rng.sample(allowed, rng.randint(1, max(1, len(Y) // 4))))
                 Y -= C
-                table.carved(C, set(), False)
+                table.carved(G, Y, C, set())
                 allowed = sorted(Y)
                 for v, (R, _, _) in list(table._plain.items()):
                     b = rng.randint(0, 2)
