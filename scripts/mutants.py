@@ -59,19 +59,11 @@ MUTANTS = (
            "a budget is slack at r when its walks of budget + 1 edges all "
            "weigh more than r + 1e-12; b * w_min is one edge short, and "
            "leaves such rows hop-bounded"),
-    Mutant("alt-nested-unclipped", "src/hopmetric/ramsey.py",
-           "    rows = _nested_rows(G, balls, v, [want(a, j) for a in range(L)\n"
-           "                                      for j in range(2 * k + 1)] + [want(L, 0)], allowed)\n",
-           "    rows = _nested_rows(G, balls, v, [want(a, j) for a in range(L + 1)\n"
-           "                                      for j in range(2 * k + 1)], allowed)\n",
-           "the alt rule's nested balls lie within delta/4 + 1e-12, where its "
-           "single profile was pruned; the top level's unread balls reach "
-           "(L + 1) * delta/(4L), unclipped"),
     Mutant("repair-rounds-budget", "src/hopmetric/ramsey.py",
            "            hit[1] = _repair(G.adj, hit[1], hit[2], hit[0], len(allowed))\n",
-           "            hit[1] = _repair(G.adj, hit[1], hit[2], hit[0], budget)\n",
+           "            hit[1] = _repair(G.adj, hit[1], hit[2], hit[0], int(r / G.w_min))\n",
            "a plain row is repaired for every entry up to its own radius, in "
-           "at least |Y| rounds; the request's budget covers only its radius"),
+           "at least |Y| rounds; r / w_min rounds cover only the request's radius"),
     Mutant("clan-no-split", "src/hopmetric/clan.py",
            "    return standard_rule(G, Y, Y, mu, h, k, k + 1, scale_i, True,\n",
            "    return standard_rule(G, Y, Y, mu, h, k, k + 1, scale_i, False,\n",
@@ -140,18 +132,28 @@ MUTANTS = (
            "the alt rule's balls have hop budget 2kLh, which the reported "
            "beta = 4kL charges; half of it changes the centers and clusters"),
     Mutant("diam-check-1.5-bound", "src/hopmetric/ramsey.py",
-           "        d = hop_profile(G, s, [budget], maxr=bound, allowed=allowed)[budget]\n"
+           "        d = balls.row(G, s, budget, bound, allowed)\n"
            "        if any(d[u] > bound + _REL_TOL for u in allowed):\n",
-           "        d = hop_profile(G, s, [budget], maxr=1.5 * bound, allowed=allowed)[budget]\n"
+           "        d = balls.row(G, s, budget, 1.5 * bound, allowed)\n"
            "        if any(d[u] > 1.5 * bound + _REL_TOL for u in allowed):\n",
            "the trivial return claims diam^(4kLh)(G[Y]) <= delta/2; pruning and "
            "accepting at 1.5 times that admits a cluster of larger diameter"),
     Mutant("diam-check-skipped", "src/hopmetric/ramsey.py",
-           "                or _bounded_diam_at_most(G, allowed, 2 * bball, delta / 2.0)):\n",
+           "                or _bounded_diam_at_most(G, balls, allowed, 2 * bball, delta / 2.0)):\n",
            "                or True):\n",
            "the trivial return must be certified, since far unmarked vertices "
            "can break diam^(4kLh)(G[Y]) <= delta/2; skipping the check "
            "returns such a Y whole"),
+    Mutant("nested-read-below-radius", "src/hopmetric/ramsey.py",
+           "            row = balls.plain(G, v, r, allowed)\n",
+           "            row = balls.plain(G, v, 0.0, allowed)\n",
+           "a slack nested ball is read from a plain row pruned at its radius "
+           "or above; a row pruned below it misses the ball's outer vertices"),
+    Mutant("diam-check-row-at-quarter", "src/hopmetric/ramsey.py",
+           "        d = balls.row(G, s, budget, bound, allowed)\n",
+           "        d = balls.row(G, s, budget, bound / 2.0, allowed)\n",
+           "the diameter check reads rows pruned at delta/2, its bound; rows "
+           "at delta/4 lose the pairs between and refuse true trivial returns"),
 )
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",

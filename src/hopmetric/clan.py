@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .graph_core import INFINITY, HopParams, WeightedGraph, is_inf
-from .ramsey import (ClusterTriple, Measure, _Balls, _check_variant,
+from .graph_core import INFINITY, HopParams, WeightedGraph, is_inf, vertex_id
+from .ramsey import (ClusterTriple, Measure, _Balls, _checked_carve_set,
                      _constants, _embed_setup, _mwu_rounds, _scale_tree,
                      alt_rule, measure_of, standard_rule)
 from .ultrametric import Ultrametric, ultra_distance
@@ -89,11 +89,8 @@ def clan_cover(G: WeightedGraph, X: Set[int], mu: Measure, h: int, k: int,
     clusters cover X (with overlaps) while inner clusters partition it.
     The carvings share one ball table (see ``ramsey._Balls``): ``balls``,
     which may hold rows of G[X], or a fresh one."""
-    if not X:
-        raise ValueError("X must be nonempty")
-    _check_variant(variant)
+    Y = _checked_carve_set(G, X, mu, h, k, variant)
     carve = clan_create_cluster if variant == "standard" else clan_create_cluster_alt
-    Y = set(X)
     balls = balls or _Balls()
     out: List[ClusterTriple] = []
     while Y:
@@ -156,7 +153,7 @@ def optimal_path_copies(emb: ClanEmbedding, P: Sequence[int]) -> Tuple[List[int]
     """
     if not P:
         raise ValueError("path must be nonempty")
-    layers = [list(emb.f[v]) for v in P]
+    layers = [list(emb.f[vertex_id(v, len(emb.f))]) for v in P]
     cost: List[Dict[int, float]] = [{c: 0.0 for c in layers[0]}]
     back: List[Dict[int, int]] = [{}]
     for idx in range(1, len(layers)):

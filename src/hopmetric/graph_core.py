@@ -435,8 +435,7 @@ def finite_completion(G: WeightedGraph, h: int, k: int) -> Tuple[WeightedGraph, 
     ``ramsey.finite_graph`` calls this function only when omega lies
     within 1e-12 above a power of two, where one does.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    HopParams(h, k)
     missing: List[Tuple[int, int]] = []
     dprime, _ = _finite_scan(G, h, missing)
     omega = completion_weight(G, k, dprime)

@@ -57,9 +57,13 @@ class RamseyEmbedding:
         return self.U.leaf_index()
 
 
-def _check_measure(mu: Measure, n: int) -> None:
+def _check_measure_length(mu: Measure, n: int) -> None:
     if len(mu) != n:
         raise ValueError(f"measure has {len(mu)} entries for {n} vertices")
+
+
+def _check_measure(mu: Measure, n: int) -> None:
+    _check_measure_length(mu, n)
     if any(isinstance(m, bool) for m in mu):
         raise ValueError("measure entries must be numbers, not booleans")
     if not all(1.0 - 1e-12 <= m < math.inf for m in mu):
@@ -79,12 +83,27 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"unknown variant {variant!r}")
 
 
+def _checked_carve_set(G: WeightedGraph, X: Iterable[int], mu: Measure, h: int,
+                       k: int, variant: str) -> Set[int]:
+    """X as a set of vertex ids of G, once h, k, the measure's length and
+    the variant are checked: the arguments of one partition or cover.  Each
+    check is O(1) or one pass over X."""
+    HopParams(h, k)
+    _check_variant(variant)
+    _check_measure_length(mu, G.n)
+    Y = {vertex_id(v, G.n) for v in X}
+    if not Y:
+        raise ValueError("X must be nonempty")
+    return Y
+
+
 def _ball(dist: Sequence[float], among: Iterable[int], r: float) -> FrozenSet[int]:
-    return frozenset(u for u in among if dist[u] <= r + _REL_TOL)
+    lim = r + _REL_TOL
+    return frozenset([u for u in among if dist[u] <= lim])
 
 
 def _marked_measure(mu: Measure, B: FrozenSet[int], MY: Set[int]) -> float:
-    return math.fsum(mu[u] for u in B if u in MY)
+    return math.fsum([mu[u] for u in B if u in MY])
 
 
 def _slack(budget: int, r: float, size: int, w_min: float) -> bool:
@@ -163,10 +182,17 @@ class _Balls:
     r.  A row whose budget binds is kept under (budget, source).  A budget
     slack at r in Y stays slack in every smaller Y.
 
+    The alt rule's full diameter check (``_bounded_diam_at_most``) reads
+    its rows here too, at budget 4kLh and radius delta/2: a slack one is
+    the plain row of its source at delta/2, which serves every later
+    request of that source at a slack budget and a radius <= delta/2.
+
     A carve that takes all of Y keeps every row, and the table goes with
     that cluster to the next scale (``_scale_tree``), whose partition
     carves the same set: below a scale where the alt rule returned Y whole,
-    the same ball budget 2kLh is asked for at half the radius.  Any other
+    the same ball budget 2kLh is asked for at half the radius, and the
+    diameter check's rows at delta/2 serve both its balls and its own
+    check, at the new delta/4 and delta/2.  Any other
     carve drops the rows whose budget binds and the rows whose source it
     removed.  A plain row whose reach avoids C is kept as it is, by the
     prefix argument.  One whose reach meets C, with no removals pending, is
@@ -181,7 +207,7 @@ class _Balls:
     G[Y minus C] (``_repair``, which gives the fresh row).  A carve costs
     O(|C|) per plain row, plus the adjacency of the reached part of C.  A
     single alt Ramsey embedding of the n = 48 random graph at h = 2, k = 3
-    makes 103 ``hop_profile`` calls, 359 when only a carve of all of Y
+    makes 48 ``hop_profile`` calls, 326 when only a carve of all of Y
     keeps the rows and 573 when every carve drops them.
     """
     __slots__ = ("_tables", "_plain", "_rows")
@@ -208,11 +234,21 @@ class _Balls:
                 row = hop_profile(G, v, [budget], maxr=r, allowed=allowed)[budget]
                 hit = self._rows[budget, v] = [r, row]
             return hit[1]
+        row = self.plain(G, v, r, allowed)
+        if row is None:
+            row = hop_profile(G, v, [budget], maxr=r, allowed=allowed)[budget]
+            self._plain[v] = [r, row, None]
+        return row
+
+    def plain(self, G: WeightedGraph, v: int, r: float,
+              allowed: List[int]) -> Optional[List[float]]:
+        """The plain row of v, repaired if a carve marked it, when it is
+        stored at a radius >= r; None otherwise.  It serves every budget
+        slack at r."""
         hit = self._plain.get(v)
         if hit is None or r > hit[0]:
-            row = hop_profile(G, v, [budget], maxr=r, allowed=allowed)[budget]
-            hit = self._plain[v] = [r, row, None]
-        elif hit[2] is not None:
+            return None
+        if hit[2] is not None:
             hit[1] = _repair(G.adj, hit[1], hit[2], hit[0], len(allowed))
             hit[2] = None
         return hit[1]
@@ -290,7 +326,9 @@ def _nested_rows(G: WeightedGraph, balls: _Balls, v: int,
                  allowed: List[int]) -> Dict[Tuple[int, float], List[float]]:
     """A row of v in G[allowed] for each (budget b, radius r) of ``wants``,
     equal to hop_profile(G, v, [b], r, allowed)[b] on every entry <=
-    r + 1e-12: the rows of a rule's nested balls around its center.
+    r + 1e-12: the rows of the standard rule's nested balls around its
+    center, and those of the alt rule's balls that v's stored plain row
+    cannot serve (``alt_rule``).
 
     Slackness is checked per ball, at the ball's own radius.  The slack
     budgets read v's plain row (``_Balls.row``), asked for once at the
@@ -337,7 +375,9 @@ def standard_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
     whose radii step by 2^i/(16*k_geom) and whose hop budgets step by h from
     i*2*k_geom*h.  The ratio exponent stays 1/k.  With ``split`` the triple
     must also allow a 1/3-2/3 split of mu(MY).  Ball measures are read
-    through ``balls``.
+    through ``balls``.  A nested ball and its marked measure are built only
+    for the j the rule tests: 0, 2 k_geom, and j..j+2 up to the first
+    admissible j.
     """
     r0 = 2.0 ** (scale_i - 3)
     rho = 2.0 ** scale_i / (16.0 * k_geom)
@@ -352,15 +392,25 @@ def standard_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
     nb = 2 * k_geom
     wants = [(b0 + j * h, r0 + j * rho) for j in range(nb + 1)]
     rows = _nested_rows(G, balls, v, wants, allowed)
-    A = [_ball(rows[b, r], allowed, r) for b, r in wants]
-    muA = [_marked_measure(mu, A[j], MY) for j in range(nb + 1)]
-    muM = measure_of(mu, MY)
-    target = (muA[nb] / muA[0]) ** (1.0 / k)
+    A: Dict[int, FrozenSet[int]] = {}
+    muA: Dict[int, float] = {}
+
+    def measure(j: int) -> float:
+        """mu(A[j] & MY), building A[j] on its first read."""
+        if j not in muA:
+            b, r = wants[j]
+            A[j] = _ball(rows[b, r], allowed, r)
+            muA[j] = _marked_measure(mu, A[j], MY)
+        return muA[j]
+
+    muM = measure_of(mu, MY) if split else 0.0
+    target = (measure(nb) / measure(0)) ** (1.0 / k)
     for j in range(nb - 1):
-        ratio_ok = muA[j + 2] <= muA[j] * target * (1.0 + 1e-9)
+        ratio_ok = measure(j + 2) <= measure(j) * target * (1.0 + 1e-9)
         split_ok = (not split or muA[j] > muM / 3.0 + _REL_TOL
                     or muA[j + 2] <= 2.0 * muM / 3.0 + _REL_TOL)
         if ratio_ok and split_ok:
+            measure(j + 1)
             return ClusterTriple(A[j], A[j + 1], A[j + 2], v, j)
     raise AssertionError(f"no admissible cluster index j <= {nb - 2}")
 
@@ -390,13 +440,25 @@ def alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
     check runs as before, so the decision is the same either way.
 
     The nested balls A(a, j) around the winner v have budget (2ka + j)h and
-    radius (a + j/(2k)) * delta/(4L), and the rule reads them only for
+    radius (a + j/(2k)) * delta/(4L), and the rule may read them only for
     a < L, j <= 2k and for (L, 0).  Each of those radii is <= delta/4 in
     floats: a + j/(2k) rounds to at most a + 1 <= L, the product with delta,
     a power of two, is exact, and the quotient by 4L rounds to at most
-    L * delta/(4L) = delta/4.  So the balls come from ``_nested_rows``
-    unclipped: the single profile that gave them before, pruned at
-    delta/4 + 1e-12, cut off none of them.
+    L * delta/(4L) = delta/4.  So none is clipped: the single profile that
+    gave them once, pruned at delta/4 + 1e-12, cut off none of them.
+
+    A ball and its marked measure are built on the a/j loops' first read.
+    A ball whose budget is slack at its radius reads v's plain row
+    (``_Balls.plain``), which the center scan stored at a radius >= delta/4
+    whenever bball was slack there.  Only when no stored row reaches the
+    radius are the rows asked for as ``_nested_rows`` asks: the plain row
+    once, at the largest radius among the slack balls above, which then
+    serves every slack read.  The binding balls share one profile, made on
+    the first binding read.  A row pruned at any radius >= r is exact up to
+    r (see ``_Balls``), so each ball is the one the profile gave, and the
+    radius a row is asked at decides only which later requests it serves:
+    asking at the unread top level's radii too, up to (L + 1) * delta/(4L),
+    would carve the same.
     """
     muM = measure_of(mu, MY)
     L = alt_levels(muM)
@@ -419,7 +481,7 @@ def alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
         # since far-away unmarked vertices can break the claim, in which
         # case the scale-bounded rule still guarantees progress
         if (_row_certifies(G, balls, candidates, allowed, bball, delta / 4.0)
-                or _bounded_diam_at_most(G, allowed, 2 * bball, delta / 2.0)):
+                or _bounded_diam_at_most(G, balls, allowed, 2 * bball, delta / 2.0)):
             X = frozenset(Y)
             return ClusterTriple(X, X, X, v, 0)
         return fallback()
@@ -427,15 +489,29 @@ def alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
     def want(a: int, j: int) -> Tuple[int, float]:
         return (2 * k * a + j) * h, (a + j / (2.0 * k)) * delta / (4.0 * L)
 
-    # the balls read below: every (a, j) under the top level L, and (L, 0)
-    rows = _nested_rows(G, balls, v, [want(a, j) for a in range(L)
-                                      for j in range(2 * k + 1)] + [want(L, 0)], allowed)
+    size = len(allowed)
+    rows: Dict[Tuple[int, float], List[float]] = {}
     nested: Dict[Tuple[int, int], Tuple[FrozenSet[int], float]] = {}
+
+    def read(b: int, r: float) -> List[float]:
+        """v's row at budget b, exact up to radius r."""
+        slack = _slack(b, r, size, G.w_min)
+        if slack:
+            row = balls.plain(G, v, r, allowed)
+            if row is not None:
+                return row
+        if (b, r) not in rows:
+            # the balls the rule may read: every (a, j) under the top
+            # level L, and (L, 0); those of this kind share one request
+            kind = [w for w in [want(a, j) for a in range(L) for j in range(2 * k + 1)]
+                    + [want(L, 0)] if _slack(*w, size, G.w_min) == slack]
+            rows.update(_nested_rows(G, balls, v, kind, allowed))
+        return rows[b, r]
 
     def ball_and_measure(a: int, j: int) -> Tuple[FrozenSet[int], float]:
         if (a, j) not in nested:
             b, r = want(a, j)
-            ball = _ball(rows[b, r], allowed, r)
+            ball = _ball(read(b, r), allowed, r)
             nested[a, j] = (ball, _marked_measure(mu, ball, MY))
         return nested[a, j]
 
@@ -496,10 +572,13 @@ def _row_certifies(G: WeightedGraph, balls: _Balls, candidates: List[int],
     return False
 
 
-def _bounded_diam_at_most(G: WeightedGraph, allowed: List[int], budget: int,
-                          bound: float) -> bool:
+def _bounded_diam_at_most(G: WeightedGraph, balls: _Balls, allowed: List[int],
+                          budget: int, bound: float) -> bool:
+    """Whether every pair of ``allowed`` is within ``bound`` at ``budget``
+    hops in G[allowed]; the rows are read through ``balls``, where a plain
+    row at ``bound`` stays to serve the smaller radii asked for later."""
     for s in allowed:
-        d = hop_profile(G, s, [budget], maxr=bound, allowed=allowed)[budget]
+        d = balls.row(G, s, budget, bound, allowed)
         if any(d[u] > bound + _REL_TOL for u in allowed):
             return False
     return True
@@ -554,12 +633,9 @@ def padded_partition(G: WeightedGraph, X: Set[int], mu: Measure, M: Set[int],
     The carvings share one ball table (see ``_Balls``): ``balls``, which
     may hold rows of G[X], or a fresh one.
     """
-    if not X:
-        raise ValueError("X must be nonempty")
-    _check_variant(variant)
+    Y = _checked_carve_set(G, X, mu, h, k, variant)
+    MY = {vertex_id(v, G.n) for v in M} & Y
     carve = create_cluster if variant == "standard" else create_cluster_alt
-    Y = set(X)
-    MY = set(M) & Y
     balls = balls or _Balls()
     out: List[Tuple[FrozenSet[int], FrozenSet[int]]] = []
     while Y:

@@ -10,8 +10,10 @@ two-visit DFS interval walk, the three-pass routing tree builder, the
 cut-off Dijkstra on a full distance list, the two-walk coarse estimate and
 the per-hop read log.  The relaxation
 layer is checked the same way: the masked Bellman-Ford kernel with its
-min/max range check, the all-rows diameter scan and the single profile
-the carving rules relaxed for their nested balls.
+min/max range check, the all-rows diameter scan, the single profile
+the carving rules relaxed for their nested balls, and the carving rules
+that built every nested ball up front and relaxed the diameter check's
+rows outside the ball table.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ import math
 import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from hopmetric import ramsey
 from hopmetric.datastructures import tree_label_query
 from hopmetric.graph_core import WeightedGraph, hop_distance_all, is_inf
 from hopmetric.tz import prepare_header, forward
@@ -150,6 +153,134 @@ def profiled_alt_balls(G: WeightedGraph, v: int, allowed: Sequence[int],
     wants = [((2 * k * a + j) * h, (a + j / (2.0 * k)) * delta / (4.0 * L))
              for a in range(L + 1) for j in range(2 * k + 1)]
     return _profile_balls(G, v, allowed, wants, delta / 4.0 + 1e-12)
+
+
+def _eager_nested_rows(G: WeightedGraph, balls, v: int, wants, allowed):
+    """Literal transcription of ``ramsey._nested_rows`` as the eager rules
+    called it: the slack wants read v's plain row at their largest radius,
+    the binding ones share one profile, and budget 0 binds to a zero row."""
+    size, w_min = len(allowed), G.w_min
+    slack = {w: ramsey._slack(*w, size, w_min) for w in wants}
+    rows = {}
+    plain = [w for w in wants if slack[w]]
+    if plain:
+        row = balls.row(G, v, *max(plain, key=lambda w: w[1]), allowed)
+        rows.update(dict.fromkeys(plain, row))
+    bound = [w for w in wants if not slack[w]]
+    hops = [w for w in bound if w[0]]
+    if hops:
+        prof = ramsey.hop_profile(G, v, [b for b, _ in hops],
+                                  maxr=max(r for _, r in hops), allowed=allowed)
+        rows.update((w, prof[w[0]]) for w in hops)
+    if len(hops) < len(bound):
+        zero = [math.inf] * G.n
+        zero[v] = 0.0
+        rows.update((w, zero) for w in bound if not w[0])
+    return rows
+
+
+def eager_standard_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu, h: int,
+                        k: int, k_geom: int, scale_i: int, split: bool, balls):
+    """Literal transcription of ``ramsey.standard_rule`` as it built all
+    2 k_geom + 1 nested balls and their marked measures before testing j."""
+    r0 = 2.0 ** (scale_i - 3)
+    rho = 2.0 ** scale_i / (16.0 * k_geom)
+    b0 = scale_i * 2 * k_geom * h if scale_i > 0 else 0
+    allowed = sorted(Y)
+    best_v, best_m = -1, -1.0
+    for v in allowed:
+        m = balls.measure(G, v, b0, r0, allowed, mu, MY)
+        if m > best_m + 1e-12:
+            best_v, best_m = v, m
+    v = best_v
+    nb = 2 * k_geom
+    wants = [(b0 + j * h, r0 + j * rho) for j in range(nb + 1)]
+    rows = _eager_nested_rows(G, balls, v, wants, allowed)
+    A = [ramsey._ball(rows[b, r], allowed, r) for b, r in wants]
+    muA = [ramsey._marked_measure(mu, A[j], MY) for j in range(nb + 1)]
+    muM = ramsey.measure_of(mu, MY)
+    target = (muA[nb] / muA[0]) ** (1.0 / k)
+    for j in range(nb - 1):
+        ratio_ok = muA[j + 2] <= muA[j] * target * (1.0 + 1e-9)
+        split_ok = (not split or muA[j] > muM / 3.0 + 1e-12
+                    or muA[j + 2] <= 2.0 * muM / 3.0 + 1e-12)
+        if ratio_ok and split_ok:
+            return ramsey.ClusterTriple(A[j], A[j + 1], A[j + 2], v, j)
+    raise AssertionError(f"no admissible cluster index j <= {nb - 2}")
+
+
+def eager_alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu, h: int,
+                   k: int, scale_i: int, balls, fallback):
+    """Literal transcription of ``ramsey.alt_rule`` as it asked for the rows
+    of every ball it might read (a < L, j <= 2k, and (L, 0)) before reading
+    any, and ran the full diameter check outside the ball table."""
+    muM = ramsey.measure_of(mu, MY)
+    L = ramsey.alt_levels(muM)
+    delta = 2.0 ** scale_i
+    allowed = sorted(Y)
+    bball = 2 * k * L * h
+    candidates = sorted(MY)
+    table = balls.table(bball, delta / 4.0)
+    best_v, best_m = -1, math.inf
+    for v in candidates:
+        entry = table.get(v)
+        m = None if entry is None else entry[1]
+        if m is None:
+            m = balls.measure(G, v, bball, delta / 4.0, allowed, mu, MY)
+        if m < best_m - 1e-12:
+            best_v, best_m = v, m
+    v = best_v
+    if best_m > 0.5 * muM + 1e-12:
+        if (ramsey._row_certifies(G, balls, candidates, allowed, bball, delta / 4.0)
+                or _eager_diam_at_most(G, allowed, 2 * bball, delta / 2.0)):
+            X = frozenset(Y)
+            return ramsey.ClusterTriple(X, X, X, v, 0)
+        return fallback()
+
+    def want(a: int, j: int):
+        return (2 * k * a + j) * h, (a + j / (2.0 * k)) * delta / (4.0 * L)
+
+    rows = _eager_nested_rows(G, balls, v, [want(a, j) for a in range(L)
+                                            for j in range(2 * k + 1)] + [want(L, 0)],
+                              allowed)
+    nested = {}
+
+    def ball_and_measure(a: int, j: int):
+        if (a, j) not in nested:
+            b, r = want(a, j)
+            ball = ramsey._ball(rows[b, r], allowed, r)
+            nested[a, j] = (ball, ramsey._marked_measure(mu, ball, MY))
+        return nested[a, j]
+
+    def A(a: int, j: int):
+        return ball_and_measure(a, j)[0]
+
+    def muA(a: int, j: int):
+        return ball_and_measure(a, j)[1]
+
+    a_sel = -1
+    for a in range(L):
+        if muA(a, 0) >= muA(a + 1, 0) ** 2 / muM * (1.0 - 1e-9):
+            a_sel = a
+            break
+    if a_sel < 0:
+        raise AssertionError("no admissible level index a")
+    a = a_sel
+    target = (muA(a + 1, 0) / muA(a, 0)) ** (1.0 / k)
+    for j in range(2 * (k - 1) + 1):
+        if muA(a, j + 2) <= muA(a, j) * target * (1.0 + 1e-9):
+            return ramsey.ClusterTriple(A(a, j), A(a, j + 1), A(a, j + 2), v, j)
+    raise AssertionError("no admissible cluster index j <= 2(k-1)")
+
+
+def _eager_diam_at_most(G: WeightedGraph, allowed, budget: int, bound: float) -> bool:
+    """Literal transcription of the full diameter check as it relaxed one
+    row per vertex with ``hop_profile``, outside the ball table."""
+    for s in allowed:
+        d = ramsey.hop_profile(G, s, [budget], maxr=bound, allowed=allowed)[budget]
+        if any(d[u] > bound + 1e-12 for u in allowed):
+            return False
+    return True
 
 
 def logged_hop_path(G: WeightedGraph, s: int, t: int, budget: int):

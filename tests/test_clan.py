@@ -203,6 +203,12 @@ class TestOptimalPathCopies:
         with pytest.raises(ValueError):
             optimal_path_copies(emb, [])
 
+    def test_rejects_unknown_vertex(self):
+        G = WeightedGraph(5, [(i, i + 1, 1.0) for i in range(4)])
+        emb = clan_embed(G, [1.0] * 5, 2, 2)
+        with pytest.raises(ValueError, match="vertex id 9 out of range for n=5"):
+            optimal_path_copies(emb, [0, 9])
+
 
 class TestClanDistribution:
     def test_measure_formula(self):

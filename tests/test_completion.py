@@ -11,13 +11,14 @@ import tracemalloc
 import pytest
 
 from hopmetric import ramsey
-from hopmetric.clan import clan_distribution, clan_embed
+from hopmetric.clan import clan_cover, clan_distribution, clan_embed
 from hopmetric.cli import gen_graph
 from hopmetric.graph_core import WeightedGraph, finite_completion, hop_profile
 from hopmetric.cover import sparse_cover
 from hopmetric.datastructures import build_hop_oracle
 from hopmetric.preserve import build_path_tree_embedding
-from hopmetric.ramsey import finite_graph, ramsey_distribution, ramsey_embed
+from hopmetric.ramsey import (finite_graph, padded_partition, ramsey_distribution,
+                              ramsey_embed)
 from hopmetric.rng import substream
 from oracles import connected_random_graph, random_graph
 from test_ramsey import _below, _fixed_point_graph
@@ -125,14 +126,14 @@ def test_omega_edge_case_carves_the_completion(monkeypatch):
     allowed = [0, 1, 2, 3]
     # the added edge (0, 2) of weight omega is within 64 + 1e-12 on the
     # completion; on the base graph 0 and 2 are not connected at all
-    assert ramsey._bounded_diam_at_most(Gf, allowed, 32, 64.0)
-    assert not ramsey._bounded_diam_at_most(EDGE, allowed, 32, 64.0)
+    assert ramsey._bounded_diam_at_most(Gf, ramsey._Balls(), allowed, 32, 64.0)
+    assert not ramsey._bounded_diam_at_most(EDGE, ramsey._Balls(), allowed, 32, 64.0)
 
     decisions = []
     real = ramsey._bounded_diam_at_most
 
-    def spy(G, allowed, budget, bound):
-        ok = real(G, allowed, budget, bound)
+    def spy(G, balls, allowed, budget, bound):
+        ok = real(G, balls, allowed, budget, bound)
         decisions.append((len(allowed), bound, ok))
         return ok
 
@@ -178,6 +179,14 @@ ENTRY_POINTS = {
     "clan_embed": lambda h, k: clan_embed(P4, [1.0] * 4, h, k),
     "ramsey_distribution": lambda h, k: ramsey_distribution(P4, h, "fixed_k", 2, k),
     "clan_distribution": lambda h, k: clan_distribution(P4, h, "fixed_k", 2, k),
+    "padded_partition": lambda h, k: padded_partition(P4, {0, 1, 2, 3}, [1.0] * 4,
+                                                      {0, 1}, h, k, 2),
+    "clan_cover": lambda h, k: clan_cover(P4, {0, 1, 2, 3}, [1.0] * 4, h, k, 2),
+    "finite_completion": lambda h, k: finite_completion(P4, h, k),
+}
+CARVERS = {
+    "padded_partition": lambda X, M, mu: padded_partition(P4, X, mu, M, 1, 2, 2),
+    "clan_cover": lambda X, M, mu: clan_cover(P4, X, mu, 1, 2, 2),
 }
 
 
@@ -204,6 +213,20 @@ class TestBoundary:
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     def test_integral_float_accepted(self, entry):
         ENTRY_POINTS[entry](2.0, 2)
+
+    @pytest.mark.parametrize("carver", sorted(CARVERS))
+    @pytest.mark.parametrize("X, M, mu, message", [
+        ({0, 9}, {0}, [1.0] * 4, "vertex id 9 out of range for n=4"),
+        ({-1}, {0}, [1.0] * 4, "vertex id -1 out of range for n=4"),
+        ({0, 1}, {0}, [1.0] * 3, "measure has 3 entries for 4 vertices"),
+        ({0, 1}, {0}, [1.0] * 5, "measure has 5 entries for 4 vertices")])
+    def test_carvers_reject_bad_sets(self, carver, X, M, mu, message):
+        with pytest.raises(ValueError, match=message):
+            CARVERS[carver](X, M, mu)
+
+    def test_partition_rejects_unknown_marks(self):
+        with pytest.raises(ValueError, match="vertex id 7 out of range for n=4"):
+            padded_partition(P4, {0, 1}, [1.0] * 4, {7}, 1, 2, 2)
 
     @pytest.mark.parametrize("distribution", [ramsey_distribution, clan_distribution])
     @pytest.mark.parametrize("rounds, message", [

@@ -409,11 +409,12 @@ class TestCarriedRows:
         assert requests - len(calls) > requests / 4   # served from stored rows
 
     @pytest.mark.parametrize("kind, repaired, carried, uncarried", [
-        ("ramsey", 103, 359, 573), ("clan", 103, 369, 583)])
+        ("ramsey", 48, 326, 573), ("clan", 48, 336, 583)])
     def test_single_alt_embedding_carries_rows(self, monkeypatch, kind, repaired,
                                                carried, uncarried):
         # the scale below one that leaves Y whole asks for the same rows at
-        # half the radius, and a row kept past a carve is repaired, not
+        # half the radius, the diameter check's plain rows at delta/2 serve
+        # the radii below, and a row kept past a carve is repaired, not
         # relaxed again
         calls = _counting_profiles(monkeypatch)
         G = _fixed_point_graph("random48")
@@ -438,6 +439,21 @@ class TestCarriedRows:
             del calls[:]
             assert embed().U.to_json() == U
             assert len(calls) == count
+
+    def test_nested_reads_skip_rows_below_their_radius(self):
+        # unit path at delta = 32, h = k = 1, every third vertex marked: L = 3
+        # and the ball budget 6 binds at delta/4 = 8, so the center scan
+        # stores no plain row, while the nested balls' budgets are slack; a
+        # table holding every plain row at radius 0.5 must not serve them
+        G = WeightedGraph(30, [(v, v + 1, 1.0) for v in range(29)])
+        Y, M, mu = set(range(30)), set(range(0, 30, 3)), [1.0] * 30
+        assert not ramsey._slack(6, 8.0, 30, 1.0) and alt_levels(10.0) == 3
+        seeded = ramsey._Balls()
+        for v in range(30):
+            seeded.row(G, v, 0, 0.5, list(range(30)))
+        trip = create_cluster_alt(G, Y, M, mu, 1, 1, 5, seeded)
+        assert trip == create_cluster_alt(G, Y, M, mu, 1, 1, 5)
+        assert trip.outer == frozenset({0, 1, 2})
 
     @pytest.mark.parametrize("graph", ["grid10", "random16", "random14"])
     def test_distribution_matches_standalone_embeddings(self, graph):
@@ -489,7 +505,7 @@ def _certificate(G, Y, h, k, scale_i):
     for v in allowed:
         balls.measure(G, v, bball, r, allowed, mu, Y)
     return (ramsey._row_certifies(G, balls, allowed, allowed, bball, r),
-            ramsey._bounded_diam_at_most(G, allowed, 2 * bball, 2 * r))
+            ramsey._bounded_diam_at_most(G, balls, allowed, 2 * bball, 2 * r))
 
 
 def _spy_full_checks(monkeypatch) -> list:

@@ -13,9 +13,9 @@ from hopmetric import clan, graph_core, ramsey
 from hopmetric.graph_core import (WeightedGraph, _finite_scan, bellman_ford,
                                   hop_diameter, hop_profile)
 from hopmetric.ramsey import _slack
-from oracles import (all_rows_scan, connected_random_graph, lasso,
-                     masked_bellman_ford, profiled_alt_balls,
-                     profiled_standard_balls, random_graph)
+from oracles import (all_rows_scan, connected_random_graph, eager_alt_rule,
+                     eager_standard_rule, lasso, masked_bellman_ford,
+                     profiled_alt_balls, profiled_standard_balls, random_graph)
 from test_ramsey import _below
 
 
@@ -367,29 +367,50 @@ class TestFiniteScan:
 
 def _nested_counts(monkeypatch, builds) -> dict:
     """Run the embeddings ``builds`` makes, checking every nested ball a
-    rule reads against the single profile; count the rules and balls."""
-    running = []                      # parameters of the rules running
-    counts = {"standard": 0, "alt": 0, "slack": 0, "bound": 0}
-    real_rows = ramsey._nested_rows
+    rule reads against the single profile; count the rules and balls.
 
-    def nested_rows(G, balls, v, wants, allowed):
-        rows = real_rows(G, balls, v, wants, allowed)
-        kind, params = running[-1]
-        ref = (profiled_standard_balls if kind == "standard"
-               else profiled_alt_balls)(G, v, allowed, *params)
-        counts[kind] += 1
-        for b, r in wants:
-            assert ramsey._ball(rows[b, r], allowed, r) == ref[b, r]
-            counts["slack" if _slack(b, r, len(allowed), G.w_min) else "bound"] += 1
-        return rows
+    A nested ball is a ``_ball`` a rule builds outside ``_Balls.measure``
+    (the center scan).  Its source, the winner, is known when the rule
+    returns; within one rule each nested radius names one (budget, radius).
+    """
+    running = []              # [kind, parameters, Y, nested reads] per rule
+    counts = {"standard": 0, "alt": 0, "slack": 0, "bound": 0}
+    real_ball, real_measure = ramsey._ball, ramsey._Balls.measure
+    scanning = []
+
+    def ball(dist, among, r):
+        out = real_ball(dist, among, r)
+        if running and not scanning:
+            running[-1][3].append((r, out))
+        return out
+
+    def measure(self, *args):
+        scanning.append(True)
+        try:
+            return real_measure(self, *args)
+        finally:
+            scanning.pop()
 
     def traced(kind, rule, params):
-        def run(*args):
-            running.append((kind, params(*args)))
+        def run(G, Y, *args):
+            frame = [kind, params(G, Y, *args), Y, []]
+            running.append(frame)
             try:
-                return rule(*args)
+                trip = rule(G, Y, *args)
             finally:
                 running.pop()
+            reads = frame[3]
+            if reads:
+                allowed = sorted(Y)
+                ref = (profiled_standard_balls if kind == "standard"
+                       else profiled_alt_balls)(G, trip.center, allowed, *frame[1])
+                by_radius = {r: (b, r) for b, r in ref}
+                counts[kind] += 1
+                for r, got in reads:
+                    b, r = by_radius[r]
+                    assert got == ref[b, r]
+                    counts["slack" if _slack(b, r, len(allowed), G.w_min) else "bound"] += 1
+            return trip
         return run
 
     standard = traced("standard", ramsey.standard_rule,
@@ -397,7 +418,8 @@ def _nested_counts(monkeypatch, builds) -> dict:
     alt = traced("alt", ramsey.alt_rule,
                  lambda G, Y, MY, mu, h, k, i, *_: (
                      h, k, ramsey.alt_levels(ramsey.measure_of(mu, MY)), i))
-    monkeypatch.setattr(ramsey, "_nested_rows", nested_rows)
+    monkeypatch.setattr(ramsey, "_ball", ball)
+    monkeypatch.setattr(ramsey._Balls, "measure", measure)
     for module in (ramsey, clan):
         monkeypatch.setattr(module, "standard_rule", standard)
         monkeypatch.setattr(module, "alt_rule", alt)
@@ -446,3 +468,55 @@ class TestNestedBalls:
         counts = _nested_counts(monkeypatch, [(G, [1.0] * G.n, 1, 2), (G, [1.0] * G.n, 2, 3)])
         assert counts["standard"] > 10 and counts["alt"] > 10
         assert counts["slack"] > 100 and counts["bound"] > 100
+
+
+def _carve_log(G, mu, h: int, k: int, kind: str, variant: str, eager: bool):
+    """(every triple a rule returned, ``hop_profile`` calls, ultrametric) of
+    one embedding, carved by the library's rules or, with ``eager``, by
+    their eager transcriptions."""
+    triples, calls = [], []
+    rules = {"standard_rule": eager_standard_rule if eager else ramsey.standard_rule,
+             "alt_rule": eager_alt_rule if eager else ramsey.alt_rule}
+    real = ramsey.hop_profile
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ramsey, "hop_profile",
+                   lambda *a, **kw: calls.append(a[1]) or real(*a, **kw))
+        for name, rule in rules.items():
+            def logged(*args, rule=rule):
+                trip = rule(*args)
+                triples.append(trip)
+                return trip
+            for module in (ramsey, clan):
+                mp.setattr(module, name, logged)
+        if kind == "ramsey":
+            emb = ramsey.ramsey_embed(G, mu, set(range(G.n)), h, k, variant)
+        else:
+            emb = clan.clan_embed(G, mu, h, k, variant)
+    return triples, len(calls), emb.U.to_json()
+
+
+class TestOnDemandRules:
+    """The rules that build a nested ball on its first read and serve the
+    diameter check from the ball table carve every triple the eager rules
+    carved (``oracles.eager_*_rule``), with no more ``hop_profile`` calls."""
+
+    @pytest.mark.parametrize("family", FAMILIES + ["lasso80"])
+    def test_rules_match_eager_transcription(self, family):
+        if family == "lasso80":     # budgets bind at the top scales
+            graphs = [lasso(80)]
+        else:
+            rng = random.Random(700 + FAMILIES.index(family))
+            graphs = [_family(family, rng) for _ in range(2)]
+        carves = fewer = 0
+        for G in graphs:
+            mu = [1.0 + (v % 3 == 0) * 2.0 for v in range(G.n)]
+            for h, k in ((1, 2), (2, 1)):
+                for kind in ("ramsey", "clan"):
+                    for variant in ("standard", "alt"):
+                        lazy = _carve_log(G, mu, h, k, kind, variant, eager=False)
+                        eager = _carve_log(G, mu, h, k, kind, variant, eager=True)
+                        assert lazy[0] == eager[0] and lazy[2] == eager[2]
+                        assert lazy[1] <= eager[1]
+                        carves += len(lazy[0])
+                        fewer += lazy[1] < eager[1]
+        assert carves > 50 and fewer > 0
