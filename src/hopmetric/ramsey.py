@@ -410,7 +410,7 @@ def standard_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
         split_ok = (not split or muA[j] > muM / 3.0 + _REL_TOL
                     or muA[j + 2] <= 2.0 * muM / 3.0 + _REL_TOL)
         if ratio_ok and split_ok:
-            measure(j + 1)
+            measure(j + 1)      # builds A[j + 1]
             return ClusterTriple(A[j], A[j + 1], A[j + 2], v, j)
     raise AssertionError(f"no admissible cluster index j <= {nb - 2}")
 
