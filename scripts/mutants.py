@@ -80,6 +80,18 @@ MUTANTS = (
            "            if abs(get(u, math.inf) + w - dv) <= 0.5:\n",
            "a routing tree's parent lies within 1e-9 of tight; a wider "
            "tolerance admits a smaller-id neighbour off every shortest path"),
+    Mutant("reuse-on-equal-size-alone", "src/hopmetric/tz.py",
+           "            if e is None or e[0] != u:\n",
+           "            if e is None:\n",
+           "a routing tree is taken from the previous scale only when every "
+           "vertex keeps its parent; a tree of the same size and vertices "
+           "with other parents has other entries"),
+    Mutant("reuse-without-size-check", "src/hopmetric/tz.py",
+           "    if prev is not None and prev[root][root].interval[1] == len(dist):\n",
+           "    if prev is not None:\n",
+           "a routing tree is taken from the previous scale only at the same "
+           "size; a smaller tree whose parents all match would get the "
+           "larger tree's intervals and children"),
     Mutant("scale-floor-ignores-w-min", "src/hopmetric/ramsey.py",
            "    if G.w_min < 1.0:\n",
            "    if G.w_min < 0.0:\n",

@@ -61,23 +61,23 @@ def clan_create_cluster(G: WeightedGraph, Y: Set[int], mu: Measure,
     """Carve a cluster triple from G[Y]; the measure condition guarantees the
     path-distortion recursion can always charge a 1/3-2/3 split.
 
-    ``balls`` is the table of the calling cover; a standalone call starts a
-    fresh one.
+    ``balls`` is the table of the calling cover, which checked the
+    arguments once; a standalone call checks them and starts a fresh one.
     """
-    if not Y:
-        raise ValueError("Y must be nonempty")
+    if balls is None:
+        Y, balls = _checked_carve_set(G, Y, mu, h, k, "standard"), _Balls()
     # every vertex is marked
     return standard_rule(G, Y, Y, mu, h, k, k + 1, scale_i, True,
-                         balls or _Balls())
+                         balls)
 
 
 def clan_create_cluster_alt(G: WeightedGraph, Y: Set[int], mu: Measure,
                             h: int, k: int, scale_i: int,
                             balls: Optional[_Balls] = None) -> ClusterTriple:
-    """Alternative rule; non-trivial outer clusters hold at most half of mu(Y)."""
-    if not Y:
-        raise ValueError("Y must be nonempty")
-    balls = balls or _Balls()
+    """Alternative rule; non-trivial outer clusters hold at most half of mu(Y).
+    A standalone call checks its arguments, as ``clan_create_cluster`` does."""
+    if balls is None:
+        Y, balls = _checked_carve_set(G, Y, mu, h, k, "alt"), _Balls()
     return alt_rule(G, Y, Y, mu, h, k, scale_i, balls,
                     lambda: clan_create_cluster(G, Y, mu, h, k, scale_i, balls))
 

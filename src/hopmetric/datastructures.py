@@ -196,13 +196,17 @@ def auxiliary_graph(G: WeightedGraph, i: int, h: int, t_coarse: float,
     return AuxiliaryGraph(omega, adj)
 
 
-def inner_metric_structure(Gi: AuxiliaryGraph, k: int, mode: str, seed: int = 0):
+def inner_metric_structure(Gi: AuxiliaryGraph, k: int, mode: str, seed: int = 0,
+                           prev=None):
     """Classic hop-free structure on the scale graph (stretch 2k-1); the
-    labels serve as the hop oracle's per-scale structure too."""
+    labels serve as the hop oracle's per-scale structure too.  ``prev``,
+    the structure of the previous realized scale, lets a routing scheme
+    share that scale's unchanged trees (``tz.build_routing``); the result
+    is the same without it, and labels ignore it."""
     if mode == "labels":
         return tz.build_labeling(Gi.adj, k, seed)
     if mode == "routing":
-        return tz.build_routing(Gi.adj, k, seed)
+        return tz.build_routing(Gi.adj, k, seed, prev)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -293,12 +297,15 @@ class _HopRecord:
 def _scale_step(cls, G: WeightedGraph, coarse: _CoarseRecord, h: int, k: int,
                 epsilon: float, mode: str, seed: int, *extra):
     """One inner structure per realized scale with the scale's surcharge,
-    then the lower-side hop budget B and the upper-side stretch."""
+    built in ascending scale order, each from the one before (see
+    ``inner_metric_structure``); then the lower-side hop budget B and the
+    upper-side stretch."""
     inner: Dict[int, object] = {}
     omegas: Dict[int, float] = {}
+    prev = None
     for i in _realized_scales(coarse):
         Gi = auxiliary_graph(G, i, h, coarse.t_coarse, epsilon)
-        inner[i] = inner_metric_structure(Gi, k, mode, seed)
+        inner[i] = prev = inner_metric_structure(Gi, k, mode, seed, prev)
         omegas[i] = Gi.omega
     B = max(math.ceil(2.0 * coarse.t_coarse / epsilon), coarse.beta_hops)
     return cls(h, k, epsilon, coarse, inner, omegas, B,

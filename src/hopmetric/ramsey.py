@@ -542,18 +542,21 @@ def create_cluster(G: WeightedGraph, Y: Set[int], M: Set[int], mu: Measure,
                    balls: Optional[_Balls] = None) -> ClusterTriple:
     """Carve a cluster triple from G[Y] around a max-marked-ball center.
 
-    ``balls`` is the table of the calling partition; a standalone call
-    starts a fresh one.
+    ``balls`` is the table of the calling partition, which checked the
+    arguments once; a standalone call checks them and starts a fresh one.
     """
-    return standard_rule(G, Y, _live_marks(Y, M), mu, h, k, k, scale_i, False,
-                         balls or _Balls())
+    if balls is None:
+        Y, balls = _checked_carve_set(G, Y, mu, h, k, "standard"), _Balls()
+    return standard_rule(G, Y, _live_marks(Y, M), mu, h, k, k, scale_i, False, balls)
 
 
 def create_cluster_alt(G: WeightedGraph, Y: Set[int], M: Set[int], mu: Measure,
                        h: int, k: int, scale_i: int,
                        balls: Optional[_Balls] = None) -> ClusterTriple:
-    """Alternative cluster rule: hop budget independent of the scale count."""
-    balls = balls or _Balls()
+    """Alternative cluster rule: hop budget independent of the scale count.
+    A standalone call checks its arguments, as ``create_cluster`` does."""
+    if balls is None:
+        Y, balls = _checked_carve_set(G, Y, mu, h, k, "alt"), _Balls()
     return alt_rule(G, Y, _live_marks(Y, M), mu, h, k, scale_i, balls,
                     lambda: create_cluster(G, Y, M, mu, h, k, scale_i, balls))
 

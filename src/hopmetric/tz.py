@@ -22,6 +22,13 @@ level-i pivots follow from the clusters, since the pivot of x is in its
 level-i bunch or is its level-(i+1) pivot; because the smaller id wins a
 tie, the searches above level 0 also reach the vertices x where w ties
 d(A_{i+1},x).
+
+A hop structure builds one routing scheme per scale graph, and the scale
+graphs differ only in a surcharge on every edge, so most routing trees
+keep their parents from one scale to the next.  ``build_routing`` takes
+the previous scale's scheme and shares each such tree's entries with it
+instead of walking the tree again; a tree holds no distance, so the
+shared entries are exact.
 """
 from __future__ import annotations
 
@@ -31,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from .graph_core import dijkstra
+from .graph_core import dijkstra, vertex_id
 from .rng import substream
 
 Adjacency = Sequence[Sequence[Tuple[int, float]]]
@@ -95,7 +102,15 @@ class TZCore:
     bunch: Tuple[Dict[int, float], ...]                 # bunch[v][w] = d(w, v)
 
 
+def _check_k(k: int) -> None:
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, got {k!r}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
 def build_core(adj: Adjacency, k: int, seed: int = 0) -> TZCore:
+    _check_k(k)
     return _core(adj, k, seed, k - 1)[0]
 
 
@@ -117,8 +132,6 @@ def _core(adj: Adjacency, k: int, seed: int,
     """The core, and the search of every vertex it was built from: a full
     shortest-path row for each vertex of levels[full_level] (which contains
     the top level), a cluster search for every other vertex."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     n = len(adj)
     levels = _sample_levels(n, k, seed) + [frozenset()]
     own = [sorted(levels[i] - levels[i + 1]) for i in range(k)]
@@ -223,7 +236,8 @@ def build_labeling(adj: Adjacency, k: int, seed: int = 0) -> TZLabeling:
 # intervals, the next hops.  A routing label holds its vertex's interval in
 # every tree that contains it.  One walk per root (``_tree_walk``) picks
 # the parents from the row its search reached and writes the entries and
-# the intervals straight into the per-vertex dicts.
+# the intervals straight into the per-vertex dicts, or takes them from the
+# previous scale's scheme when that scale's tree has the same parents.
 
 Interval = Tuple[int, int]
 
@@ -267,7 +281,8 @@ _entry = tuple.__new__
 
 def _tree_walk(nbrs: Adjacency, root: int, dist: Row,
                trees: List[Dict[int, TreeEntry]],
-               intervals: List[Dict[int, Interval]]) -> None:
+               intervals: List[Dict[int, Interval]],
+               prev: Optional[Sequence[Dict[int, TreeEntry]]] = None) -> None:
     """Write the entry and the interval of every vertex of the tree rooted
     at ``root`` over the vertices ``dist`` reached into ``trees[v][root]``
     and ``intervals[v][root]``.  ``nbrs[v]`` lists v's neighbours in
@@ -283,6 +298,13 @@ def _tree_walk(nbrs: Adjacency, root: int, dist: Row,
     finished row, not picked at each pop of the search: the searches are
     ``_core``'s, which ``build_labeling`` runs too and would pay for.
 
+    ``prev`` holds the per-vertex tree dicts of another routing scheme on
+    as many vertices, or is None.  If its tree rooted at ``root`` has as
+    many vertices as ``dist`` (the root's interval ends at the tree's
+    size) and gives every vertex of ``dist`` the parent picked here, the
+    two trees are one tree: its entries and intervals are taken from
+    ``prev`` as they are, and the walk below is skipped.
+
     The walk visits children in ascending id order.  A vertex with
     children opens at its first visit and closes at an exit marker once
     its subtree is done, so its interval is [its pre-order index, the
@@ -291,8 +313,7 @@ def _tree_walk(nbrs: Adjacency, root: int, dist: Row,
     intervals, which close first, so each entry is written at its close.
     """
     get = dist.get
-    parent: Dict[int, Optional[int]] = {root: None}
-    kids: Dict[int, List[int]] = {}
+    parent: Dict[int, Optional[int]] = {}     # the root joins below
     for v, dv in dist.items():
         if v == root:
             continue
@@ -302,11 +323,24 @@ def _tree_walk(nbrs: Adjacency, root: int, dist: Row,
         else:
             raise AssertionError("broken shortest-path tree")
         parent[v] = u
+    if prev is not None and prev[root][root].interval[1] == len(dist):
+        for v, u in parent.items():
+            e = prev[v].get(root)
+            if e is None or e[0] != u:
+                break
+        else:
+            for v in dist:
+                e = trees[v][root] = prev[v][root]
+                intervals[v][root] = e[1]
+            return
+    kids: Dict[int, List[int]] = {}
+    for v, u in parent.items():
         ch = kids.get(u)
         if ch is None:
             kids[u] = [v]
         else:
             ch.append(v)
+    parent[root] = None
     span: Dict[int, Interval] = {}
     opened: Dict[int, int] = {}
     clock = 0
@@ -337,20 +371,40 @@ def _tree_walk(nbrs: Adjacency, root: int, dist: Row,
         raise AssertionError("broken shortest-path tree")
 
 
-def build_routing(adj: Adjacency, k: int, seed: int = 0) -> TZRouting:
+def build_routing(adj: Adjacency, k: int, seed: int = 0,
+                  prev: Optional[TZRouting] = None) -> TZRouting:
     """The landmark core with one routing tree per vertex w: a landmark's
     (a vertex of A_1, or of A_0 when k = 1) is the shortest-path tree of
     its component, any other w's the tree of its cluster search over
     C_0(w).  Each tree is built by one walk (``_tree_walk``) that writes
     its entries and intervals straight into the per-vertex tables, root by
     root in ascending id order; a routing label holds its vertex's
-    interval dict itself."""
+    interval dict itself.
+
+    ``prev``, a routing scheme on as many vertices (in a hop structure,
+    the previous realized scale's), only lets the walks share its
+    unchanged trees: the result equals the one built without it, dict
+    order included.  A tree's entries and intervals depend only on its
+    root and its parent map, since its children lists are read off the
+    parent map and sorted, and the DFS is a function of those lists; the
+    distances serve only to pick the parents and to size the tree.  So
+    where the tree rooted at w here and the one in ``prev`` have the same
+    size and every vertex of this tree has the same parent in both, the
+    parent maps are equal, the tables are equal, and ``prev``'s immutable
+    entry and interval tuples are taken as they are.  The per-vertex
+    dicts stay this scheme's own, filled root by root in ascending order
+    either way, so every digest and ``size_words`` is unchanged."""
+    _check_k(k)
+    n = len(adj)
+    if prev is not None and len(prev.tables) != n:
+        raise ValueError(f"prev has {len(prev.tables)} vertices, adj has {n}")
     c, rows = _core(adj, k, seed, min(1, k - 1))
     nbrs = [sorted(a) for a in adj]
-    trees: List[Dict[int, TreeEntry]] = [dict() for _ in range(c.n)]
-    intervals: List[Dict[int, Interval]] = [dict() for _ in range(c.n)]
-    for w in range(c.n):
-        _tree_walk(nbrs, w, rows[w], trees, intervals)
+    trees: List[Dict[int, TreeEntry]] = [dict() for _ in range(n)]
+    intervals: List[Dict[int, Interval]] = [dict() for _ in range(n)]
+    old = None if prev is None else [t.trees for t in prev.tables]
+    for w in range(n):
+        _tree_walk(nbrs, w, rows[w], trees, intervals, old)
     labels = _labels(c)
     return TZRouting(k, tuple(NodeTable(l, t) for l, t in zip(labels, trees)),
                      tuple(RoutingLabel(l, iv) for l, iv in zip(labels, intervals)))
@@ -398,14 +452,18 @@ def route(scheme: TZRouting, u: int, v: int,
     """Simulate routing; returns (path, table read log) or None if declined.
     The source reads its table to write the header and again to take the
     first hop, and every later hop reads the table of the node it leaves.
+    An id that is not a vertex of the scheme is an error that names it.
 
     A tree route climbs at most to the root and then descends, so it takes
     fewer than 2n hops on n vertices; a longer walk is a loop."""
     tables = scheme.tables
+    n = len(tables)
+    if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):  # ints in range
+        u, v = vertex_id(u, n), vertex_id(v, n)                            # skip the call
     header = prepare_header(scheme, tables[u], scheme.rlabels[v])
     if header is None:
         return None
-    limit = 2 * len(tables)
+    limit = 2 * n
     path = [u]
     cur = u
     while cur != v:

@@ -11,14 +11,15 @@ import tracemalloc
 import pytest
 
 from hopmetric import ramsey
-from hopmetric.clan import clan_cover, clan_distribution, clan_embed
+from hopmetric.clan import (clan_cover, clan_create_cluster, clan_create_cluster_alt,
+                            clan_distribution, clan_embed)
 from hopmetric.cli import gen_graph
 from hopmetric.graph_core import WeightedGraph, finite_completion, hop_profile
 from hopmetric.cover import sparse_cover
 from hopmetric.datastructures import build_hop_oracle
 from hopmetric.preserve import build_path_tree_embedding
-from hopmetric.ramsey import (finite_graph, padded_partition, ramsey_distribution,
-                              ramsey_embed)
+from hopmetric.ramsey import (create_cluster, create_cluster_alt, finite_graph,
+                              padded_partition, ramsey_distribution, ramsey_embed)
 from hopmetric.rng import substream
 from oracles import connected_random_graph, random_graph
 from test_ramsey import _below, _fixed_point_graph
@@ -188,6 +189,18 @@ CARVERS = {
     "padded_partition": lambda X, M, mu: padded_partition(P4, X, mu, M, 1, 2, 2),
     "clan_cover": lambda X, M, mu: clan_cover(P4, X, mu, 1, 2, 2),
 }
+# a single carve called without its caller's ball table checks what a
+# partition or cover would have
+SINGLE_CARVES = {
+    "create_cluster": lambda X, M, mu, h, k: create_cluster(P4, X, M, mu, h, k, 2),
+    "create_cluster_alt": lambda X, M, mu, h, k: create_cluster_alt(P4, X, M, mu, h, k, 2),
+    "clan_create_cluster": lambda X, M, mu, h, k: clan_create_cluster(P4, X, mu, h, k, 2),
+    "clan_create_cluster_alt":
+        lambda X, M, mu, h, k: clan_create_cluster_alt(P4, X, mu, h, k, 2),
+}
+for _name, _carve in SINGLE_CARVES.items():
+    ENTRY_POINTS[_name] = lambda h, k, c=_carve: c({0, 1, 2, 3}, {0, 1}, [1.0] * 4, h, k)
+    CARVERS[_name] = lambda X, M, mu, c=_carve: c(X, M, mu, 1, 2)
 
 
 class TestBoundary:

@@ -375,3 +375,114 @@ def test_sparse_thousand_vertices_against_networkx():
                 assert w not in core.bunch[x]
     sizes = sum(len(b) for b in core.bunch)
     assert sizes < n * n // 10
+
+
+# -- trees shared across scales --------------------------------------------
+
+def _surcharged(adj, omega: float):
+    return tuple(tuple((v, w + omega) for v, w in row) for row in adj)
+
+
+def _scale_graphs():
+    """The scale graphs of every family above, as in a hop structure: the
+    graph surcharged by omega = 2^i / 16, which moves shortest paths toward
+    fewer hops as i grows, and the realized scales of each golden graph."""
+    from hopmetric.cli import gen_graph
+    from hopmetric.datastructures import _realized_scales, build_coarse_labeling
+    from test_golden_structures import EPS, GRAPHS as GOLDEN_GRAPHS, K
+    for name, adj in sorted(GRAPHS.items()) + sorted(TIE_GRAPHS.items()):
+        yield name, [_surcharged(adj, 2.0 ** i / 16) for i in range(6)]
+    for name, (family, params, seed, h) in sorted(GOLDEN_GRAPHS.items()):
+        G = gen_graph(family, params, seed)
+        coarse = build_coarse_labeling(G, h, K)
+        yield f"golden-{name}", [auxiliary_graph(G, i, h, coarse.t_coarse, EPS).adj
+                                 for i in _realized_scales(coarse)]
+
+
+SCALE_GRAPHS = dict(_scale_graphs())
+
+
+def _assert_same_routing(R: tz.TZRouting, R0: tz.TZRouting) -> None:
+    assert R.tables == R0.tables and R.rlabels == R0.rlabels
+    assert [list(t.trees.items()) for t in R.tables] == \
+        [list(t.trees.items()) for t in R0.tables]
+    assert [list(r.intervals.items()) for r in R.rlabels] == \
+        [list(r.intervals.items()) for r in R0.rlabels]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(SCALE_GRAPHS))
+def test_reuse_across_scales_matches_fresh_build(name, k):
+    """Each scale's scheme built from the previous scale's equals the one
+    built alone, dict order included."""
+    for seed in (2, 5):
+        prev = None
+        for adj in SCALE_GRAPHS[name]:
+            R = tz.build_routing(adj, k, seed, prev)
+            _assert_same_routing(R, tz.build_routing(adj, k, seed))
+            prev = R
+
+
+def test_unchanged_trees_are_shared():
+    """On a graph of the size the serving benchmark uses, most trees keep
+    their parents from one realized scale to the next, and their entries
+    are the previous scale's objects; the per-vertex dicts are not."""
+    from hopmetric.datastructures import build_routing_scheme
+    G = connected_random_graph(random.Random(17), 128, 6.0 / 128, 1.0, 10.0)
+    S = build_routing_scheme(G, 8, 2, 0.5, 3)
+    scales = sorted(S.inner)
+    shared = total = 0
+    for a, b in zip(scales, scales[1:]):
+        P, R = S.inner[a], S.inner[b]
+        for x, (tp, tr) in enumerate(zip(P.tables, R.tables)):
+            assert tr.trees is not tp.trees
+            assert R.rlabels[x].intervals is not P.rlabels[x].intervals
+            for w, e in tr.trees.items():
+                total += 1
+                if tp.trees.get(w) is e:
+                    shared += 1
+                    assert R.rlabels[x].intervals[w] is e.interval
+    assert len(scales) > 1 and shared > total // 2
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_reuse_from_another_graph_or_seed(k):
+    """A scheme of another graph on as many vertices, or of the same graph
+    at another seed (a landmark there roots a larger tree with the same
+    parents), shares nothing that differs: the tables equal a build
+    without it."""
+    rng = random.Random(29)
+    a = connected_random_graph(rng, 40, 5.0 / 40, 1.0, 10.0).adj
+    b = connected_random_graph(rng, 40, 5.0 / 40, 1.0, 10.0).adj
+    for adj, other in ((a, b), (b, a)):
+        for seed in range(4):
+            fresh = tz.build_routing(adj, k, seed)
+            for prev in (tz.build_routing(other, k, seed),
+                         tz.build_routing(adj, k, seed + 1)):
+                _assert_same_routing(tz.build_routing(adj, k, seed, prev), fresh)
+
+
+def test_prev_of_another_size_is_refused():
+    prev = tz.build_routing(_grid(3, 3).adj, 2, 0)
+    with pytest.raises(ValueError, match="prev has 9 vertices, adj has 42"):
+        tz.build_routing(GRAPHS["grid"], 2, 0, prev)
+
+
+@pytest.mark.parametrize("build", [tz.build_core, tz.build_labeling, tz.build_routing])
+@pytest.mark.parametrize("k, message", [(2.0, "k must be an int, got 2.0"),
+                                        (True, "k must be an int, got True"),
+                                        (0, "k must be >= 1, got 0")])
+def test_landmark_builders_reject_bad_k(build, k, message):
+    with pytest.raises(ValueError, match=message):
+        build(GRAPHS["grid"], k, 0)
+
+
+@pytest.mark.parametrize("u, v, message", [
+    (-1, 3, "vertex id -1 out of range for n=9"),
+    (0, 9, "vertex id 9 out of range for n=9"),
+    (0, 1.5, "vertex id must be an integer, got 1.5")])
+def test_route_rejects_bad_ids(u, v, message):
+    R = tz.build_routing(_grid(3, 3).adj, 2, 0)
+    with pytest.raises(ValueError, match=message):
+        tz.route(R, u, v)
+    assert tz.route(R, 3.0, 0) == tz.route(R, 3, 0)
