@@ -17,11 +17,14 @@ import random
 import pytest
 
 from hopmetric import tz
-from hopmetric.datastructures import auxiliary_graph
+from hopmetric.cli import gen_graph
+from hopmetric.datastructures import (_realized_scales, auxiliary_graph,
+                                      build_coarse_labeling, build_routing_scheme)
 from hopmetric.graph_core import WeightedGraph, dijkstra
 from oracles import (connected_random_graph, done_flag_tree_entries,
                      list_state_cutoff_row, per_hop_logged_route,
                      scattered_routing_trees)
+from test_golden_structures import EPS, GRAPHS as GOLDEN_GRAPHS, K
 
 
 def reference_core(adj, k: int, seed: int) -> tz.TZCore:
@@ -387,9 +390,6 @@ def _scale_graphs():
     """The scale graphs of every family above, as in a hop structure: the
     graph surcharged by omega = 2^i / 16, which moves shortest paths toward
     fewer hops as i grows, and the realized scales of each golden graph."""
-    from hopmetric.cli import gen_graph
-    from hopmetric.datastructures import _realized_scales, build_coarse_labeling
-    from test_golden_structures import EPS, GRAPHS as GOLDEN_GRAPHS, K
     for name, adj in sorted(GRAPHS.items()) + sorted(TIE_GRAPHS.items()):
         yield name, [_surcharged(adj, 2.0 ** i / 16) for i in range(6)]
     for name, (family, params, seed, h) in sorted(GOLDEN_GRAPHS.items()):
@@ -427,7 +427,6 @@ def test_unchanged_trees_are_shared():
     """On a graph of the size the serving benchmark uses, most trees keep
     their parents from one realized scale to the next, and their entries
     are the previous scale's objects; the per-vertex dicts are not."""
-    from hopmetric.datastructures import build_routing_scheme
     G = connected_random_graph(random.Random(17), 128, 6.0 / 128, 1.0, 10.0)
     S = build_routing_scheme(G, 8, 2, 0.5, 3)
     scales = sorted(S.inner)
