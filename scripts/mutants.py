@@ -157,10 +157,18 @@ MUTANTS = (
            "can break diam^(4kLh)(G[Y]) <= delta/2; skipping the check "
            "returns such a Y whole"),
     Mutant("nested-read-below-radius", "src/hopmetric/ramsey.py",
-           "            row = balls.plain(G, v, r, allowed)\n",
-           "            row = balls.plain(G, v, 0.0, allowed)\n",
+           "                    row = self.plain(G, v, r, allowed)\n",
+           "                    row = self.plain(G, v, 0.0, allowed)\n",
            "a slack nested ball is read from a plain row pruned at its radius "
            "or above; a row pruned below it misses the ball's outer vertices"),
+    Mutant("binding-ball-from-plain-row", "src/hopmetric/ramsey.py",
+           "                if _slack(b, r, size, w_min):\n"
+           "                    row = self.plain(G, v, r, allowed)\n",
+           "                row = self.plain(G, v, r, allowed)\n"
+           "                if row is not None or _slack(b, r, size, w_min):\n",
+           "a nested ball reads v's plain row only when its budget is slack at "
+           "its radius; a binding ball read from it takes in the vertices "
+           "that only walks of more hops reach"),
     Mutant("diam-check-row-at-quarter", "src/hopmetric/ramsey.py",
            "        d = balls.row(G, s, budget, bound, allowed)\n",
            "        d = balls.row(G, s, budget, bound / 2.0, allowed)\n",

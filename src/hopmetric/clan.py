@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .graph_core import INFINITY, HopParams, WeightedGraph, is_inf, vertex_id
+from .graph_core import (INFINITY, HopParams, WeightedGraph, as_integer, is_inf,
+                         vertex_id)
 from .ramsey import (ClusterTriple, Measure, _Balls, _checked_carve_set,
                      _constants, _embed_setup, _mwu_rounds, _scale_tree,
                      alt_rule, measure_of, standard_rule)
@@ -65,7 +66,7 @@ def clan_create_cluster(G: WeightedGraph, Y: Set[int], mu: Measure,
     arguments once; a standalone call checks them and starts a fresh one.
     """
     if balls is None:
-        Y, balls = _checked_carve_set(G, Y, mu, h, k, "standard"), _Balls()
+        (Y, h, k), balls = _checked_carve_set(G, Y, mu, h, k, "standard"), _Balls()
     # every vertex is marked
     return standard_rule(G, Y, Y, mu, h, k, k + 1, scale_i, True,
                          balls)
@@ -77,7 +78,7 @@ def clan_create_cluster_alt(G: WeightedGraph, Y: Set[int], mu: Measure,
     """Alternative rule; non-trivial outer clusters hold at most half of mu(Y).
     A standalone call checks its arguments, as ``clan_create_cluster`` does."""
     if balls is None:
-        Y, balls = _checked_carve_set(G, Y, mu, h, k, "alt"), _Balls()
+        (Y, h, k), balls = _checked_carve_set(G, Y, mu, h, k, "alt"), _Balls()
     return alt_rule(G, Y, Y, mu, h, k, scale_i, balls,
                     lambda: clan_create_cluster(G, Y, mu, h, k, scale_i, balls))
 
@@ -89,7 +90,7 @@ def clan_cover(G: WeightedGraph, X: Set[int], mu: Measure, h: int, k: int,
     clusters cover X (with overlaps) while inner clusters partition it.
     The carvings share one ball table (see ``ramsey._Balls``): ``balls``,
     which may hold rows of G[X], or a fresh one."""
-    Y = _checked_carve_set(G, X, mu, h, k, variant)
+    Y, h, k = _checked_carve_set(G, X, mu, h, k, variant)
     carve = clan_create_cluster if variant == "standard" else clan_create_cluster_alt
     balls = balls or _Balls()
     out: List[ClusterTriple] = []
@@ -109,7 +110,7 @@ def clan_cover(G: WeightedGraph, X: Set[int], mu: Measure, h: int, k: int,
 def clan_embed(G: WeightedGraph, mu: Measure, h: int, k: int,
                variant: str = "standard") -> ClanEmbedding:
     """Build the clan embedding of G; leaves are vertex copies."""
-    Gw, omega, phi = _embed_setup(G, mu, h, k, variant)
+    h, k, Gw, omega, phi = _embed_setup(G, mu, h, k, variant)
     copies: Dict[int, List[int]] = {v: [] for v in range(G.n)}
     chi: Dict[int, int] = {}
 
@@ -206,6 +207,7 @@ def clan_distribution(G: WeightedGraph, h: int, mode: str, rounds: int,
     (see ``ramsey._mwu_rounds``).
     """
     HopParams(h, k, epsilon)
+    h, k = as_integer(h, "h"), as_integer(k, "k")
     n = G.n
     if mode == "fixed_k":
         kk = k

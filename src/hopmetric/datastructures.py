@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import tz
-from .graph_core import INFINITY, HopParams, WeightedGraph, is_inf, vertex_id
+from .graph_core import (INFINITY, HopParams, WeightedGraph, as_integer, is_inf,
+                         vertex_id)
 from .ramsey import (RamseyEmbedding, _check_weights, ramsey_distribution,
                      ramsey_embed)
 from .rng import substream
@@ -321,6 +322,7 @@ class HopOracle(_HopRecord):
 def build_hop_oracle(G: WeightedGraph, h: int, k: int, epsilon: float,
                      seed: int = 0) -> HopOracle:
     HopParams(h, k, epsilon)
+    h, k = as_integer(h, "h"), as_integer(k, "k")
     _check_weights(G)
     return _scale_step(HopOracle, G, build_coarse_oracle(G, h, k, seed), h, k,
                        epsilon, "labels", seed)
@@ -367,6 +369,7 @@ class HopLabeling(_HopRecord):
 def build_hop_labeling(G: WeightedGraph, h: int, k: int,
                        epsilon: float) -> HopLabeling:
     HopParams(h, k, epsilon)
+    h, k = as_integer(h, "h"), as_integer(k, "k")
     _check_weights(G)
     return _scale_step(HopLabeling, G, build_coarse_labeling(G, h, k), h, k,
                        epsilon, "labels", 0)
@@ -402,6 +405,7 @@ class RouteResult(NamedTuple):
 def build_routing_scheme(G: WeightedGraph, h: int, k: int, epsilon: float,
                          seed: int = 0) -> RoutingScheme:
     HopParams(h, k, epsilon)
+    h, k = as_integer(h, "h"), as_integer(k, "k")
     _check_weights(G)
     return _scale_step(RoutingScheme, G, build_coarse_labeling(G, h, k), h, k,
                        epsilon, "routing", seed, G)

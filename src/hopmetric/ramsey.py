@@ -84,17 +84,17 @@ def _check_variant(variant: str) -> None:
 
 
 def _checked_carve_set(G: WeightedGraph, X: Iterable[int], mu: Measure, h: int,
-                       k: int, variant: str) -> Set[int]:
-    """X as a set of vertex ids of G, once h, k, the measure's length and
-    the variant are checked: the arguments of one partition or cover.  Each
-    check is O(1) or one pass over X."""
+                       k: int, variant: str) -> Tuple[Set[int], int, int]:
+    """(X as a set of vertex ids of G, h, k as ints), once h, k, the
+    measure's length and the variant are checked: the arguments of one
+    partition or cover.  Each check is O(1) or one pass over X."""
     HopParams(h, k)
     _check_variant(variant)
     _check_measure_length(mu, G.n)
     Y = {vertex_id(v, G.n) for v in X}
     if not Y:
         raise ValueError("X must be nonempty")
-    return Y
+    return Y, as_integer(h, "h"), as_integer(k, "k")
 
 
 def _ball(dist: Sequence[float], among: Iterable[int], r: float) -> FrozenSet[int]:
@@ -162,7 +162,9 @@ class _Balls:
       changed by the carve is summed again too.
 
     The sums are correctly rounded (``_marked_measure``), so equal terms
-    give equal floats and every rule picks the same center.
+    give equal floats and every rule picks the same center.  The nested
+    balls around the center a rule picks are read through ``nested``, from
+    the rows below, and are kept only for that carve.
 
     A ball missing here is built from its row in G[Y], kept with the radius
     R it was pruned at; ``row`` serves it at any radius r <= R.  This is
@@ -276,6 +278,64 @@ class _Balls:
         """The ball of v at (budget, r), which ``measure`` has read."""
         return self._tables[(budget, r)][v][0]
 
+    def nested(self, G: WeightedGraph, v: int, allowed: List[int], mu: Measure,
+               MY: Set[int], want: Callable[..., Tuple[int, float]],
+               keys: Sequence[Tuple[int, ...]]
+               ) -> Callable[..., Tuple[FrozenSet[int], float]]:
+        """A reader of the nested balls around a rule's center v in
+        G[allowed]: ``read(*key)`` is (ball, mu(ball & MY)) at budget b and
+        radius r, where (b, r) = ``want(*key)``, for a key of ``keys``, the
+        balls the rule may read.  A ball is built on its first read.
+
+        Slackness is checked per ball, at the ball's own radius
+        (``_slack``).  A slack ball reads v's plain row (``plain``) when it
+        is stored at a radius >= r.  Otherwise the ball's whole kind is
+        asked for at once.  The slack balls ask for v's plain row at the
+        largest of their radii (``row``), which then serves every slack
+        read.  The binding balls share one ``hop_profile`` call over their
+        budgets, pruned at the largest of their radii; budget 0 needs none,
+        since its row is 0 at v and infinity elsewhere.  A key's (b, r) is
+        computed only on its read and on a fill of its kind.
+
+        Each ball is the one a fresh row at (b, r) gives: a row pruned at
+        any radius R >= r equals the row pruned at r on every entry <=
+        r + 1e-12 (see ``_Balls``), and ``_ball`` reads no other entry.  So
+        the radius a row is asked at decides only which later reads it
+        serves, and a rule carves the same whichever of its balls it reads,
+        and in whatever order.
+        """
+        size, w_min = len(allowed), G.w_min
+        got: Dict[Tuple[int, ...], Tuple[FrozenSet[int], float]] = {}
+        bound: Dict[int, List[float]] = {}   # budget -> row, the binding kind
+
+        def kind(slack: bool) -> List[Tuple[int, float]]:
+            return [w for w in (want(*key) for key in keys)
+                    if _slack(*w, size, w_min) == slack]
+
+        def read(*key: int) -> Tuple[FrozenSet[int], float]:
+            hit = got.get(key)
+            if hit is None:
+                b, r = want(*key)
+                if _slack(b, r, size, w_min):
+                    row = self.plain(G, v, r, allowed)
+                    if row is None:
+                        row = self.row(G, v, *max(kind(True), key=lambda w: w[1]),
+                                       allowed)
+                elif not b:
+                    row = [math.inf] * G.n
+                    row[v] = 0.0
+                else:
+                    if not bound:
+                        hops = [w for w in kind(False) if w[0]]
+                        bound.update(hop_profile(G, v, [w[0] for w in hops],
+                                                 maxr=max(w[1] for w in hops),
+                                                 allowed=allowed))
+                    row = bound[b]
+                ball = _ball(row, allowed, r)
+                hit = got[key] = (ball, _marked_measure(mu, ball, MY))
+            return hit
+        return read
+
     def carved(self, G: WeightedGraph, Y: Set[int], removed: Set[int],
                unmarked: Set[int]) -> None:
         """Refresh the tables after a carve of G took ``removed`` out of Y,
@@ -321,43 +381,6 @@ class _Balls:
                     entry[1], entry[2] = None, True
 
 
-def _nested_rows(G: WeightedGraph, balls: _Balls, v: int,
-                 wants: List[Tuple[int, float]],
-                 allowed: List[int]) -> Dict[Tuple[int, float], List[float]]:
-    """A row of v in G[allowed] for each (budget b, radius r) of ``wants``,
-    equal to hop_profile(G, v, [b], r, allowed)[b] on every entry <=
-    r + 1e-12: the rows of the standard rule's nested balls around its
-    center, and those of the alt rule's balls that v's stored plain row
-    cannot serve (``alt_rule``).
-
-    Slackness is checked per ball, at the ball's own radius.  The slack
-    budgets read v's plain row (``_Balls.row``), asked for once at the
-    largest of their radii, which serves the smaller ones.  The binding
-    budgets alone share one ``hop_profile`` call, pruned at the largest of
-    their radii (pruning at a larger radius changes no entry below it; see
-    ``_Balls``); budget 0 needs none, since its row is 0 at v and infinity
-    elsewhere.
-    """
-    size, w_min = len(allowed), G.w_min
-    slack = {w: _slack(*w, size, w_min) for w in wants}
-    rows: Dict[Tuple[int, float], List[float]] = {}
-    plain = [w for w in wants if slack[w]]
-    if plain:
-        row = balls.row(G, v, *max(plain, key=lambda w: w[1]), allowed)
-        rows.update(dict.fromkeys(plain, row))
-    bound = [w for w in wants if not slack[w]]
-    hops = [w for w in bound if w[0]]
-    if hops:
-        prof = hop_profile(G, v, [b for b, _ in hops], maxr=max(r for _, r in hops),
-                           allowed=allowed)
-        rows.update((w, prof[w[0]]) for w in hops)
-    if len(hops) < len(bound):
-        zero = [math.inf] * G.n
-        zero[v] = 0.0
-        rows.update((w, zero) for w in bound if not w[0])
-    return rows
-
-
 def _live_marks(Y: Set[int], M: Set[int]) -> Set[int]:
     MY = M & Y
     if not MY:
@@ -375,9 +398,10 @@ def standard_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
     whose radii step by 2^i/(16*k_geom) and whose hop budgets step by h from
     i*2*k_geom*h.  The ratio exponent stays 1/k.  With ``split`` the triple
     must also allow a 1/3-2/3 split of mu(MY).  Ball measures are read
-    through ``balls``.  A nested ball and its marked measure are built only
-    for the j the rule tests: 0, 2 k_geom, and j..j+2 up to the first
-    admissible j.
+    through ``balls``: the center scan's from its table, and the nested
+    ball A(j) and its marked measure from a ``_Balls.nested`` reader, which
+    builds them only for the j the rule tests: 0, 2 k_geom, and j..j+2 up
+    to the first admissible j.
     """
     r0 = 2.0 ** (scale_i - 3)
     rho = 2.0 ** scale_i / (16.0 * k_geom)
@@ -390,28 +414,16 @@ def standard_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
             best_v, best_m = v, m
     v = best_v
     nb = 2 * k_geom
-    wants = [(b0 + j * h, r0 + j * rho) for j in range(nb + 1)]
-    rows = _nested_rows(G, balls, v, wants, allowed)
-    A: Dict[int, FrozenSet[int]] = {}
-    muA: Dict[int, float] = {}
-
-    def measure(j: int) -> float:
-        """mu(A[j] & MY), building A[j] on its first read."""
-        if j not in muA:
-            b, r = wants[j]
-            A[j] = _ball(rows[b, r], allowed, r)
-            muA[j] = _marked_measure(mu, A[j], MY)
-        return muA[j]
-
+    A = balls.nested(G, v, allowed, mu, MY, lambda j: (b0 + j * h, r0 + j * rho),
+                     [(j,) for j in range(nb + 1)])
     muM = measure_of(mu, MY) if split else 0.0
-    target = (measure(nb) / measure(0)) ** (1.0 / k)
+    target = (A(nb)[1] / A(0)[1]) ** (1.0 / k)
     for j in range(nb - 1):
-        ratio_ok = measure(j + 2) <= measure(j) * target * (1.0 + 1e-9)
-        split_ok = (not split or muA[j] > muM / 3.0 + _REL_TOL
-                    or muA[j + 2] <= 2.0 * muM / 3.0 + _REL_TOL)
+        ratio_ok = A(j + 2)[1] <= A(j)[1] * target * (1.0 + 1e-9)
+        split_ok = (not split or A(j)[1] > muM / 3.0 + _REL_TOL
+                    or A(j + 2)[1] <= 2.0 * muM / 3.0 + _REL_TOL)
         if ratio_ok and split_ok:
-            measure(j + 1)      # builds A[j + 1]
-            return ClusterTriple(A[j], A[j + 1], A[j + 2], v, j)
+            return ClusterTriple(A(j)[0], A(j + 1)[0], A(j + 2)[0], v, j)
     raise AssertionError(f"no admissible cluster index j <= {nb - 2}")
 
 
@@ -447,18 +459,12 @@ def alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
     L * delta/(4L) = delta/4.  So none is clipped: the single profile that
     gave them once, pruned at delta/4 + 1e-12, cut off none of them.
 
-    A ball and its marked measure are built on the a/j loops' first read.
-    A ball whose budget is slack at its radius reads v's plain row
-    (``_Balls.plain``), which the center scan stored at a radius >= delta/4
-    whenever bball was slack there.  Only when no stored row reaches the
-    radius are the rows asked for as ``_nested_rows`` asks: the plain row
-    once, at the largest radius among the slack balls above, which then
-    serves every slack read.  The binding balls share one profile, made on
-    the first binding read.  A row pruned at any radius >= r is exact up to
-    r (see ``_Balls``), so each ball is the one the profile gave, and the
-    radius a row is asked at decides only which later requests it serves:
-    asking at the unread top level's radii too, up to (L + 1) * delta/(4L),
-    would carve the same.
+    The rule reads A(a, j) and its marked measure through one
+    ``_Balls.nested`` reader, which builds each on the a/j loops' first
+    read.  A slack ball mostly reads v's plain row, which the center scan
+    stored at a radius >= delta/4 whenever bball was slack there.  Reading
+    the unread top level (L, j > 0) too would carve the same (see
+    ``_Balls.nested``).
     """
     muM = measure_of(mu, MY)
     L = alt_levels(muM)
@@ -486,54 +492,18 @@ def alt_rule(G: WeightedGraph, Y: Set[int], MY: Set[int], mu: Measure,
             return ClusterTriple(X, X, X, v, 0)
         return fallback()
 
-    def want(a: int, j: int) -> Tuple[int, float]:
-        return (2 * k * a + j) * h, (a + j / (2.0 * k)) * delta / (4.0 * L)
-
-    size = len(allowed)
-    rows: Dict[Tuple[int, float], List[float]] = {}
-    nested: Dict[Tuple[int, int], Tuple[FrozenSet[int], float]] = {}
-
-    def read(b: int, r: float) -> List[float]:
-        """v's row at budget b, exact up to radius r."""
-        slack = _slack(b, r, size, G.w_min)
-        if slack:
-            row = balls.plain(G, v, r, allowed)
-            if row is not None:
-                return row
-        if (b, r) not in rows:
-            # the balls the rule may read: every (a, j) under the top
-            # level L, and (L, 0); those of this kind share one request
-            kind = [w for w in [want(a, j) for a in range(L) for j in range(2 * k + 1)]
-                    + [want(L, 0)] if _slack(*w, size, G.w_min) == slack]
-            rows.update(_nested_rows(G, balls, v, kind, allowed))
-        return rows[b, r]
-
-    def ball_and_measure(a: int, j: int) -> Tuple[FrozenSet[int], float]:
-        if (a, j) not in nested:
-            b, r = want(a, j)
-            ball = _ball(read(b, r), allowed, r)
-            nested[a, j] = (ball, _marked_measure(mu, ball, MY))
-        return nested[a, j]
-
-    def A(a: int, j: int) -> FrozenSet[int]:
-        return ball_and_measure(a, j)[0]
-
-    def muA(a: int, j: int) -> float:
-        return ball_and_measure(a, j)[1]
-
-    a_sel = -1
+    A = balls.nested(G, v, allowed, mu, MY,
+                     lambda a, j: ((2 * k * a + j) * h, (a + j / (2.0 * k)) * delta / (4.0 * L)),
+                     [(a, j) for a in range(L) for j in range(2 * k + 1)] + [(L, 0)])
     for a in range(L):
-        if muA(a, 0) >= muA(a + 1, 0) ** 2 / muM * (1.0 - 1e-9):
-            a_sel = a
+        if A(a, 0)[1] >= A(a + 1, 0)[1] ** 2 / muM * (1.0 - 1e-9):
             break
-    if a_sel < 0:
-        raise AssertionError("no admissible level index a")  # impossible: the
-        # trivial-return branch would have fired first
-    a = a_sel
-    target = (muA(a + 1, 0) / muA(a, 0)) ** (1.0 / k)
+    else:       # impossible: the trivial-return branch would have fired first
+        raise AssertionError("no admissible level index a")
+    target = (A(a + 1, 0)[1] / A(a, 0)[1]) ** (1.0 / k)
     for j in range(2 * (k - 1) + 1):
-        if muA(a, j + 2) <= muA(a, j) * target * (1.0 + 1e-9):
-            return ClusterTriple(A(a, j), A(a, j + 1), A(a, j + 2), v, j)
+        if A(a, j + 2)[1] <= A(a, j)[1] * target * (1.0 + 1e-9):
+            return ClusterTriple(A(a, j)[0], A(a, j + 1)[0], A(a, j + 2)[0], v, j)
     raise AssertionError("no admissible cluster index j <= 2(k-1)")
 
 
@@ -546,7 +516,7 @@ def create_cluster(G: WeightedGraph, Y: Set[int], M: Set[int], mu: Measure,
     arguments once; a standalone call checks them and starts a fresh one.
     """
     if balls is None:
-        Y, balls = _checked_carve_set(G, Y, mu, h, k, "standard"), _Balls()
+        (Y, h, k), balls = _checked_carve_set(G, Y, mu, h, k, "standard"), _Balls()
     return standard_rule(G, Y, _live_marks(Y, M), mu, h, k, k, scale_i, False, balls)
 
 
@@ -556,7 +526,7 @@ def create_cluster_alt(G: WeightedGraph, Y: Set[int], M: Set[int], mu: Measure,
     """Alternative cluster rule: hop budget independent of the scale count.
     A standalone call checks its arguments, as ``create_cluster`` does."""
     if balls is None:
-        Y, balls = _checked_carve_set(G, Y, mu, h, k, "alt"), _Balls()
+        (Y, h, k), balls = _checked_carve_set(G, Y, mu, h, k, "alt"), _Balls()
     return alt_rule(G, Y, _live_marks(Y, M), mu, h, k, scale_i, balls,
                     lambda: create_cluster(G, Y, M, mu, h, k, scale_i, balls))
 
@@ -636,7 +606,7 @@ def padded_partition(G: WeightedGraph, X: Set[int], mu: Measure, M: Set[int],
     The carvings share one ball table (see ``_Balls``): ``balls``, which
     may hold rows of G[X], or a fresh one.
     """
-    Y = _checked_carve_set(G, X, mu, h, k, variant)
+    Y, h, k = _checked_carve_set(G, X, mu, h, k, variant)
     MY = {vertex_id(v, G.n) for v in M} & Y
     carve = create_cluster if variant == "standard" else create_cluster_alt
     balls = balls or _Balls()
@@ -659,15 +629,17 @@ def padded_partition(G: WeightedGraph, X: Set[int], mu: Measure, M: Set[int],
     return out
 
 
-def _embed_setup(G: WeightedGraph, mu: Measure, h: int, k: int,
-                 variant: str) -> Tuple[WeightedGraph, Optional[float], int]:
-    """Check an embedding's arguments; (graph to carve, omega, top scale phi)."""
+def _embed_setup(G: WeightedGraph, mu: Measure, h: int, k: int, variant: str
+                 ) -> Tuple[int, int, WeightedGraph, Optional[float], int]:
+    """Check an embedding's arguments; (h, k as ints, graph to carve, omega,
+    top scale phi)."""
     HopParams(h, k)
     _check_variant(variant)
     _check_measure(mu, G.n)
     _check_weights(G)
+    h, k = as_integer(h, "h"), as_integer(k, "k")
     Gw, omega, diam = finite_graph(G, h, k)
-    return Gw, omega, math.ceil(math.log2(max(diam, 1.0)))
+    return h, k, Gw, omega, math.ceil(math.log2(max(diam, 1.0)))
 
 
 def _scale_tree(n: int, phi: int, omega: Optional[float], state: object,
@@ -732,7 +704,7 @@ def ramsey_embed(G: WeightedGraph, mu: Measure, M0: Set[int], h: int, k: int,
                  variant: str = "standard") -> RamseyEmbedding:
     """Build the full Ramsey-type embedding of G (all vertices as leaves)."""
     M0 = {vertex_id(v, G.n) for v in M0}
-    Gw, omega, phi = _embed_setup(G, mu, h, k, variant)
+    h, k, Gw, omega, phi = _embed_setup(G, mu, h, k, variant)
     stats: dict = {}
     survivors: Set[int] = set()
 
@@ -806,6 +778,7 @@ def ramsey_distribution(G: WeightedGraph, h: int, mode: str, rounds: int,
     ``_mwu_rounds``).
     """
     HopParams(h, k, epsilon)
+    h, k = as_integer(h, "h"), as_integer(k, "k")
     n = G.n
     if mode == "fixed_k":
         kk = k

@@ -156,9 +156,11 @@ def profiled_alt_balls(G: WeightedGraph, v: int, allowed: Sequence[int],
 
 
 def _eager_nested_rows(G: WeightedGraph, balls, v: int, wants, allowed):
-    """Literal transcription of ``ramsey._nested_rows`` as the eager rules
-    called it: the slack wants read v's plain row at their largest radius,
-    the binding ones share one profile, and budget 0 binds to a zero row."""
+    """Literal transcription of the removed ``ramsey._nested_rows``, which
+    the eager rules called for every want up front and which the on-demand
+    reader ``ramsey._Balls.nested`` replaced: the slack wants read v's plain
+    row at their largest radius, the binding ones share one profile, and
+    budget 0 binds to a zero row."""
     size, w_min = len(allowed), G.w_min
     slack = {w: ramsey._slack(*w, size, w_min) for w in wants}
     rows = {}

@@ -4,6 +4,7 @@ two, and the embeddings equal those carved on the eagerly built
 completion.  Also the boundary checks of the embedding entry points."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -174,6 +175,22 @@ def test_finite_graph_does_not_collect_missing_pairs():
     assert peak < 256 * 1024
 
 
+def _typed(x):
+    """x as nested lists of (type name, value) leaves, with a graph or an
+    ultrametric as its JSON, so that results compare by value and type."""
+    if hasattr(x, "to_json"):
+        return x.to_json()
+    if dataclasses.is_dataclass(x):
+        x = [getattr(x, f.name) for f in dataclasses.fields(x)]
+    elif isinstance(x, dict):
+        x = sorted(x.items())
+    elif isinstance(x, (set, frozenset)):
+        x = sorted(x)
+    if isinstance(x, (list, tuple)):
+        return [_typed(y) for y in x]
+    return type(x).__name__, x
+
+
 P4 = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
 ENTRY_POINTS = {
     "ramsey_embed": lambda h, k: ramsey_embed(P4, [1.0] * 4, {0, 1}, h, k),
@@ -224,8 +241,10 @@ class TestBoundary:
             ENTRY_POINTS[entry](h, k)
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-    def test_integral_float_accepted(self, entry):
-        ENTRY_POINTS[entry](2.0, 2)
+    @pytest.mark.parametrize("h, k", [(2.0, 2), (2, 2.0)])
+    def test_integral_float_accepted(self, entry, h, k):
+        # the same result as the int call, with every field of the same type
+        assert _typed(ENTRY_POINTS[entry](h, k)) == _typed(ENTRY_POINTS[entry](2, 2))
 
     @pytest.mark.parametrize("carver", sorted(CARVERS))
     @pytest.mark.parametrize("X, M, mu, message", [

@@ -518,6 +518,15 @@ class TestParameterValidation:
 
     @pytest.mark.parametrize("build", [build_hop_oracle, build_hop_labeling,
                                        build_routing_scheme])
+    def test_integral_floats_accepted(self, build):
+        # h and k are stored as ints, and the structure is the int build's
+        G = P4()
+        got = build(G, 2.0, 2.0, 0.5)
+        assert type(got.h) is int and type(got.k) is int
+        assert got == build(G, 2, 2, 0.5)
+
+    @pytest.mark.parametrize("build", [build_hop_oracle, build_hop_labeling,
+                                       build_routing_scheme])
     def test_rejects_light_weights(self, build):
         # the scale recursion assumes distinct vertices at least 1 apart
         G = WeightedGraph(6, [(i, i + 1, 0.1) for i in range(5)], normalize=False)

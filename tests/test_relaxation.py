@@ -446,6 +446,19 @@ class TestNestedBalls:
         counts = _nested_counts(monkeypatch, builds)
         assert counts["standard"] > 10 and counts["alt"] > 10 and counts["slack"] > 100
 
+    @staticmethod
+    def _check_nested(G, v, wants, balls, mu):
+        """Read every want of a fresh ``_Balls.nested`` reader around v and
+        check each ball and its marked measure against masked_bellman_ford."""
+        allowed, marked = list(range(G.n)), set(range(0, G.n, 2))
+        read = balls.nested(G, v, allowed, mu, marked, lambda i: wants[i],
+                            [(i,) for i in range(len(wants))])
+        for i, (b, r) in enumerate(wants):
+            row = masked_bellman_ford(G, v, [b], r, allowed)[b]
+            ball = {u for u in allowed if row[u] <= r + 1e-12}
+            assert read(i) == (ball, math.fsum(mu[u] for u in ball & marked))
+            assert read(i) is read(i)       # built once
+
     def test_nested_rows_of_each_kind(self, monkeypatch):
         # least weight 0.1: budget 0 binds at radius 0.5, budget 2 is slack
         # at 0.25 and budget 3 binds at 5
@@ -453,14 +466,24 @@ class TestNestedBalls:
         monkeypatch.setattr(ramsey, "hop_profile",
                             lambda *a, **kw: calls.append(a[2]) or hop_profile(*a, **kw))
         G = WeightedGraph(6, [(u, u + 1, 0.1 * (u + 1)) for u in range(5)], normalize=False)
-        allowed = list(range(6))
         wants = [(0, 0.5), (2, 0.25), (3, 5.0), (1, 0.05)]
         assert [_slack(b, r, 6, G.w_min) for b, r in wants] == [False, True, False, True]
-        rows = ramsey._nested_rows(G, ramsey._Balls(), 1, wants, allowed)
-        for b, r in wants:
-            assert _below(rows[b, r], r) == _below(
-                masked_bellman_ford(G, 1, [b], r, allowed)[b], r)
+        self._check_nested(G, 1, wants, ramsey._Balls(), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         assert calls == [[2], [3]]     # the plain row at 0.25, then budget 3 alone
+
+    def test_binding_ball_skips_plain_row(self, monkeypatch):
+        # on the unit path 0-1-2-3, budget 1 binds at radius 2.5: the 1-hop
+        # ball of 0 is {0, 1}, and its plain ball, stored at 3, is {0, 1, 2}
+        calls = []
+        monkeypatch.setattr(ramsey, "hop_profile",
+                            lambda *a, **kw: calls.append(a[2]) or hop_profile(*a, **kw))
+        G = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        balls = ramsey._Balls()
+        allowed = list(range(4))
+        assert balls.row(G, 0, 3, 3.0, allowed)[:3] == [0.0, 1.0, 2.0]
+        assert not _slack(1, 2.5, 4, G.w_min)
+        self._check_nested(G, 0, [(1, 2.5)], balls, [1.0] * 4)
+        assert calls == [[3], [1]]
 
     def test_binding_budgets_match_profile(self, monkeypatch):
         # on a long path, budgets bind at the larger radii
