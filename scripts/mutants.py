@@ -98,10 +98,18 @@ MUTANTS = (
            "the scale recursion stops at scale 0, so every embedding and "
            "structure refuses a least weight below 1 at its boundary"),
     Mutant("route-weight-aux", "src/hopmetric/datastructures.py",
-           "sum([nbr_weight[a][b] for a, b in",
-           "sum([nbr_weight[a][b] + S.omegas[i] for a, b in",
+           "    got = tz._walk(S.inner[i], u, v, S.G.nbr_weight)\n",
+           "    got = tz._walk(S.inner[i], u, v, [{b: x + S.omegas[i] for b, x in row.items()}\n"
+           "                                      for row in S.G.nbr_weight])\n",
            "a route's weight is the base-graph weight of its path; adding "
-           "omega_i per hop reports the scale graph's weight"),
+           "omega_i to the weight the walk adds per hop reports the scale "
+           "graph's weight"),
+    Mutant("route-reads-source-once", "src/hopmetric/datastructures.py",
+           "(u,) + path[:-1]))",
+           "path[:-1]))",
+           "the source reads its table twice, once to write the header and "
+           "once to take the first hop; a read log without the second read "
+           "is not the log of per-hop forwarding"),
     Mutant("no-surcharge", "src/hopmetric/datastructures.py",
            "tuple((v, w + omega) for v, w in row)",
            "tuple((v, w) for v, w in row)",

@@ -11,8 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .graph_core import (INFINITY, HopParams, WeightedGraph, as_integer, is_inf,
-                         vertex_id)
+from .graph_core import INFINITY, HopParams, WeightedGraph, is_inf, vertex_id
 from .ramsey import (ClusterTriple, Measure, _Balls, _checked_carve_set,
                      _constants, _embed_setup, _mwu_rounds, _scale_tree,
                      alt_rule, measure_of, standard_rule)
@@ -206,8 +205,8 @@ def clan_distribution(G: WeightedGraph, h: int, mode: str, rounds: int,
     so that embedding fills the remaining rounds as one repeated object
     (see ``ramsey._mwu_rounds``).
     """
-    HopParams(h, k, epsilon)
-    h, k = as_integer(h, "h"), as_integer(k, "k")
+    p = HopParams(h, k, epsilon)
+    h, k = p.h, p.k
     n = G.n
     if mode == "fixed_k":
         kk = k

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import tz
-from .graph_core import (INFINITY, HopParams, WeightedGraph, as_integer, is_inf,
-                         vertex_id)
+from .graph_core import INFINITY, HopParams, WeightedGraph, is_inf, vertex_id
 from .ramsey import (RamseyEmbedding, _check_weights, ramsey_distribution,
                      ramsey_embed)
 from .rng import substream
@@ -321,8 +320,8 @@ class HopOracle(_HopRecord):
 
 def build_hop_oracle(G: WeightedGraph, h: int, k: int, epsilon: float,
                      seed: int = 0) -> HopOracle:
-    HopParams(h, k, epsilon)
-    h, k = as_integer(h, "h"), as_integer(k, "k")
+    p = HopParams(h, k, epsilon)
+    h, k = p.h, p.k
     _check_weights(G)
     return _scale_step(HopOracle, G, build_coarse_oracle(G, h, k, seed), h, k,
                        epsilon, "labels", seed)
@@ -330,7 +329,8 @@ def build_hop_oracle(G: WeightedGraph, h: int, k: int, epsilon: float,
 
 def hop_oracle_query(O: HopOracle, u: int, v: int) -> float:
     n = len(O.coarse.home)
-    u, v = vertex_id(u, n), vertex_id(v, n)
+    if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):  # ints in range
+        u, v = vertex_id(u, n), vertex_id(v, n)                            # skip the call
     if u == v:
         return 0.0
     est = O.coarse.query(u, v)
@@ -363,13 +363,16 @@ class HopLabeling(_HopRecord):
             for v, home in enumerate(self.coarse.home)))
 
     def label(self, v: int) -> HopVertexLabel:
-        return self.labels[vertex_id(v, len(self.labels))]
+        labels = self.labels
+        if not (type(v) is int and 0 <= v < len(labels)):  # ints in range
+            v = vertex_id(v, len(labels))                     # skip the call
+        return labels[v]
 
 
 def build_hop_labeling(G: WeightedGraph, h: int, k: int,
                        epsilon: float) -> HopLabeling:
-    HopParams(h, k, epsilon)
-    h, k = as_integer(h, "h"), as_integer(k, "k")
+    p = HopParams(h, k, epsilon)
+    h, k = p.h, p.k
     _check_weights(G)
     return _scale_step(HopLabeling, G, build_coarse_labeling(G, h, k), h, k,
                        epsilon, "labels", 0)
@@ -404,33 +407,43 @@ class RouteResult(NamedTuple):
 
 def build_routing_scheme(G: WeightedGraph, h: int, k: int, epsilon: float,
                          seed: int = 0) -> RoutingScheme:
-    HopParams(h, k, epsilon)
-    h, k = as_integer(h, "h"), as_integer(k, "k")
+    p = HopParams(h, k, epsilon)
+    h, k = p.h, p.k
     _check_weights(G)
     return _scale_step(RoutingScheme, G, build_coarse_labeling(G, h, k), h, k,
                        epsilon, "routing", seed, G)
 
 
+# makes a RouteResult without the Python-level __new__ of a NamedTuple
+_new = tuple.__new__
+
+
 def route(S: RoutingScheme, u: int, v: int) -> RouteResult:
     """Simulated delivery: the source picks the scale from coarse labels,
     attaches it to the header, and per-hop forwarding uses only the current
-    node's scale table plus the header."""
-    u, v = vertex_id(u, S.G.n), vertex_id(v, S.G.n)
+    node's scale table plus the header.
+
+    The packet is delivered in one pass over its hops (``tz._walk``), which
+    adds each hop's base weight from ``G.nbr_weight`` as it goes: ``weight``
+    is 0.0 plus the hop weights in path order.  That is the order in which
+    ``sum`` adds floats up to Python 3.11, so there ``weight`` equals
+    ``sum`` over the path's hop weights bit for bit (the ``sum`` of 3.12
+    compensates).  A hop that is not an edge of G raises
+    ``KeyError((a, b))`` for the first such pair."""
+    n = S.G.n
+    if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):  # ints in range
+        u, v = vertex_id(u, n), vertex_id(v, n)                            # skip the call
     if u == v:
-        return RouteResult(True, (u,), None, 0.0, 0.0, (u,))
+        return _new(RouteResult, (True, (u,), None, 0.0, 0.0, (u,)))
     est = S.coarse.query(u, v)
     if is_inf(est):
-        return RouteResult(False, (u,), None, 0.0, 0.0, (u,))
+        return _new(RouteResult, (False, (u,), None, 0.0, 0.0, (u,)))
     i = _scale_of(est)
-    got = tz.route(S.inner[i], u, v)
+    got = tz._walk(S.inner[i], u, v, S.G.nbr_weight)
     if got is None:
-        return RouteResult(False, (u,), i, 0.0, 0.0, (u,))
-    path, reads = got
-    nbr_weight = S.G.nbr_weight
-    try:
-        w_base = sum([nbr_weight[a][b] for a, b in zip(path, path[1:])])
-    except KeyError:
-        raise KeyError(next((a, b) for a, b in zip(path, path[1:])
-                            if b not in nbr_weight[a])) from None
-    w_aux = w_base + S.omegas[i] * (len(path) - 1)
-    return RouteResult(True, tuple(path), i, w_base, w_aux, tuple(reads))
+        return _new(RouteResult, (False, (u,), i, 0.0, 0.0, (u,)))
+    path, w_base = got
+    path = tuple(path)
+    return _new(RouteResult, (True, path, i, w_base,
+                              w_base + S.omegas[i] * (len(path) - 1),
+                              (u,) + path[:-1]))

@@ -44,16 +44,20 @@ def vertex_id(v, n: int) -> int:
 
 @dataclass(frozen=True)
 class HopParams:
-    """Common parameter bundle: hop budget h, distortion parameter k, epsilon."""
+    """Common parameter bundle: hop budget h, distortion parameter k, epsilon.
+    h and k are stored as ints, so an integral float such as 2.0 reads back
+    as 2."""
 
     h: int
     k: int = 1
     epsilon: float = 0.5
 
     def __post_init__(self):
-        for name, val in (("h", self.h), ("k", self.k)):
-            if as_integer(val, name) < 1:
+        for name in ("h", "k"):
+            val = as_integer(getattr(self, name), name)
+            if val < 1:
                 raise ValueError(f"{name} must be >= 1")
+            object.__setattr__(self, name, val)
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must be in (0,1)")
 

@@ -88,13 +88,13 @@ def _checked_carve_set(G: WeightedGraph, X: Iterable[int], mu: Measure, h: int,
     """(X as a set of vertex ids of G, h, k as ints), once h, k, the
     measure's length and the variant are checked: the arguments of one
     partition or cover.  Each check is O(1) or one pass over X."""
-    HopParams(h, k)
+    p = HopParams(h, k)
     _check_variant(variant)
     _check_measure_length(mu, G.n)
     Y = {vertex_id(v, G.n) for v in X}
     if not Y:
         raise ValueError("X must be nonempty")
-    return Y, as_integer(h, "h"), as_integer(k, "k")
+    return Y, p.h, p.k
 
 
 def _ball(dist: Sequence[float], among: Iterable[int], r: float) -> FrozenSet[int]:
@@ -633,11 +633,11 @@ def _embed_setup(G: WeightedGraph, mu: Measure, h: int, k: int, variant: str
                  ) -> Tuple[int, int, WeightedGraph, Optional[float], int]:
     """Check an embedding's arguments; (h, k as ints, graph to carve, omega,
     top scale phi)."""
-    HopParams(h, k)
+    p = HopParams(h, k)
     _check_variant(variant)
     _check_measure(mu, G.n)
     _check_weights(G)
-    h, k = as_integer(h, "h"), as_integer(k, "k")
+    h, k = p.h, p.k
     Gw, omega, diam = finite_graph(G, h, k)
     return h, k, Gw, omega, math.ceil(math.log2(max(diam, 1.0)))
 
@@ -777,8 +777,8 @@ def ramsey_distribution(G: WeightedGraph, h: int, mode: str, rounds: int,
     embedding fills the remaining rounds as one repeated object (see
     ``_mwu_rounds``).
     """
-    HopParams(h, k, epsilon)
-    h, k = as_integer(h, "h"), as_integer(k, "k")
+    p = HopParams(h, k, epsilon)
+    h, k = p.h, p.k
     n = G.n
     if mode == "fixed_k":
         kk = k

@@ -35,8 +35,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from .graph_core import dijkstra, vertex_id
 from .rng import substream
@@ -238,6 +238,12 @@ def build_labeling(adj: Adjacency, k: int, seed: int = 0) -> TZLabeling:
 # the parents from the row its search reached and writes the entries and
 # the intervals straight into the per-vertex dicts, or takes them from the
 # previous scale's scheme when that scale's tree has the same parents.
+#
+# A packet is delivered in one pass over its hops (``_walk``): the source
+# writes the header, and each hop is one ``forward`` from the table of the
+# node it leaves, which is the only forwarding rule.  The same pass adds
+# each hop's weight, so a caller that wants the path's weight (the hop
+# routing scheme's ``route``) reads no path twice.
 
 Interval = Tuple[int, int]
 
@@ -274,9 +280,9 @@ class TZRouting:
         return sum(t.size_words() for t in self.tables)
 
 
-# makes a TreeEntry without the Python-level __new__ of a NamedTuple, one
-# frame less per entry
-_entry = tuple.__new__
+# makes a TreeEntry or a Header without the Python-level __new__ of a
+# NamedTuple, one frame less per entry or packet
+_new = tuple.__new__
 
 
 def _tree_walk(nbrs: Adjacency, root: int, dist: Row,
@@ -358,13 +364,13 @@ def _tree_walk(nbrs: Adjacency, root: int, dist: Row,
                 continue
             sp = span[x] = (clock, clock + 1)
             clock += 1
-            entry = _entry(TreeEntry, (parent[x], sp, ()))
+            entry = _new(TreeEntry, (parent[x], sp, ()))
         else:
             x = ~x
             ch = kids[x]
             sp = span[x] = (opened[x], clock)
-            entry = _entry(TreeEntry, (parent[x], sp,
-                                       tuple(zip(map(span.__getitem__, ch), ch))))
+            entry = _new(TreeEntry, (parent[x], sp,
+                                     tuple(zip(map(span.__getitem__, ch), ch))))
         trees[x][root] = entry
         intervals[x][root] = sp
     if clock != len(dist):
@@ -428,7 +434,7 @@ def prepare_header(scheme: TZRouting, table_u: NodeTable,
     interval = dest.intervals.get(w)
     if interval is None or w not in table_u.trees:
         return None
-    return Header(w, interval)
+    return _new(Header, (w, interval))
 
 
 def forward(table_x: NodeTable, header: Header) -> int:
@@ -447,28 +453,61 @@ def forward(table_x: NodeTable, header: Header) -> int:
     return parent
 
 
+class _ZeroRow(dict):
+    """A weight row that reads 0.0 at every neighbour."""
+
+    def __missing__(self, key):
+        return 0.0
+
+
+_ZERO_ROW = _ZeroRow()
+
+
+def _walk(scheme: TZRouting, u: int, v: int,
+          nbr_weight: Sequence[Mapping[int, float]],
+          ) -> Optional[Tuple[List[int], float]]:
+    """Deliver one packet from u to v, ids already checked: (path, weight),
+    or None if the source declines.  The source writes the header
+    (``prepare_header``), and every hop is one ``forward`` from the table
+    of the node it leaves.  ``weight`` is 0.0 plus ``nbr_weight[a][b]`` of
+    each hop (a, b) in path order; a hop that is not a key there raises
+    ``KeyError((a, b))``.
+
+    A tree route climbs at most to the root and then descends, so it takes
+    fewer than 2n hops on n vertices; a longer walk is a loop."""
+    tables = scheme.tables
+    header = prepare_header(scheme, tables[u], scheme.rlabels[v])
+    if header is None:
+        return None
+    limit = 2 * len(tables)
+    path = [u]
+    weight = 0.0
+    cur = u
+    while cur != v:
+        if len(path) > limit:
+            raise AssertionError("routing loop detected")
+        nxt = forward(tables[cur], header)
+        try:
+            weight += nbr_weight[cur][nxt]
+        except KeyError:
+            raise KeyError((cur, nxt)) from None
+        path.append(nxt)
+        cur = nxt
+    return path, weight
+
+
 def route(scheme: TZRouting, u: int, v: int,
           ) -> Optional[Tuple[List[int], List[int]]]:
     """Simulate routing; returns (path, table read log) or None if declined.
     The source reads its table to write the header and again to take the
     first hop, and every later hop reads the table of the node it leaves.
     An id that is not a vertex of the scheme is an error that names it.
-
-    A tree route climbs at most to the root and then descends, so it takes
-    fewer than 2n hops on n vertices; a longer walk is a loop."""
-    tables = scheme.tables
-    n = len(tables)
+    The packet travels by ``_walk``, which weighs no hop here."""
+    n = len(scheme.tables)
     if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):  # ints in range
         u, v = vertex_id(u, n), vertex_id(v, n)                            # skip the call
-    header = prepare_header(scheme, tables[u], scheme.rlabels[v])
-    if header is None:
+    got = _walk(scheme, u, v, [_ZERO_ROW] * n)
+    if got is None:
         return None
-    limit = 2 * n
-    path = [u]
-    cur = u
-    while cur != v:
-        if len(path) > limit:
-            raise AssertionError("routing loop detected")
-        cur = forward(tables[cur], header)
-        path.append(cur)
+    path = got[0]
     return path, [u] + path[:-1]

@@ -4,7 +4,9 @@ hop-bounded sandwich guarantees."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import operator
 import random
 
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 import hopmetric
 from hopmetric import datastructures, tz
+from hopmetric.cli import gen_graph
 from hopmetric.datastructures import (CoarseBudgetExceeded, CoarseOracle,
                                       RouteResult, auxiliary_graph,
                                       build_coarse_labeling,
@@ -25,7 +28,9 @@ from hopmetric.graph_core import WeightedGraph, hop_distance_all, is_inf
 from hopmetric.ramsey import ramsey_embed
 from hopmetric.ultrametric import ultra_distance
 from oracles import (connected_random_graph, edge_count_bellman_ford, lasso,
-                     random_graph, two_walk_estimate, walk_enum_distance)
+                     per_hop_logged_route, random_graph, two_walk_estimate,
+                     walk_enum_distance)
+from test_golden_structures import EPS as GOLDEN_EPS, GRAPHS as GOLDEN_GRAPHS, K as GOLDEN_K
 from test_ultrametric import random_ultrametric
 
 
@@ -390,6 +395,45 @@ def _random_schemes():
         yield G, h, build_routing_scheme(G, h, k, eps, seed=rng.randrange(100))
 
 
+def _golden_scheme(name: str):
+    """(G, h, S) of one configuration of tests/test_golden_structures.py."""
+    family, params, seed, h = GOLDEN_GRAPHS[name]
+    G = gen_graph(family, params, seed)
+    return G, h, build_routing_scheme(G, h, GOLDEN_K, GOLDEN_EPS, seed)
+
+
+def _left_to_right(weights) -> float:
+    """0.0 plus each weight in order: the float order of ``route``, and of
+    ``sum`` up to Python 3.11 (the ``sum`` of 3.12 compensates)."""
+    return functools.reduce(operator.add, weights, 0.0)
+
+
+def _edge_weights(G):
+    w = {}
+    for a, b, x in G.edges:
+        w[a, b] = w[b, a] = x
+    return w
+
+
+def _reference_route(S, w, u, v) -> RouteResult:
+    """route(S, u, v) rebuilt from the per-hop logged route of the scale's
+    scheme and the hop weights read from G.edges (``w``)."""
+    if u == v:
+        return RouteResult(True, (u,), None, 0.0, 0.0, (u,))
+    est = S.coarse.query(u, v)
+    if is_inf(est):
+        return RouteResult(False, (u,), None, 0.0, 0.0, (u,))
+    i = _scale_of(est)
+    got = per_hop_logged_route(S.inner[i], u, v)
+    if got is None:
+        return RouteResult(False, (u,), i, 0.0, 0.0, (u,))
+    path, reads = got
+    hops = list(zip(path, path[1:]))
+    weight = _left_to_right(w[a, b] for a, b in hops)
+    return RouteResult(True, tuple(path), i, weight,
+                       weight + S.omegas[i] * len(hops), tuple(reads))
+
+
 class TestRouting:
     def test_delivery_weight_and_locality(self):
         for G, h, S in _random_schemes():
@@ -413,25 +457,25 @@ class TestRouting:
                     assert len(res.path) - 1 <= res.weight_aux / omega + 1e-9
                     assert set(res.table_reads) <= set(res.path)
 
-    def test_delivered_weight_is_the_path_sum(self):
-        """weight is the float sum of the path's edge weights in path order,
-        read here from G.edges rather than the graph's weight maps, and
-        weight_aux adds the scale's surcharge once per hop."""
+    @pytest.mark.parametrize("golden", [None, "rw32-h2"])
+    def test_matches_per_hop_reference(self, golden):
+        """Every ordered pair's RouteResult equals the reference field by
+        field, on the random schemes or one golden configuration, and each
+        field has the reference's type: weight a float, path and
+        table_reads tuples.  The reference reads the hop weights from
+        G.edges rather than the graph's weight maps, adds them in path
+        order, and adds the scale's surcharge once per hop."""
+        schemes = _random_schemes() if golden is None else [_golden_scheme(golden)]
         delivered = 0
-        for G, _, S in _random_schemes():
-            w = {}
-            for a, b, x in G.edges:
-                w[a, b] = w[b, a] = x
+        for G, _, S in schemes:
+            w = _edge_weights(G)
             for u in range(G.n):
                 for v in range(G.n):
-                    res = route(S, u, v)
-                    if u == v or not res.delivered:
-                        continue
-                    hops = list(zip(res.path, res.path[1:]))
-                    assert res.weight == sum(w[a, b] for a, b in hops)
-                    assert res.weight_aux == \
-                        res.weight + S.omegas[res.scale] * len(hops)
-                    delivered += 1
+                    got, ref = route(S, u, v), _reference_route(S, w, u, v)
+                    assert type(got) is RouteResult
+                    assert got == ref
+                    assert [type(x) for x in got] == [type(x) for x in ref]
+                    delivered += got.delivered and u != v
         assert delivered > 0
 
     def test_route_result_fields(self):
@@ -440,8 +484,10 @@ class TestRouting:
                                        "weight_aux", "table_reads")
 
     def test_non_edge_hop_names_the_pair(self, monkeypatch):
+        # a forwarding rule that takes the packet 0 -> 1 -> 3 on the path
+        # 0-1-2-3, where (1, 3) is not an edge
         S = build_routing_scheme(P4(), 2, 2, 0.5)
-        monkeypatch.setattr(tz, "route", lambda R, u, v: ([0, 1, 3], [0, 1]))
+        monkeypatch.setattr(tz, "forward", lambda table, header: {0: 1, 1: 3}[table.label.vertex])
         with pytest.raises(KeyError) as exc:
             route(S, 0, 3)
         assert exc.value.args == ((1, 3),)
@@ -465,17 +511,19 @@ class TestVertexIds:
                 build_routing_scheme(G, 2, 2, 0.5))
 
     @pytest.mark.parametrize("u, v, bad", [(0, -1, -1), (0, 9, 9), (-2, 1, -2),
-                                           (4, 4, 4)])
+                                           (4, 4, 4), (9, -1, 9), (0, -1.0, -1),
+                                           (4.0, 0, 4)])
     def test_oracle_query(self, built, u, v, bad):
         with pytest.raises(ValueError, match=rf"vertex id {bad} out of range for n=4"):
             hop_oracle_query(built[0], u, v)
 
-    @pytest.mark.parametrize("v", [-1, 4])
-    def test_label(self, built, v):
-        with pytest.raises(ValueError, match=rf"vertex id {v} out of range for n=4"):
+    @pytest.mark.parametrize("v, bad", [(-1, -1), (4, 4), (-1.0, -1), (4.0, 4)])
+    def test_label(self, built, v, bad):
+        with pytest.raises(ValueError, match=rf"vertex id {bad} out of range for n=4"):
             built[1].label(v)
 
-    @pytest.mark.parametrize("u, v, bad", [(0, -1, -1), (0, 7, 7), (-1, -1, -1)])
+    @pytest.mark.parametrize("u, v, bad", [(0, -1, -1), (0, 7, 7), (-1, -1, -1),
+                                           (7, -1, 7), (0, 4.0, 4), (-1.0, 0, -1)])
     def test_route(self, built, u, v, bad):
         with pytest.raises(ValueError, match=rf"vertex id {bad} out of range for n=4"):
             route(built[2], u, v)
@@ -483,16 +531,21 @@ class TestVertexIds:
     @pytest.mark.parametrize("bad", [1.5, True, "1", None, [1]])
     def test_non_integers(self, built, bad):
         O, L, S = built
-        for call in (lambda: hop_oracle_query(O, 0, bad), lambda: L.label(bad),
-                     lambda: route(S, bad, 0)):
+        for call in (lambda: hop_oracle_query(O, 0, bad), lambda: hop_oracle_query(O, bad, 0),
+                     lambda: hop_oracle_query(O, bad, 9), lambda: L.label(bad),
+                     lambda: route(S, bad, 0), lambda: route(S, 0, bad),
+                     lambda: route(S, bad, 9)):
             with pytest.raises(ValueError, match="vertex id must be an integer"):
                 call()
 
     def test_integral_floats_are_ids(self, built):
         O, L, S = built
         assert hop_oracle_query(O, 0.0, 3.0) == hop_oracle_query(O, 0, 3)
+        assert hop_oracle_query(O, 1, 3.0) == hop_oracle_query(O, 1, 3)
         assert L.label(2.0) is L.labels[2]
         assert route(S, 3.0, 0) == route(S, 3, 0)
+        assert route(S, 0, 3.0) == route(S, 0, 3)
+        assert [type(x) for x in route(S, 3.0, 0)] == [type(x) for x in route(S, 3, 0)]
 
 
 class TestParameterValidation:

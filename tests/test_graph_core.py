@@ -294,6 +294,12 @@ class TestHopParams:
             with pytest.raises(ValueError, match="must be an integer"):
                 HopParams(h, k)
 
+    def test_stores_ints(self):
+        p = HopParams(2.0, 2.0)
+        assert type(p.h) is int and p.h == 2
+        assert type(p.k) is int and p.k == 2
+        assert p == HopParams(2, 2)
+
 
 @st.composite
 def graphs(draw):

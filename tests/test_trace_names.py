@@ -11,6 +11,9 @@ import sys
 
 import pytest
 
+from hopmetric import datastructures
+from hopmetric.graph_core import WeightedGraph
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
 
@@ -64,3 +67,19 @@ def test_install_uninstall_restores_every_binding(layers):
         assert now.keys() == names.keys(), owner
         for name, val in names.items():
             assert now[name] is val, f"{owner!r}.{name} not restored"
+
+
+def test_route_traces_one_forward_per_hop(layers):
+    """The tracer counts one ``tz.forward`` call per hop of a delivered
+    route: forwarding goes through the traced module-global name."""
+    G = WeightedGraph(6, [(i, i + 1, 1.0) for i in range(5)])
+    S = datastructures.build_routing_scheme(G, 5, 1, 0.5)
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        res = datastructures.route(S, 0, 5)
+    finally:
+        tracer.uninstall()
+    assert res.delivered and len(res.path) > 2
+    assert tracer.calls["datastructures.route"] == 1
+    assert tracer.calls["tz.forward"] == len(res.path) - 1
