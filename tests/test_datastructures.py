@@ -487,7 +487,8 @@ class TestRouting:
         # a forwarding rule that takes the packet 0 -> 1 -> 3 on the path
         # 0-1-2-3, where (1, 3) is not an edge
         S = build_routing_scheme(P4(), 2, 2, 0.5)
-        monkeypatch.setattr(tz, "forward", lambda table, header: {0: 1, 1: 3}[table.label.vertex])
+        monkeypatch.setattr(tz, "forward",
+                            lambda table, header: {0: 1, 1: 3}[table.label.vertex])
         with pytest.raises(KeyError) as exc:
             route(S, 0, 3)
         assert exc.value.args == ((1, 3),)
@@ -517,9 +518,9 @@ class TestVertexIds:
         with pytest.raises(ValueError, match=rf"vertex id {bad} out of range for n=4"):
             hop_oracle_query(built[0], u, v)
 
-    @pytest.mark.parametrize("v, bad", [(-1, -1), (4, 4), (-1.0, -1), (4.0, 4)])
-    def test_label(self, built, v, bad):
-        with pytest.raises(ValueError, match=rf"vertex id {bad} out of range for n=4"):
+    @pytest.mark.parametrize("v", [-1, 4, -1.0, 4.0])
+    def test_label(self, built, v):
+        with pytest.raises(ValueError, match=rf"vertex id {int(v)} out of range for n=4"):
             built[1].label(v)
 
     @pytest.mark.parametrize("u, v, bad", [(0, -1, -1), (0, 7, 7), (-1, -1, -1),
