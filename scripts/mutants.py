@@ -182,6 +182,18 @@ MUTANTS = (
            "        d = balls.row(G, s, budget, bound / 2.0, allowed)\n",
            "the diameter check reads rows pruned at delta/2, its bound; rows "
            "at delta/4 lose the pairs between and refuse true trivial returns"),
+    Mutant("induced-down-unreversed", "src/hopmetric/preserve.py",
+           "        out += seg[1]\n",
+           "        out += seg[0]\n",
+           "an induced path steps down from the LCA along each edge's path "
+           "oriented parent -> child; the up-segment runs the other way and "
+           "breaks the walk"),
+    Mutant("bhp-stop-round-early", "src/hopmetric/preserve.py",
+           "    while frontier and len(rows) <= b:\n",
+           "    while frontier and len(rows) < b:\n",
+           "a bounded-hop path keeps rows until the budget is spent or a round "
+           "improves nothing; stopping one round early drops the last kept "
+           "row and misses paths that need every hop of the budget"),
 )
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",

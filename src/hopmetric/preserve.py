@@ -14,12 +14,14 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from .clan import ClanEmbedding, clan_embed, optimal_path_copies
 from .cover import SparseCover, sparse_cover
-from .graph_core import (WeightedGraph, as_integer, bellman_ford, dijkstra,
+from .graph_core import (WeightedGraph, _relax, as_integer, dijkstra,
                          is_h_respecting, is_inf, shortest_path_tree)
 from .ultrametric import (WeightedTree, steiner_point_removal, tree_distance,
                           ultra_distance, ultrametric_to_tree)
 
 _EdgeKey = Tuple[int, int]
+# (vertices appended moving a copy c -> its parent, moving parent -> c, weight)
+_Segment = Tuple[List[int], List[int], float]
 
 
 class Unreachable(Exception):
@@ -41,21 +43,34 @@ def bounded_hop_path(G: WeightedGraph, s: int, t: int,
     of at most r edges, a longer walk repeats a vertex, and since weights
     are positive and float addition is monotone, cutting out the cycle
     gives no heavier sum, so no round after n - 1 improves any entry.
+    Rows are kept only until a round improves nothing (``_relax`` leaves
+    an empty frontier): every later row equals the last kept one, so
+    row[x] < prev[x] never holds there and the walk back starts at it.
     """
-    t = G._check_vertex(t)
+    s, t = G._check_vertex(s), G._check_vertex(t)
     b = min(as_integer(budget, "budget"), G.n - 1)
-    rows = bellman_ford(G, s, range(b + 1))
-    if rows[b][t] == math.inf:
+    if b < 0:
+        raise ValueError("budgets must be nonnegative")
+    dist = [math.inf] * G.n
+    dist[s] = 0.0
+    gate = list(dist)       # no pruning radius and no allowed set
+    rows = [list(dist)]
+    frontier = [s]
+    while frontier and len(rows) <= b:
+        frontier = _relax(G.adj, dist, gate, frontier, 1)
+        if frontier:
+            rows.append(list(dist))
+    if dist[t] == math.inf:
         return None
     path = [t]
-    for r in range(b, 0, -1):
+    for r in range(len(rows) - 1, 0, -1):
         x, row, prev = path[-1], rows[r], rows[r - 1]
         if row[x] < prev[x]:
             path.append(next(u for u, w in G.adj[x] if prev[u] + w == row[x]))
     path.reverse()
     if path[0] != s:
         raise AssertionError("path reconstruction failed")
-    return path, rows[b][t]
+    return path, dist[t]
 
 
 @dataclass
@@ -71,6 +86,27 @@ class PathTreeEmbedding:
     path_bound: float                    # tree-image weight distortion bound
     h: int
     root_vertex: int
+    # per copy: its edge's segments, or None for an infinite edge and the root
+    _segments: List[Optional[_Segment]] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        """Orient every finite edge's associated path both ways, by the rule
+        that a step a -> b keeps the path when it starts at payload[a], and
+        check that it runs from payload[c] to payload[p]."""
+        payload = self.T.payload
+        segs: List[Optional[_Segment]] = []
+        for c, p in enumerate(self.T.parent):
+            entry = None if p is None else self.assoc[_edge_key(c, p)]
+            if entry is None:
+                segs.append(None)
+                continue
+            path, w = entry
+            up = path if path[0] == payload[c] else path[::-1]
+            if up[0] != payload[c] or up[-1] != payload[p]:
+                raise AssertionError("associated paths do not concatenate")
+            down = path if path[0] == payload[p] else path[::-1]
+            segs.append((up[1:], down[1:], w))
+        self._segments = segs
 
     def root_copy(self) -> int:
         return self.f[self.root_vertex][0]
@@ -145,21 +181,28 @@ def induced_path(PTE: PathTreeEmbedding, u_copy: int, v_copy: int) -> Tuple[List
     """Concatenation of associated paths along the tree path between copies.
 
     Returns (vertex sequence, total graph weight); the walk may be non-simple.
+    Reads the segments oriented at construction: up-segments from u_copy to
+    the LCA, then down-segments from the LCA to v_copy, weights added in
+    that order.
     """
     T = PTE.T
-    nodes = T.path(u_copy, v_copy)
-    out: List[int] = [T.payload[u_copy]]
+    u, v = T._check_nodes(u_copy, v_copy)
+    up, _, down = T._climb(u, v)
+    segs = PTE._segments
+    out: List[int] = [T.payload[u]]
     total = 0.0
-    for a, b in zip(nodes, nodes[1:]):
-        entry = PTE.assoc[_edge_key(a, b)]
-        if entry is None:
+    for c in up:
+        seg = segs[c]
+        if seg is None:
             raise Unreachable(f"copies {u_copy} and {v_copy} are separated")
-        path, w = entry
-        seg = path if path[0] == T.payload[a] else list(reversed(path))
-        if seg[0] != out[-1]:
-            raise AssertionError("associated paths do not concatenate")
-        out.extend(seg[1:])
-        total += w
+        out += seg[0]
+        total += seg[2]
+    for c in reversed(down):
+        seg = segs[c]
+        if seg is None:
+            raise Unreachable(f"copies {u_copy} and {v_copy} are separated")
+        out += seg[1]
+        total += seg[2]
     return out, total
 
 

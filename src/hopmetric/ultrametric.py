@@ -90,16 +90,30 @@ class _RootedTree:
             x, y = parent[x], parent[y]
         return x
 
+    def _climb(self, u: int, v: int) -> Tuple[List[int], int, List[int]]:
+        """(up, z, down): z = lca(u, v), and up and down the nodes climbed
+        from u and from v to reach it, z excluded, by depth as in ``lca``."""
+        parent, depth = self.parent, self._depth
+        up: List[int] = []
+        down: List[int] = []
+        while depth[u] > depth[v]:
+            up.append(u)
+            u = parent[u]
+        while depth[v] > depth[u]:
+            down.append(v)
+            v = parent[v]
+        while u != v:
+            up.append(u)
+            down.append(v)
+            u, v = parent[u], parent[v]
+        return up, u, down
+
     def path(self, u: int, v: int) -> List[int]:
         """Node sequence of the unique u-v path."""
-        u, v = self._check_nodes(u, v)
-        z = self.lca(u, v)
-        up, down = [u], [v]
-        while up[-1] != z:
-            up.append(self.parent[up[-1]])
-        while down[-1] != z:
-            down.append(self.parent[down[-1]])
-        return up + down[-2::-1]
+        up, z, down = self._climb(*self._check_nodes(u, v))
+        up.append(z)
+        up.extend(reversed(down))
+        return up
 
     def depth(self) -> int:
         """Number of edges on the longest root-to-node path."""

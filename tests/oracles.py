@@ -491,6 +491,29 @@ def search_tree_path(parent: Sequence, u: int, v: int) -> List[int]:
     return out[::-1]
 
 
+def edgewise_induced_path(pte, u_copy: int, v_copy: int):
+    """Literal transcription of the edge-by-edge induced-path walk: the
+    tree path by ``search_tree_path``, then per tree edge a -> b its
+    associated path, kept when it starts at payload[a] and reversed
+    otherwise, its tail appended and its weight added.  None when the tree
+    path crosses an infinite edge."""
+    payload = pte.T.payload
+    nodes = search_tree_path(pte.T.parent, u_copy, v_copy)
+    out = [payload[u_copy]]
+    total = 0.0
+    for a, b in zip(nodes, nodes[1:]):
+        entry = pte.assoc[(min(a, b), max(a, b))]
+        if entry is None:
+            return None
+        path, w = entry
+        seg = path if path[0] == payload[a] else list(reversed(path))
+        if seg[0] != out[-1]:
+            raise AssertionError("associated paths do not concatenate")
+        out.extend(seg[1:])
+        total += w
+    return out, total
+
+
 def climbed_depth(parent: Sequence) -> int:
     """Edges on the longest root path, climbing from every node."""
     best = 0

@@ -1,6 +1,7 @@
 """Path-tree embeddings, induced low-hop paths, and subgraph images."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -13,8 +14,8 @@ from hopmetric.preserve import (Unreachable, bounded_hop_path,
                                 image_of_general_subgraph,
                                 image_of_respecting_subgraph, induced_path)
 from hopmetric.cli import gen_graph
-from oracles import (connected_random_graph, logged_hop_path, random_graph,
-                     walk_enum_distance)
+from oracles import (connected_random_graph, edgewise_induced_path,
+                     logged_hop_path, random_graph, walk_enum_distance)
 from test_golden_structures import _digest
 
 
@@ -88,6 +89,12 @@ class TestBoundedHopPath:
         assert bounded_hop_path(G, 0, 0, 0) == ([0], 0.0)
         assert bounded_hop_path(G, 0, 1, 0) is None
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_negative_budget(self, n):
+        G = WeightedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+        with pytest.raises(ValueError, match="nonnegative"):
+            bounded_hop_path(G, 0, n - 1, -1)
+
 
 def _check_pte(G, pte):
     n = G.n
@@ -110,7 +117,7 @@ def _check_pte(G, pte):
             assert entry is None
             continue
         path, w = entry
-        assert {path[0], path[-1]} <= {payload[c], payload[p]} | {path[0]}
+        assert {path[0], path[-1]} == {payload[c], payload[p]}
         assert len(path) - 1 <= pte.edge_hop_budget
         assert w <= pte.T.weight[c] * (1 + 1e-9) + 1e-12
         _assert_walk(G, path, w)
@@ -166,12 +173,64 @@ class TestPathTreeEmbedding:
         with pytest.raises(Unreachable):
             induced_path(pte, a, b)
 
+    def test_unconcatenated_assoc_rejected(self):
+        G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        pte = build_path_tree_embedding(G, 0, 2)
+        key, (path, w) = next((k, e) for k, e in pte.assoc.items()
+                              if e is not None and len(e[0]) > 1)
+        for bad in (path[:-1] + [path[0]], path[1:]):
+            assoc = dict(pte.assoc)
+            assoc[key] = (bad, w)
+            with pytest.raises(AssertionError, match="associated paths do not concatenate"):
+                dataclasses.replace(pte, assoc=assoc)
+        assert dataclasses.replace(pte, assoc=dict(pte.assoc)) == pte
+
     def test_copy_range_validated(self):
         pte = build_path_tree_embedding(WeightedGraph(2, [(0, 1, 1.0)]), 0, 1)
         with pytest.raises(ValueError):
             induced_path(pte, 0, pte.T.n_nodes())
         with pytest.raises(ValueError):
             induced_path(pte, -1, -1)
+
+
+def _induced_or_none(pte, a, b):
+    try:
+        return induced_path(pte, a, b)
+    except Unreachable:
+        return None
+
+
+def _random_pte(variant: str, i: int):
+    rng = random.Random(f"induced-{variant}-{i}")
+    G = connected_random_graph(rng, rng.randint(4, 12), 0.3, 1.0, 6.0)
+    return build_path_tree_embedding(G, rng.randrange(G.n), rng.randint(1, 3), variant)
+
+
+DIFFERENTIAL_PTES = {
+    "grid": lambda: build_path_tree_embedding(
+        gen_graph("grid", {"rows": 10, "cols": 10}), 37, 2),
+    **{f"{variant}-{i}": (lambda variant=variant, i=i: _random_pte(variant, i))
+       for variant in ("standard", "alt") for i in range(4)},
+    "disconnected": lambda: build_path_tree_embedding(
+        WeightedGraph(6, [(0, 1, 1.0), (1, 2, 2.5), (3, 4, 1.0), (4, 5, 1.5)]), 1, 2),
+    "singleton": lambda: build_path_tree_embedding(WeightedGraph(1, []), 0, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_PTES))
+def test_induced_path_matches_edgewise_walk(name):
+    pte = DIFFERENTIAL_PTES[name]()
+    copies = range(pte.T.n_nodes())
+    separated = 0
+    for a in copies:
+        for b in copies:
+            got, ref = _induced_or_none(pte, a, b), edgewise_induced_path(pte, a, b)
+            assert got == ref, (a, b)
+            if ref is None:
+                separated += 1
+            else:
+                assert type(got) is tuple and type(got[0]) is list
+    assert (separated > 0) == (name == "disconnected")
 
 
 class TestRespectingImage:
